@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,6 +66,9 @@ class BaseGraph:
     shifts: np.ndarray      # circulant shifts, already reduced mod z
     w_r: np.ndarray = field(repr=False)   # entries per base row
     w_c: np.ndarray = field(repr=False)   # entries per base column
+    row_start: np.ndarray = field(repr=False)   # first entry of each base row
+    # shift of the circulant the XOR of the core rows leaves at column k_b
+    core_sum_shift: int = field(repr=False)
 
     @property
     def n_entries(self) -> int:
@@ -78,12 +81,8 @@ class BaseGraph:
 
     def row_entries(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """(cols, shifts) of base row r, ascending column order."""
-        sel = slice(self._row_start[r], self._row_start[r + 1])
+        sel = slice(self.row_start[r], self.row_start[r + 1])
         return self.cols[sel], self.shifts[sel]
-
-    @property
-    def _row_start(self) -> np.ndarray:
-        return self.__dict__["_row_start_cache"]
 
     def canonical_bytes(self) -> bytes:
         """Canonical serialization for hashing and determinism checks."""
@@ -157,23 +156,26 @@ def load_basegraph(
     if w_r.min() < 3:
         raise ValueError(f"malformed asset {path}: base row with weight < 3")
 
-    for arr in (rows, cols, shifts, w_r, w_c):
+    row_start = np.zeros(m_bg + 1, dtype=np.int64)
+    np.cumsum(w_r, out=row_start[1:])
+    for arr in (rows, cols, shifts, w_r, w_c, row_start):
         arr.flags.writeable = False
 
     bg = BaseGraph(
         id=bg_id, k_b=k_b, m_bg=m_bg, n_cols=n_cols, z=z,
         rows=rows, cols=cols, shifts=shifts, w_r=w_r, w_c=w_c,
+        row_start=row_start, core_sum_shift=0,
     )
-    row_start = np.zeros(m_bg + 1, dtype=np.int64)
-    np.cumsum(w_r, out=row_start[1:])
-    row_start.flags.writeable = False
-    bg.__dict__["_row_start_cache"] = row_start
-    _validate_encoding_structure(bg)
-    return bg
+    # the structure check over the graph's rows yields the core shift
+    return replace(bg, core_sum_shift=_validate_encoding_structure(bg))
 
 
-def _validate_encoding_structure(bg: BaseGraph) -> None:
-    """Check the parity structure the systematic encoder relies on."""
+def _validate_encoding_structure(bg: BaseGraph) -> int:
+    """Check the parity structure the systematic encoder relies on.
+
+    Returns the shift of the single circulant that the XOR of the four core
+    rows leaves at the first parity column.
+    """
     p0 = bg.core_parity_col
     # Extension rows may reference information and core parity columns plus
     # exactly one shift-0 identity in their own extension column.
@@ -204,7 +206,7 @@ def _validate_encoding_structure(bg: BaseGraph) -> None:
         raise ValueError(
             f"{bg.id}: core rows do not sum to a single circulant at column {p0}"
         )
-    bg.__dict__["core_sum_shift"] = odd[0]
+    return odd[0]
 
 
 @dataclass(frozen=True)

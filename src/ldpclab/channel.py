@@ -67,11 +67,14 @@ def quantize(llrs, cfg: QuantConfig, params: CodeParams) -> np.ndarray:
     Input is one LLR per transmitted bit (length n_tx, possibly batched as
     (..., n_tx)); output has length n_c with the 2Z punctured positions set
     to exact zero. int8 values are round(L*scale) clamped to [-127, 127];
-    f16 rounds to nearest-even half precision.
+    f16 rounds to nearest-even half precision. NaN is rejected; +/-inf
+    clamps like any out-of-range value.
     """
     arr = np.asarray(llrs, dtype=np.float64)
     if arr.shape[-1] != params.n_tx:
         raise ValueError(f"expected {params.n_tx} LLRs, got {arr.shape[-1]}")
+    if np.isnan(arr).any():
+        raise ValueError("LLRs must not be NaN")
     full = np.zeros(arr.shape[:-1] + (params.n_c,), dtype=np.float64)
     full[..., 2 * params.z:] = arr
     if cfg.mode == "int8":

@@ -93,7 +93,7 @@ def encode_batch(messages, bg: BaseGraph, z: int, rows_used: int) -> np.ndarray:
     # XOR of the core rows leaves a single circulant at the first parity
     # column (validated at load time).
     known[:, p0] = np.roll(t[:, 0] ^ t[:, 1] ^ t[:, 2] ^ t[:, 3],
-                           bg.__dict__["core_sum_shift"], axis=-1)
+                           bg.core_sum_shift, axis=-1)
     have[p0] = True
 
     # Back-substitute the remaining core columns: each core row has exactly

@@ -1,21 +1,24 @@
 """Layered and flooding min-sum decoders over the quasi-cyclic structure.
 
-Two datapaths produce bit-identical results on identical quantized inputs:
+Two engines produce bit-identical results on identical quantized inputs,
+each behind its own workspace type:
 
-* a batched scalar engine (int8 widened to int32, f16, or f32) that serves
-  as the reference and the fast simulation path, and
-* a packed engine (rho=4 codeword lanes per 32-bit word) built on the
-  sign-magnitude SWAR kernels.
+* ScalarWorkspace: a batched scalar engine (int8 widened to int32, f16, or
+  f32) that serves as the reference and the fast simulation path, and
+* PackedWorkspace: rho=4 codeword lanes per 32-bit word on the
+  sign-magnitude SWAR kernels, kept to verify the scalar engine.
 
-Row processing supports the high-throughput shape (one sequential scan over
-the row's columns) and the low-latency shape (alpha strided partitions
-folded independently, then butterfly-merged in log2(alpha) rounds). Both
-shapes compute the same (m1, m2, signs); only the argmin tag may differ on
-ties, where m1 = m2 makes the outputs tie-independent.
+Both reduce a check row through one driver, in the high-throughput shape
+(one sequential scan over the row's columns) or the low-latency shape (alpha
+strided partitions folded independently, then butterfly-merged in
+log2(alpha) rounds). Both shapes compute the same (m1, m2, signs); only the
+argmin tag may differ on ties, where m1 = m2 makes the outputs
+tie-independent.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from ldpclab import kernels
 from ldpclab.basegraph import BaseGraph
-from ldpclab.codec import crc_check
+from ldpclab.codec import _syndrome_weights, crc_check
 
 INT8_SAT = 127
 F16_SAT = np.float16(65504.0)
@@ -75,7 +78,7 @@ class DecodeConfig:
                 raise ValueError("alpha must be a power of two for low latency")
         allowed_rho = {
             Precision.INT8: (1, 4),
-            Precision.F16: (1, 2),
+            Precision.F16: (1,),
             Precision.F32: (1,),
         }[precision]
         if self.rho not in allowed_rho:
@@ -96,64 +99,70 @@ class DecodeResult:
     crc_ok: np.ndarray | None = None
 
 
-@dataclass
-class DecodeWorkspace:
-    """Mutable decode state for one batch (or packed lane group)."""
-
-    bg: BaseGraph
-    rows_used: int
-    lanes: int
-    packed: bool
-    iteration: int = 0
-    # scalar path: (B, n_blocks, Z) posteriors and (B, E, Z) messages
-    l_b: np.ndarray | None = None
-    l_v: np.ndarray | None = None
-    messages: np.ndarray | None = None
-    # packed path: sign-magnitude words over (n_blocks, Z) and (E, Z)
-    l_v_pk: kernels.PackedWord | None = None
-    messages_pk: kernels.PackedWord | None = None
-    row_gather: list = field(default_factory=list, repr=False)
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.bg.w_r[: self.rows_used].sum())
-
-
 # ---------------------------------------------------------------------------
-# Row-level check node updates
+# Check-node core
 
 
-def _partition_indices(w: int, alpha: int) -> list[np.ndarray]:
-    """Strided column assignment: partition p takes edges p, p+alpha, ..."""
-    return [np.arange(p, w, alpha) for p in range(alpha)]
+def _saturation(dtype):
+    """Largest magnitude a decoder value of `dtype` holds.
 
-
-def _reduce_values(mags, signs, sv, strategy: Strategy, alpha: int, sat):
-    """(m1, m2, tag, s_vc, s_v) over the edge axis (axis 1) of (B, w, Z).
-
-    Accumulator fields here are views and scalars, never copies: acc_merge
-    allocates its outputs and leaves inputs untouched.
+    The widened int8 engine stays within +/-127, f16 within its largest
+    finite value; f32 is unbounded (inf). It is also the reduce identity.
     """
-    w = mags.shape[1]
-    sat_val = mags.dtype.type(sat)
+    if np.issubdtype(dtype, np.integer):
+        return dtype.type(INT8_SAT)
+    return F16_SAT if dtype == np.float16 else dtype.type(np.inf)
 
-    def fold(indices):
-        acc = kernels.ValueAccumulator(m1=sat_val, m2=sat_val,
-                                       s_vc=False, s_v=False, tag=-1)
-        for j in indices:
-            edge = kernels.ValueAccumulator(
-                m1=mags[:, j], m2=sat_val,
-                s_vc=signs[:, j], s_v=sv[:, j], tag=int(j),
-            )
-            acc = kernels.acc_merge(acc, edge)
+
+def _clamp(x: np.ndarray, dtype) -> np.ndarray:
+    """Saturate the fresh array `x` in place to the range of `dtype`."""
+    sat = _saturation(dtype)
+    return x if np.isinf(sat) else np.clip(x, -sat, sat, out=x)
+
+
+def _reduce(identity, edge_acc, w: int, strategy: Strategy, alpha: int):
+    """Merge edges 0..w-1 of a check row into one accumulator.
+
+    `identity` and `edge_acc(j)` come from one arithmetic domain in
+    `kernels`. High throughput folds the edges in order; low latency folds
+    the alpha strided partitions (p, p + alpha, ...) independently, then
+    butterfly-merges them.
+    """
+    def fold(edges):
+        acc = identity
+        for j in edges:
+            acc = kernels.acc_merge(acc, edge_acc(j))
         return acc
 
     if strategy is Strategy.HIGH_THROUGHPUT or alpha == 1:
-        acc = fold(range(w))
+        return fold(range(w))
+    return kernels.tree_reduce([fold(range(p, w, alpha)) for p in range(alpha)])[0]
+
+
+def _minsum(lvc: np.ndarray, beta: float, strategy: Strategy, alpha: int) -> np.ndarray:
+    """Min-sum messages for the edges on axis 1 of `lvc`, (B, w, Z) or (N, w).
+
+    Saturation and the beta rule follow the dtype: integers scale by
+    floor(beta * magnitude), floats in their own dtype.
+    """
+    dtype = lvc.dtype
+    sat = _saturation(dtype)
+    mags = np.abs(lvc)
+    signs = lvc < 0
+    acc = _reduce(kernels.value_identity(sat),
+                  lambda j: kernels.value_edge_acc(mags[:, j], signs[:, j], j, sat),
+                  lvc.shape[1], strategy, alpha)
+    if np.issubdtype(dtype, np.integer):
+        b1 = np.floor(beta * acc.m1).astype(dtype)
+        b2 = np.floor(beta * acc.m2).astype(dtype)
     else:
-        partials = [fold(idx) for idx in _partition_indices(w, alpha)]
-        acc = kernels.tree_reduce(partials)[0]
-    return acc.m1, acc.m2, acc.tag, acc.s_vc, acc.s_v
+        b1 = dtype.type(beta) * acc.m1
+        b2 = dtype.type(beta) * acc.m2
+    out = np.empty_like(lvc)
+    for j in range(lvc.shape[1]):
+        mag = np.where(acc.tag == j, b2, b1)
+        out[:, j] = np.where(acc.s_vc ^ signs[:, j], -mag, mag)
+    return out
 
 
 def check_node_minsum(inputs, beta: float = 0.75, strategy=Strategy.HIGH_THROUGHPUT,
@@ -171,15 +180,7 @@ def check_node_minsum(inputs, beta: float = 0.75, strategy=Strategy.HIGH_THROUGH
         raise ValueError("a check row needs at least two edges")
     integer = np.issubdtype(arr.dtype, np.integer)
     work = (arr.astype(np.int32) if integer else arr).reshape(-1, w)
-    mags = np.abs(work)
-    signs = work < 0
-    sat = INT8_SAT if integer else _float_sat(arr.dtype)
-    m1, m2, tag, s_vc, _ = _reduce_values(mags, signs, signs, Strategy(strategy), alpha, sat)
-    out = np.empty_like(work)
-    for j in range(w):
-        mag = _beta_mag(np.where(tag == j, m2, m1), beta, integer, work.dtype)
-        out[:, j] = np.where(s_vc ^ signs[:, j], -mag, mag)
-    out = out.reshape(arr.shape)
+    out = _minsum(work, beta, Strategy(strategy), alpha).reshape(arr.shape)
     return out.astype(arr.dtype) if integer else out
 
 
@@ -201,43 +202,113 @@ def check_node_exact(inputs) -> np.ndarray:
     return out
 
 
-def _float_sat(dtype):
-    return F16_SAT if dtype == np.float16 else np.float32(np.inf)
-
-
-def _beta_mag(mag, beta, integer: bool, dtype):
-    if integer:
-        return np.floor(beta * mag).astype(np.int32)
-    b = dtype.type(beta) if hasattr(dtype, "type") else np.dtype(dtype).type(beta)
-    return b * mag
-
-
 # ---------------------------------------------------------------------------
-# Scalar engine (reference path, batched over codewords)
+# Workspaces: one type per engine
 
 
-def _engine_dtype(precision: Precision):
-    return {
-        Precision.INT8: np.int32,
-        Precision.F16: np.float16,
-        Precision.F32: np.float32,
-    }[precision]
+@dataclass
+class DecodeWorkspace(ABC):
+    """Mutable decode state for one batch; each engine subclasses it.
+
+    An engine supplies `layer` and `posteriors`; hard decisions, the
+    syndrome and the margins follow from the posteriors alike for both.
+    """
+
+    bg: BaseGraph
+    rows_used: int
+    lanes: int
+    row_gather: list = field(repr=False)   # per row: (cols, shifts, edge offset, (w, Z) index)
+    iteration: int = field(default=0, init=False)
+
+    @property
+    def n_edges(self) -> int:
+        return int(self.bg.w_r[: self.rows_used].sum())
+
+    @abstractmethod
+    def layer(self, r: int, cfg: DecodeConfig) -> None:
+        """Update check row r: its messages and the posteriors it touches."""
+
+    @abstractmethod
+    def posteriors(self) -> np.ndarray:
+        """Signed posteriors L_v, shape (lanes, n_blocks, Z)."""
+
+    def _hard(self) -> np.ndarray:
+        return (self.posteriors() < 0).view(np.uint8).reshape(self.lanes, -1)
+
+    def syndrome(self) -> np.ndarray:
+        """Unsatisfied checks per lane."""
+        return _syndrome_weights(self._hard(), self.bg, self.rows_used)
+
+    def hard_bits(self) -> np.ndarray:
+        """(lanes, K) hard decisions on the information bits."""
+        return self._hard()[:, : self.bg.k_b * self.bg.z]
+
+    def min_abs(self) -> np.ndarray:
+        """Smallest |L_v| per lane."""
+        return np.abs(self.posteriors()).min(axis=(1, 2)).astype(np.float64)
 
 
-def _clamp(x, precision: Precision):
-    if precision is Precision.INT8:
-        return np.clip(x, -INT8_SAT, INT8_SAT)
-    if precision is Precision.F16:
-        return np.clip(x, -F16_SAT, F16_SAT)
-    return x
+@dataclass
+class ScalarWorkspace(DecodeWorkspace):
+    """(B, n_blocks, Z) channel values and posteriors, (B, E, Z) messages."""
+
+    l_b: np.ndarray = field(repr=False)
+    l_v: np.ndarray = field(repr=False)
+    messages: np.ndarray = field(repr=False)
+
+    def posteriors(self) -> np.ndarray:
+        return self.l_v
+
+    def layer(self, r: int, cfg: DecodeConfig) -> None:
+        cols, _, e0, idx = self.row_gather[r]
+        msgs = self.messages[:, e0:e0 + len(cols), :]
+        dtype = self.l_v.dtype
+        with np.errstate(over="ignore"):               # f16 saturates via clamp
+            lvc = _clamp(self.l_v[:, cols[:, None], idx] - msgs, dtype)
+            out = _minsum(lvc, cfg.beta, cfg.strategy, cfg.alpha)
+            msgs[...] = out
+            self.l_v[:, cols[:, None], idx] = _clamp(lvc + out, dtype)
 
 
-def _sat_value(precision: Precision):
-    if precision is Precision.INT8:
-        return INT8_SAT
-    if precision is Precision.F16:
-        return F16_SAT
-    return np.float32(np.inf)
+def _beta_lut(beta: float) -> np.ndarray:
+    lut = np.floor(beta * np.arange(256)).astype(np.uint32)
+    return np.minimum(lut, 255)
+
+
+@dataclass
+class PackedWorkspace(DecodeWorkspace):
+    """Sign-magnitude words of 4 lanes over (n_blocks, Z) and (E, Z)."""
+
+    l_v: kernels.PackedWord = field(repr=False)
+    messages: kernels.PackedWord = field(repr=False)
+
+    def posteriors(self) -> np.ndarray:
+        return np.moveaxis(self.l_v.values(), -1, 0)
+
+    def layer(self, r: int, cfg: DecodeConfig) -> None:
+        cols, _, e0, idx = self.row_gather[r]
+        w = len(cols)
+        lv = kernels.PackedWord(self.l_v.mag[cols[:, None], idx],
+                                self.l_v.sign[cols[:, None], idx])
+        msg = kernels.PackedWord(self.messages.mag[e0:e0 + w],
+                                 self.messages.sign[e0:e0 + w])
+        lvc = kernels.sat_sub(lv, msg)
+        acc = _reduce(kernels.packed_identity(),
+                      lambda j: kernels.packed_edge_acc(lvc.mag[j], lvc.sign[j], j),
+                      w, cfg.strategy, cfg.alpha)
+        lut = _beta_lut(cfg.beta)
+        b1 = kernels.apply_lut_u8(acc.m1, lut)
+        b2 = kernels.apply_lut_u8(acc.m2, lut)
+        # all per-edge selects are elementwise: run them on the (w, Z) block
+        jw = (np.arange(w, dtype=np.uint32) * np.uint32(0x01010101))[:, None]
+        is_min = ~kernels.vcmplt_u8(np.uint32(0), acc.tag[None, :] ^ jw)
+        mag = (is_min & b2[None, :]) | (~is_min & b1[None, :])
+        sign = (acc.s_vc[None, :] ^ lvc.sign) & kernels.vcmplt_u8(np.uint32(0), mag)
+        upd = kernels.sat_add(lvc, kernels.PackedWord(mag, sign))
+        self.messages.mag[e0:e0 + w] = mag
+        self.messages.sign[e0:e0 + w] = sign
+        self.l_v.mag[cols[:, None], idx] = upd.mag
+        self.l_v.sign[cols[:, None], idx] = upd.sign
 
 
 def _build_row_gather(bg: BaseGraph, rows_used: int) -> list:
@@ -258,6 +329,8 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     arr = np.asarray(llrs)
     if arr.ndim == 1:
         arr = arr[None, :]
+    if np.issubdtype(arr.dtype, np.floating) and np.isnan(arr).any():
+        raise ValueError("LLRs must not be NaN")
     if arr.shape[-1] % bg.z:
         raise ValueError("LLR block length must be a multiple of Z")
     rows_used = arr.shape[-1] // bg.z - bg.k_b
@@ -266,190 +339,43 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
             f"LLR block length implies rows_used={rows_used}, outside [4, {bg.m_bg}]"
         )
     batch = arr.shape[0]
-    packed = cfg.precision is Precision.INT8 and cfg.rho == 4
+    packed = cfg.rho == 4
     if packed and batch != 4:
         raise ValueError("packed int8 decoding packs exactly rho=4 lanes per group")
-    n_blocks = bg.k_b + rows_used
-    ws = DecodeWorkspace(bg=bg, rows_used=rows_used, lanes=batch, packed=packed)
-    ws.row_gather = _build_row_gather(bg, rows_used)
-    n_edges = ws.n_edges
+    dtype = {Precision.INT8: np.int32, Precision.F16: np.float16,
+             Precision.F32: np.float32}[cfg.precision]
+    lv = arr.astype(dtype).reshape(batch, bg.k_b + rows_used, bg.z)
+    if cfg.precision is Precision.INT8 and np.abs(lv).max(initial=0) > INT8_SAT:
+        raise ValueError("int8 LLR magnitudes must be at most 127")
+    common = dict(bg=bg, rows_used=rows_used, lanes=batch,
+                  row_gather=_build_row_gather(bg, rows_used))
+    n_edges = int(bg.w_r[:rows_used].sum())
     if packed:
-        vals = arr.astype(np.int32).reshape(4, n_blocks, bg.z)
-        if np.abs(vals).max(initial=0) > INT8_SAT:
-            raise ValueError("int8 LLR magnitudes must be at most 127")
-        ws.l_v_pk = kernels.pack_values(np.moveaxis(vals, 0, -1))
         zeros = np.zeros((n_edges, bg.z), dtype=np.uint32)
-        ws.messages_pk = kernels.PackedWord(zeros, zeros.copy())
-        ws.l_b = vals  # retained for flooding/trace symmetry
-    else:
-        dtype = _engine_dtype(cfg.precision)
-        lv = arr.astype(dtype).reshape(batch, n_blocks, bg.z)
-        if cfg.precision is Precision.INT8 and np.abs(lv).max(initial=0) > INT8_SAT:
-            raise ValueError("int8 LLR magnitudes must be at most 127")
-        ws.l_b = lv.copy()
-        ws.l_v = lv
-        ws.messages = np.zeros((batch, n_edges, bg.z), dtype=dtype)
-    return ws
+        return PackedWorkspace(**common, l_v=kernels.pack_values(np.moveaxis(lv, 0, -1)),
+                               messages=kernels.PackedWord(zeros, zeros.copy()))
+    return ScalarWorkspace(**common, l_b=lv.copy(), l_v=lv,
+                           messages=np.zeros((batch, n_edges, bg.z), dtype=dtype))
 
 
-def _scalar_layer(ws: DecodeWorkspace, cfg: DecodeConfig, r: int) -> None:
-    cols, shifts, e0, idx = ws.row_gather[r]
-    w = len(cols)
-    lv_rows = ws.l_v[:, cols[:, None], idx]            # (B, w, Z), check-aligned
-    with np.errstate(over="ignore"):                   # f16 saturates via clamp
-        lvc = _clamp(lv_rows - ws.messages[:, e0:e0 + w, :], cfg.precision)
-    mags = np.abs(lvc)
-    signs = lvc < 0
-    sv = lv_rows < 0
-    sat = _sat_value(cfg.precision)
-    m1, m2, tag, s_vc, _ = _reduce_values(
-        mags, signs, sv, cfg.strategy, cfg.alpha, sat
-    )
-    integer = cfg.precision is Precision.INT8
-    b1 = _beta_mag(m1, cfg.beta, integer, ws.l_v.dtype)
-    b2 = _beta_mag(m2, cfg.beta, integer, ws.l_v.dtype)
-    new_lv = np.empty_like(lv_rows)
-    outs = np.empty_like(lvc)
-    with np.errstate(over="ignore"):
-        for j in range(w):
-            mag = np.where(tag == j, b2, b1)
-            out = np.where(s_vc ^ signs[:, j], -mag, mag).astype(ws.l_v.dtype)
-            outs[:, j] = out
-            new_lv[:, j] = _clamp(lvc[:, j] + out, cfg.precision)
-    ws.messages[:, e0:e0 + w, :] = outs
-    ws.l_v[:, cols[:, None], idx] = new_lv
-
-
-def _scalar_syndrome(ws: DecodeWorkspace) -> np.ndarray:
-    hard = ws.l_v < 0
-    weight = np.zeros(ws.lanes, dtype=np.int64)
-    for cols, _, _, idx in ws.row_gather:
-        parity = np.bitwise_xor.reduce(hard[:, cols[:, None], idx], axis=1)
-        weight += parity.sum(axis=-1)
-    return weight
-
-
-def _scalar_hard_bits(ws: DecodeWorkspace) -> np.ndarray:
-    bits = (ws.l_v[:, : ws.bg.k_b, :] < 0).astype(np.uint8)
-    return bits.reshape(ws.lanes, -1)
-
-
-def _scalar_flood(ws: DecodeWorkspace, cfg: DecodeConfig) -> None:
+def _scalar_flood(ws: ScalarWorkspace, cfg: DecodeConfig) -> None:
     """One flooding iteration: every row consumes the previous posteriors."""
-    lv_prev = ws.l_v.copy()
+    dtype = ws.l_v.dtype
     new_msgs = np.empty_like(ws.messages)
-    sat = _sat_value(cfg.precision)
-    integer = cfg.precision is Precision.INT8
-    for cols, shifts, e0, idx in ws.row_gather:
+    for cols, _, e0, idx in ws.row_gather:
         w = len(cols)
-        lv_rows = lv_prev[:, cols[:, None], idx]
         with np.errstate(over="ignore"):
-            lvc = _clamp(lv_rows - ws.messages[:, e0:e0 + w, :], cfg.precision)
-        mags = np.abs(lvc)
-        signs = lvc < 0
-        m1, m2, tag, s_vc, _ = _reduce_values(
-            mags, signs, signs, cfg.strategy, cfg.alpha, sat
-        )
-        b1 = _beta_mag(m1, cfg.beta, integer, ws.l_v.dtype)
-        b2 = _beta_mag(m2, cfg.beta, integer, ws.l_v.dtype)
-        for j in range(w):
-            mag = np.where(tag == j, b2, b1)
-            new_msgs[:, e0 + j] = np.where(s_vc ^ signs[:, j], -mag, mag)
+            lvc = _clamp(ws.l_v[:, cols[:, None], idx] - ws.messages[:, e0:e0 + w, :], dtype)
+        new_msgs[:, e0:e0 + w] = _minsum(lvc, cfg.beta, cfg.strategy, cfg.alpha)
     ws.messages = new_msgs
     # Variable update: L_v = L_b + sum of incoming messages, widened then
     # saturated once per iteration.
-    acc = ws.l_b.astype(np.int64 if integer else np.float64).copy()
-    for cols, shifts, e0, idx in ws.row_gather:
+    acc = ws.l_b.astype(np.int64 if np.issubdtype(dtype, np.integer) else np.float64)
+    for cols, shifts, e0, _ in ws.row_gather:
         for j, (c, s) in enumerate(zip(cols, shifts)):
-            acc[:, c, :] += np.roll(ws.messages[:, e0 + j, :], s, axis=-1).astype(acc.dtype)
-    ws.l_v = _clamp(acc, cfg.precision).astype(ws.l_v.dtype)
-
-
-# ---------------------------------------------------------------------------
-# Packed engine (rho=4 int8 lanes per word)
-
-
-def _beta_lut(beta: float) -> np.ndarray:
-    lut = np.floor(beta * np.arange(256)).astype(np.uint32)
-    return np.minimum(lut, 255)
-
-
-def _packed_gather(word: np.ndarray, cols, idx) -> np.ndarray:
-    return word[cols[:, None], idx]
-
-
-def _packed_layer(ws: DecodeWorkspace, cfg: DecodeConfig, r: int, lut: np.ndarray) -> None:
-    cols, shifts, e0, idx = ws.row_gather[r]
-    w = len(cols)
-    lv = kernels.PackedWord(
-        _packed_gather(ws.l_v_pk.mag, cols, idx),
-        _packed_gather(ws.l_v_pk.sign, cols, idx),
-    )
-    msg = kernels.PackedWord(
-        ws.messages_pk.mag[e0:e0 + w], ws.messages_pk.sign[e0:e0 + w]
-    )
-    lvc = kernels.sat_sub(lv, msg)
-
-    # field views and scalar identity words: acc_merge never mutates inputs
-    sat_w = np.uint32(0x7F7F7F7F)
-    zero_w = np.uint32(0)
-    ident = kernels.PackedAccumulator(m1=sat_w, m2=sat_w, s_vc=zero_w,
-                                      s_v=zero_w, tag=np.uint32(0xFFFFFFFF))
-
-    def edge_acc(j):
-        return kernels.PackedAccumulator(
-            m1=lvc.mag[j], m2=sat_w, s_vc=lvc.sign[j], s_v=lv.sign[j],
-            tag=np.uint32(j) * np.uint32(0x01010101),
-        )
-
-    if cfg.strategy is Strategy.HIGH_THROUGHPUT or cfg.alpha == 1:
-        acc = ident
-        for j in range(w):
-            acc = kernels.acc_merge(acc, edge_acc(j))
-    else:
-        partials = []
-        for part in _partition_indices(w, cfg.alpha):
-            p_acc = ident
-            for j in part:
-                p_acc = kernels.acc_merge(p_acc, edge_acc(int(j)))
-            partials.append(p_acc)
-        acc = kernels.tree_reduce(partials)[0]
-
-    b1 = kernels.apply_lut_u8(acc.m1, lut)
-    b2 = kernels.apply_lut_u8(acc.m2, lut)
-    # all per-edge selects are elementwise: run them on the (w, Z) block
-    jw = (np.arange(w, dtype=np.uint32) * np.uint32(0x01010101))[:, None]
-    is_min = ~kernels.vcmplt_u8(np.uint32(0), acc.tag[None, :] ^ jw)
-    mag = (is_min & b2[None, :]) | (~is_min & b1[None, :])
-    sign = (acc.s_vc[None, :] ^ lvc.sign) & kernels.vcmplt_u8(np.uint32(0), mag)
-    out = kernels.PackedWord(mag, sign)
-    upd = kernels.sat_add(lvc, out)
-    ws.messages_pk.mag[e0:e0 + w] = out.mag
-    ws.messages_pk.sign[e0:e0 + w] = out.sign
-    ws.l_v_pk.mag[cols[:, None], idx] = upd.mag
-    ws.l_v_pk.sign[cols[:, None], idx] = upd.sign
-
-
-def _packed_syndrome(ws: DecodeWorkspace) -> np.ndarray:
-    weight = np.zeros(4, dtype=np.int64)
-    for cols, _, _, idx in ws.row_gather:
-        parity = np.bitwise_xor.reduce(
-            _packed_gather(ws.l_v_pk.sign, cols, idx), axis=0
-        )
-        lanes = kernels.unpack_u8(parity)
-        weight += (lanes != 0).sum(axis=tuple(range(lanes.ndim - 1)))
-    return weight
-
-
-def _packed_hard_bits(ws: DecodeWorkspace) -> np.ndarray:
-    lanes = kernels.unpack_u8(ws.l_v_pk.sign[: ws.bg.k_b])
-    bits = (lanes != 0).astype(np.uint8)          # (k_b, Z, 4)
-    return np.moveaxis(bits, -1, 0).reshape(4, -1)
-
-
-def _packed_min_abs(ws: DecodeWorkspace) -> np.ndarray:
-    mags = kernels.unpack_u8(ws.l_v_pk.mag)
-    return mags.min(axis=tuple(range(mags.ndim - 1)))
+            acc[:, c, :] += np.roll(ws.messages[:, e0 + j, :], s, axis=-1)
+    ws.l_v = _clamp(acc, dtype).astype(dtype)
+    ws.iteration += 1
 
 
 # ---------------------------------------------------------------------------
@@ -458,32 +384,13 @@ def _packed_min_abs(ws: DecodeWorkspace) -> np.ndarray:
 
 def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     """One full layered pass: rows in ascending order, each feeding the next."""
-    if ws.packed:
-        lut = _beta_lut(cfg.beta)
-        for r in range(ws.rows_used):
-            _packed_layer(ws, cfg, r, lut)
-    else:
-        for r in range(ws.rows_used):
-            _scalar_layer(ws, cfg, r)
+    for r in range(ws.rows_used):
+        ws.layer(r, cfg)
     ws.iteration += 1
     return ws
 
 
-def _syndrome_weights(ws: DecodeWorkspace) -> np.ndarray:
-    return _packed_syndrome(ws) if ws.packed else _scalar_syndrome(ws)
-
-
-def _hard_bits(ws: DecodeWorkspace) -> np.ndarray:
-    return _packed_hard_bits(ws) if ws.packed else _scalar_hard_bits(ws)
-
-
-def _min_abs_lv(ws: DecodeWorkspace) -> np.ndarray:
-    if ws.packed:
-        return _packed_min_abs(ws).astype(np.float64)
-    return np.abs(ws.l_v).min(axis=(1, 2)).astype(np.float64)
-
-
-def _run_schedule(llrs, bg, cfg, trace, step) -> DecodeResult:
+def _run_schedule(llrs, bg, cfg, trace, step, first: int = 0) -> DecodeResult:
     ws = init_workspace(llrs, bg, cfg)
     batch = ws.lanes
     k = bg.k_b * bg.z
@@ -496,18 +403,18 @@ def _run_schedule(llrs, bg, cfg, trace, step) -> DecodeResult:
 
     for it in range(1, cfg.max_iter + 1):
         step(ws)
-        weights = _syndrome_weights(ws)
-        margins = _min_abs_lv(ws)
+        weights = ws.syndrome()
+        margins = ws.min_abs()
         if trace is not None:
             for b in range(batch):
-                trace.append((b, it, int(weights[b]), float(margins[b])))
+                trace.append((b + first, it, int(weights[b]), float(margins[b])))
         if cfg.early_stop is EarlyStop.NONE:
             continue
         # a zero-margin posterior is an undecided bit (erasure fixed point):
         # the all-zero hard decision it implies is not a found codeword
         candidates = ~done & (weights == 0) & (margins > 0)
         if candidates.any():
-            hard = _hard_bits(ws)
+            hard = ws.hard_bits()
             for b in np.flatnonzero(candidates):
                 if cfg.early_stop is EarlyStop.CRC:
                     ok = crc_check(hard[b], cfg.crc_kind)
@@ -523,9 +430,9 @@ def _run_schedule(llrs, bg, cfg, trace, step) -> DecodeResult:
             break
 
     if not done.all():
-        hard = _hard_bits(ws)
-        weights = _syndrome_weights(ws)
-        margins = _min_abs_lv(ws)
+        hard = ws.hard_bits()
+        weights = ws.syndrome()
+        margins = ws.min_abs()
         for b in np.flatnonzero(~done):
             bits[b] = hard[b]
             iterations[b] = ws.iteration
@@ -548,37 +455,24 @@ def decode(llrs, bg: BaseGraph, cfg: DecodeConfig, trace: list | None = None) ->
     Early termination is checked after every full iteration. The optional
     `trace` list collects (codeword, iteration, syndrome weight, min |L_v|).
     """
-    arr = np.asarray(llrs)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if cfg.precision is Precision.INT8 and cfg.rho == 4:
-        if arr.shape[0] % 4:
-            raise ValueError("packed int8 decode needs a multiple of 4 codewords")
-        results = []
-        for g in range(0, arr.shape[0], 4):
-            group_trace = None if trace is None else []
-            results.append(_run_schedule(arr[g:g + 4], bg, cfg, group_trace,
-                                         lambda ws: layered_iteration(ws, bg, cfg)))
-            if trace is not None:
-                trace.extend((b + g, *rest) for b, *rest in group_trace)
-        return _concat_results(results)
-    return _run_schedule(arr, bg, cfg, trace, lambda ws: layered_iteration(ws, bg, cfg))
+    def step(ws):
+        layered_iteration(ws, bg, cfg)
+
+    if cfg.rho != 4:
+        return _run_schedule(llrs, bg, cfg, trace, step)
+    arr = np.atleast_2d(llrs)
+    if len(arr) % 4:
+        raise ValueError("packed int8 decode needs a multiple of 4 codewords")
+    # a packed workspace holds the four lanes of one word
+    return _concat_results([_run_schedule(arr[g:g + 4], bg, cfg, trace, step, g)
+                            for g in range(0, len(arr), 4)])
 
 
 def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig, trace: list | None = None) -> DecodeResult:
     """Flooding-schedule decode: all rows consume the previous iteration."""
-    if cfg.precision is Precision.INT8 and cfg.rho == 4:
+    if cfg.rho == 4:
         raise ValueError("flooding decoding runs on the scalar path (rho < 4)")
-    arr = np.asarray(llrs)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-
-    def step(ws):
-        _scalar_flood(ws, cfg)
-        ws.iteration += 1
-
-    return _run_schedule(arr, bg, cfg, trace, step)
+    return _run_schedule(llrs, bg, cfg, trace, lambda ws: _scalar_flood(ws, cfg))
 
 
 def _concat_results(results: list[DecodeResult]) -> DecodeResult:

@@ -1,10 +1,10 @@
 """BLER/BER sweeps, latency and throughput measurement, CSV emission.
 
 Every sweep is reproducible: codeword batches draw from generators seeded by
-(seed, point index, batch index), and per-worker tallies merge in batch-index
-order, so identical arguments (including the worker count, which sets how
-many batches run between stopping-rule checks) give identical counters.
-Timing columns are machine-dependent and excluded from the guarantee.
+(seed, point index, batch index), and worker tallies merge in batch-index
+order under the stopping rule, so the counters depend on the seed, the batch
+size and the configuration, never on the worker count. Timing columns are
+machine-dependent and excluded from the guarantee.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 def _config_hash(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _batch_seed(seed: int, point: int, batch: int) -> tuple[int, int, int]:
-    return (seed, point, batch)
 
 
 def _run_batch(
@@ -166,18 +162,21 @@ def run_bler_sweep(
             sigma = None if math.isinf(ebn0) else ebn0_to_sigma(ebn0, rate_eff)
             tallies: list[dict] = []
             total_cw = total_blk = 0
+            launched = 0          # codewords in the batches launched so far
             b_idx = 0
             while total_cw < max_codewords and total_blk < target_block_errors:
-                want = min(batch, max_codewords - total_cw)
-                if cfg.rho == 4:
-                    want = max(4, want - want % 4)
+                # Up to `workers` batches at once, each sized as the serial
+                # loop would size it. Tallies count in batch-index order up
+                # to the batch that meets the stopping rule; batches launched
+                # past it are dropped.
                 jobs = []
-                lanes = max(1, workers)
-                for _ in range(lanes):
-                    if total_cw + sum(j[5] for j in jobs) >= max_codewords:
-                        break
+                while len(jobs) < max(1, workers) and launched < max_codewords:
+                    want = min(batch, max_codewords - launched)
+                    if cfg.rho == 4:
+                        want = max(4, want - want % 4)
                     jobs.append((bg, rows_used, cfg, quant, sigma, want,
-                                 _batch_seed(seed, p_idx, b_idx), keep_failures))
+                                 (seed, p_idx, b_idx), keep_failures))
+                    launched += want
                     b_idx += 1
                 if pool is not None:
                     results = list(pool.map(_run_batch_star, jobs))
@@ -187,6 +186,8 @@ def run_bler_sweep(
                     tallies.append(res)
                     total_cw += res["codewords"]
                     total_blk += res["block_errors"]
+                    if total_cw >= max_codewords or total_blk >= target_block_errors:
+                        break
             iters = [it for t in tallies for it in t["iterations"]]
             decode_time = sum(t["decode_time"] for t in tallies)
             samples = [s for t in tallies for s in t["samples"]][:keep_failures]
@@ -215,7 +216,7 @@ def run_bler_sweep(
         "quant_scale": quant.scale,
         "grid": ["inf" if math.isinf(g) else g for g in grid],
         "target_block_errors": target_block_errors, "max_codewords": max_codewords,
-        "rate_eff": rate_eff,
+        "batch": batch, "rate_eff": rate_eff,
     }
     return SweepResult(
         points=points, seed=seed,

@@ -1,14 +1,15 @@
 """Packed-lane kernels: lane ordering, saturating sign-magnitude arithmetic,
 and the associative (min, submin, signs) reduction.
 
-8-bit mode packs rho=4 unsigned magnitude lanes into one 32-bit word, lane l
-at bits [8l, 8l+8); signs travel in a companion word holding 0x00 (positive)
-or 0xFF (negative) per lane. Magnitudes never exceed 127, so single adds and
-subtracts cannot carry across lanes. 16-bit mode packs rho=2 IEEE half
-floats, whose native sign bit plays the sign-magnitude role.
+A packed word holds rho=4 unsigned 8-bit magnitude lanes, lane l at bits
+[8l, 8l+8); signs travel in a companion word holding 0x00 (positive) or 0xFF
+(negative) per lane. Magnitudes never exceed 127, so single adds and
+subtracts cannot carry across lanes.
 
 All functions are pure and operate elementwise on numpy uint32 arrays of any
-shape, mirroring a warp of independent SIMD words.
+shape, mirroring a warp of independent SIMD words. The reduction also has a
+scalar-domain accumulator over plain numpy values, so both decoder engines
+share one merge algebra.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-U8X4 = "u8x4"
-F16X2 = "f16x2"
 
 U8_SAT = 127
 
@@ -47,23 +45,6 @@ def unpack_u8(words) -> np.ndarray:
     return out
 
 
-def pack_f16(values) -> np.ndarray:
-    """Pack (..., 2) float16 values into uint32 words, lane 0 low."""
-    arr = np.asarray(values, dtype=np.float16)
-    if arr.shape[-1] != 2:
-        raise ValueError("f16x2 packing needs 2 lanes")
-    raw = arr.view(np.uint16).astype(np.uint32)
-    return raw[..., 0] | (raw[..., 1] << 16)
-
-
-def unpack_f16(words) -> np.ndarray:
-    w = np.asarray(words, dtype=np.uint32)
-    out = np.empty(w.shape + (2,), dtype=np.uint16)
-    out[..., 0] = w & np.uint32(0xFFFF)
-    out[..., 1] = w >> 16
-    return out.view(np.float16)
-
-
 def vcmplt_u8(a, b) -> np.ndarray:
     """Per-lane unsigned a < b: 0xFF in matching lanes, 0x00 elsewhere.
 
@@ -81,24 +62,15 @@ def _select(mask, when_set, when_clear):
     return (mask & when_set) | (~mask & when_clear)
 
 
-def ord_vec(a, b, mode: str = U8X4) -> tuple[np.ndarray, np.ndarray]:
-    """Per-lane (min, max) of two packed words.
+def ord_vec(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane unsigned (min, max) of two packed words.
 
-    8-bit lanes compare unsigned; 16-bit lanes compare as half-precision
-    values (sign included). Mirrors a compare-then-two-bit-selects sequence.
+    Mirrors a compare-then-two-bit-selects sequence.
     """
     a = np.asarray(a, dtype=np.uint32)
     b = np.asarray(b, dtype=np.uint32)
-    if mode == U8X4:
-        mask = vcmplt_u8(a, b)
-        return _select(mask, a, b), _select(mask, b, a)
-    if mode == F16X2:
-        av, bv = unpack_f16(a), unpack_f16(b)
-        le = av <= bv
-        lo = np.where(le, av, bv)
-        hi = np.where(le, bv, av)
-        return pack_f16(lo), pack_f16(hi)
-    raise ValueError(f"unknown packing mode {mode!r}")
+    mask = vcmplt_u8(a, b)
+    return _select(mask, a, b), _select(mask, b, a)
 
 
 @dataclass
@@ -135,10 +107,8 @@ def negate(a: PackedWord) -> PackedWord:
     return _canonical(a.mag, ~a.sign)
 
 
-def sat_add(a: PackedWord, b: PackedWord, mode: str = U8X4) -> PackedWord:
+def sat_add(a: PackedWord, b: PackedWord) -> PackedWord:
     """Per-lane saturating signed add of sign-magnitude operands."""
-    if mode != U8X4:
-        raise ValueError("sat_add operates on u8x4 packed words")
     same = ~(a.sign ^ b.sign)
     total = a.mag + b.mag                       # lanes <= 254: no carry-out
     over = vcmplt_u8(_S127, total)
@@ -152,22 +122,9 @@ def sat_add(a: PackedWord, b: PackedWord, mode: str = U8X4) -> PackedWord:
     return _canonical(mag, sign)
 
 
-def sat_sub(a: PackedWord, b: PackedWord, mode: str = U8X4) -> PackedWord:
+def sat_sub(a: PackedWord, b: PackedWord) -> PackedWord:
     """Per-lane saturating signed subtract, a - b."""
-    return sat_add(a, negate(b), mode)
-
-
-def sat_add_f16(a, b) -> np.ndarray:
-    """f16x2 add clamped to the largest finite half-precision magnitude."""
-    with np.errstate(over="ignore"):   # transient inf clips to the saturation
-        s = unpack_f16(a) + unpack_f16(b)
-        return pack_f16(np.clip(s, np.float16(-65504.0), np.float16(65504.0)))
-
-
-def sat_sub_f16(a, b) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        d = unpack_f16(a) - unpack_f16(b)
-        return pack_f16(np.clip(d, np.float16(-65504.0), np.float16(65504.0)))
+    return sat_add(a, negate(b))
 
 
 def apply_lut_u8(words, lut) -> np.ndarray:
@@ -185,12 +142,11 @@ def apply_lut_u8(words, lut) -> np.ndarray:
 
 @dataclass
 class PackedAccumulator:
-    """Per-lane (m1, m2, message sign, variable sign, argmin tag) words."""
+    """Per-lane (m1, m2, message sign, argmin tag) words."""
 
     m1: np.ndarray
     m2: np.ndarray
     s_vc: np.ndarray
-    s_v: np.ndarray
     tag: np.ndarray
 
     def merge(self, other: "PackedAccumulator") -> "PackedAccumulator":
@@ -203,30 +159,22 @@ class PackedAccumulator:
             m1=m1,
             m2=m2,
             s_vc=self.s_vc ^ other.s_vc,
-            s_v=self.s_v ^ other.s_v,
             tag=_select(y_wins, other.tag, self.tag),
         )
 
 
-def packed_identity(shape) -> PackedAccumulator:
-    """Merge identity: saturated magnitudes, positive signs, sentinel tag."""
-    full = np.full(shape, _S127, dtype=np.uint32)
-    zero = np.zeros(shape, dtype=np.uint32)
-    return PackedAccumulator(
-        m1=full.copy(), m2=full.copy(), s_vc=zero.copy(), s_v=zero.copy(),
-        tag=np.full(shape, _FULL, dtype=np.uint32),
-    )
+def packed_identity() -> PackedAccumulator:
+    """Merge identity: saturated magnitudes, positive signs, sentinel tag.
+
+    Fields are scalar words that broadcast against any edge shape.
+    """
+    return PackedAccumulator(m1=_S127, m2=_S127, s_vc=np.uint32(0), tag=_FULL)
 
 
-def packed_edge_acc(mag, sign, s_v, edge_index: int, shape) -> PackedAccumulator:
-    """Single-edge accumulator for the packed reduce."""
-    return PackedAccumulator(
-        m1=np.asarray(mag, dtype=np.uint32).copy(),
-        m2=np.full(shape, _S127, dtype=np.uint32),
-        s_vc=np.asarray(sign, dtype=np.uint32).copy(),
-        s_v=np.asarray(s_v, dtype=np.uint32).copy(),
-        tag=np.full(shape, np.uint32(edge_index) * _ONES, dtype=np.uint32),
-    )
+def packed_edge_acc(mag, sign, edge_index: int) -> PackedAccumulator:
+    """Single-edge accumulator for the packed reduce; keeps the given words."""
+    return PackedAccumulator(m1=mag, m2=_S127, s_vc=sign,
+                             tag=np.uint32(edge_index) * _ONES)
 
 
 @dataclass
@@ -240,7 +188,6 @@ class ValueAccumulator:
     m1: np.ndarray
     m2: np.ndarray
     s_vc: np.ndarray
-    s_v: np.ndarray
     tag: np.ndarray
 
     def merge(self, other: "ValueAccumulator") -> "ValueAccumulator":
@@ -252,36 +199,28 @@ class ValueAccumulator:
             m1=m1,
             m2=m2,
             s_vc=self.s_vc ^ other.s_vc,
-            s_v=self.s_v ^ other.s_v,
             tag=np.where(y_wins, other.tag, self.tag),
         )
 
 
-def value_identity(shape, sat) -> ValueAccumulator:
-    m = np.full(shape, sat)
-    return ValueAccumulator(
-        m1=m.copy(), m2=m.copy(),
-        s_vc=np.zeros(shape, dtype=bool), s_v=np.zeros(shape, dtype=bool),
-        tag=np.full(shape, -1, dtype=np.int64),
-    )
+def value_identity(sat) -> ValueAccumulator:
+    """Merge identity with scalar fields; `sat` carries the value dtype."""
+    return ValueAccumulator(m1=sat, m2=sat, s_vc=False, tag=-1)
 
 
-def value_edge_acc(mag, sign, s_v, edge_index: int, sat) -> ValueAccumulator:
-    mag = np.asarray(mag)
-    return ValueAccumulator(
-        m1=mag.copy(),
-        m2=np.full(mag.shape, sat, dtype=mag.dtype),
-        s_vc=np.asarray(sign, dtype=bool).copy(),
-        s_v=np.asarray(s_v, dtype=bool).copy(),
-        tag=np.full(mag.shape, edge_index, dtype=np.int64),
-    )
+def value_edge_acc(mag, sign, edge_index: int, sat) -> ValueAccumulator:
+    """Single-edge accumulator; keeps the given magnitude and sign arrays."""
+    return ValueAccumulator(m1=mag, m2=sat, s_vc=sign, tag=edge_index)
 
 
 Accumulator = Union[PackedAccumulator, ValueAccumulator]
 
 
 def acc_merge(x: Accumulator, y: Accumulator) -> Accumulator:
-    """Associative merge; on m1 ties the x (lower-partition) tag survives."""
+    """Associative merge; on m1 ties the x (lower-partition) tag survives.
+
+    Outputs are new arrays; the inputs are never written.
+    """
     return x.merge(y)
 
 

@@ -94,12 +94,9 @@ def test_criterion_3_kernel_exactness():
         signs = rng.integers(0, 2, size=(n_rows, w), dtype=bool)
 
         def fold(indices):
-            acc = value_identity((n_rows,), 127)
-            acc.m1 = acc.m1.astype(np.int64)
-            acc.m2 = acc.m2.astype(np.int64)
+            acc = value_identity(127)
             for j in indices:
-                acc = acc_merge(acc, value_edge_acc(
-                    mags[:, j], signs[:, j], signs[:, j], int(j), 127))
+                acc = acc_merge(acc, value_edge_acc(mags[:, j], signs[:, j], int(j), 127))
             return acc
 
         partials = [fold(range(p, w, alpha)) for p in range(alpha)]

@@ -74,6 +74,18 @@ def test_quantize_length_check(params_bg2_z2):
         quantize(np.zeros(99), QuantConfig("int8"), params_bg2_z2)
 
 
+def test_quantize_rejects_nan_clamps_inf(params_bg2_z2):
+    for mode in ("int8", "f16", "f32"):
+        llr = np.zeros(100)
+        llr[7] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(llr, QuantConfig(mode), params_bg2_z2)
+    llr = np.zeros(100)
+    llr[0], llr[1] = np.inf, -np.inf
+    out = quantize(llr, QuantConfig("int8"), params_bg2_z2)
+    assert (out[4], out[5]) == (127, -127)
+
+
 def test_quantize_f16_rounds_to_nearest_even(params_bg2_z2):
     llr = np.zeros(100)
     llr[0] = 1.0 + 2 ** -12       # between half-precision neighbors

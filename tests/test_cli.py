@@ -82,6 +82,17 @@ def test_decode_wrong_llr_count(tmp_path, capsys):
     assert "LLR" in err or "expected" in err
 
 
+def test_decode_nan_llr_exit_code(tmp_path, capsys):
+    llr_file = tmp_path / "llr.txt"
+    llr_file.write_text("0.5\n" * 799 + "nan\n")
+    code, out, err = run_cli(
+        capsys, "decode", "--bg", "2", "--z", "16", "--precision", "f32",
+        "--in", str(llr_file), "--out", str(tmp_path / "b.txt"),
+    )
+    assert code == 2
+    assert "NaN" in err
+
+
 def test_simulate_deterministic_csv(tmp_path, capsys):
     def run(name):
         out_file = tmp_path / name

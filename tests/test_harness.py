@@ -55,12 +55,21 @@ def test_sweep_deterministic_under_seed(bg2_z16):
 
 
 def test_sweep_worker_pool_matches_serial(bg2_z16):
-    kw = dict(target_block_errors=1000, max_codewords=64, seed=3, batch=16)
-    serial = run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [2.0], workers=1, **kw)
-    pooled = run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [2.0], workers=2, **kw)
-    ps, pp = serial.points[0], pooled.points[0]
-    assert (ps.codewords, ps.bit_errors, ps.block_errors) == \
-           (pp.codewords, pp.bit_errors, pp.block_errors)
+    cases = [
+        (_small_cfg(), 2.0, dict(target_block_errors=1000, max_codewords=64, seed=3)),
+        # stopped by block errors inside a round of two batches
+        (DecodeConfig(), 1.0, dict(target_block_errors=5, max_codewords=100_000, seed=5)),
+        # max_codewords not a multiple of batch x workers
+        (DecodeConfig(precision=Precision.F32, max_iter=12), 6.0,
+         dict(target_block_errors=1000, max_codewords=50, seed=3)),
+    ]
+    for cfg, ebn0, kw in cases:
+        serial = run_bler_sweep(bg2_z16, 16, 42, cfg, [ebn0], workers=1, batch=16, **kw)
+        pooled = run_bler_sweep(bg2_z16, 16, 42, cfg, [ebn0], workers=2, batch=16, **kw)
+        ps, pp = serial.points[0], pooled.points[0]
+        assert (ps.codewords, ps.bit_errors, ps.block_errors) == \
+               (pp.codewords, pp.bit_errors, pp.block_errors)
+        assert serial.config_hash == pooled.config_hash
 
 
 def test_error_recount_from_failed_samples(bg2_z16):

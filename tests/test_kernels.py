@@ -10,17 +10,13 @@ from ldpclab.kernels import (
     acc_merge,
     apply_lut_u8,
     ord_vec,
-    pack_f16,
     pack_u8,
     pack_values,
     packed_edge_acc,
     packed_identity,
     sat_add,
-    sat_add_f16,
     sat_sub,
-    sat_sub_f16,
     tree_reduce,
-    unpack_f16,
     unpack_u8,
     value_edge_acc,
     value_identity,
@@ -37,12 +33,6 @@ lanes_sm = st.lists(st.integers(-127, 127), min_size=4, max_size=4)
 def test_pack_unpack_u8_roundtrip(lanes):
     word = pack_u8(np.array(lanes, dtype=np.uint8))
     assert unpack_u8(word).tolist() == lanes
-
-
-def test_pack_f16_roundtrip():
-    vals = np.array([[1.5, -2.25], [0.0, -0.0], [65504.0, -65504.0]], dtype=np.float16)
-    back = unpack_f16(pack_f16(vals))
-    assert np.array_equal(back.view(np.uint16), vals.view(np.uint16))
 
 
 def test_ord_vec_example():
@@ -74,15 +64,6 @@ def test_vcmplt_u8_spot():
     b = pack_u8(np.array([1, 100, 127, 250], dtype=np.uint8))
     mask = unpack_u8(vcmplt_u8(a, b))
     assert mask.tolist() == [0xFF, 0, 0, 0xFF]
-
-
-def test_ord_vec_f16_value_comparison():
-    rng = np.random.default_rng(41)
-    vals_a = rng.normal(0, 8, size=(500, 2)).astype(np.float16)
-    vals_b = rng.normal(0, 8, size=(500, 2)).astype(np.float16)
-    lo, hi = ord_vec(pack_f16(vals_a), pack_f16(vals_b), mode="f16x2")
-    assert np.array_equal(unpack_f16(lo), np.minimum(vals_a, vals_b))
-    assert np.array_equal(unpack_f16(hi), np.maximum(vals_a, vals_b))
 
 
 def test_sat_sub_extremes():
@@ -130,8 +111,7 @@ def test_canonical_zero_sign():
 def _value_acc(m1, m2, neg):
     return ValueAccumulator(
         m1=np.array([m1]), m2=np.array([m2]),
-        s_vc=np.array([neg]), s_v=np.array([False]),
-        tag=np.array([0]),
+        s_vc=np.array([neg]), tag=np.array([0]),
     )
 
 
@@ -140,12 +120,14 @@ def test_acc_merge_example():
     y = _value_acc(2, 2, True)
     z = acc_merge(x, y)
     assert (z.m1[0], z.m2[0], bool(z.s_vc[0])) == (1, 2, True)
+    # edge accumulators are views into the decoder's arrays: never written
+    assert (x.m1[0], x.m2[0], bool(x.s_vc[0])) == (1, 3, False)
+    assert (y.m1[0], y.m2[0], bool(y.s_vc[0])) == (2, 2, True)
 
 
 def test_acc_merge_identity_element():
     x = _value_acc(7, 9, True)
-    ident = value_identity((1,), 127)
-    z = acc_merge(x, ident)
+    z = acc_merge(x, value_identity(127))
     assert (z.m1[0], z.m2[0], bool(z.s_vc[0]), z.tag[0]) == (7, 9, True, 0)
 
 
@@ -153,12 +135,9 @@ def test_acc_merge_identity_element():
 @given(st.lists(st.integers(0, 127), min_size=2, max_size=12))
 def test_acc_merge_matches_two_smallest_scan(mags):
     vals = np.array(mags)
-    acc = value_identity((1,), 127)
-    acc.m1 = acc.m1.astype(np.int64)
-    acc.m2 = acc.m2.astype(np.int64)
+    acc = value_identity(127)
     for j, m in enumerate(vals):
-        acc = acc_merge(acc, value_edge_acc(np.array([m]), np.array([False]),
-                                            np.array([False]), j, 127))
+        acc = acc_merge(acc, value_edge_acc(np.array([m]), np.array([False]), j, 127))
     m1, m2, arg = two_smallest(vals)
     assert acc.m1[0] == m1
     assert acc.m2[0] == m2
@@ -206,9 +185,9 @@ def test_tree_reduce_example():
 def test_tree_reduce_identical_partials_unchanged():
     # merge fixed points: partials equal to the identity, or with m1 == m2
     # and positive signs, pass through the butterfly unchanged
-    out = tree_reduce([value_identity((1,), 127), value_identity((1,), 127)])
+    out = tree_reduce([value_identity(127), value_identity(127)])
     for o in out:
-        assert (o.m1[0], o.m2[0], bool(o.s_vc[0])) == (127, 127, False)
+        assert (int(o.m1), int(o.m2), bool(o.s_vc)) == (127, 127, False)
     out = tree_reduce([_value_acc(4, 4, False), _value_acc(4, 4, False)])
     for o in out:
         assert (o.m1[0], o.m2[0], bool(o.s_vc[0])) == (4, 4, False)
@@ -240,7 +219,6 @@ def test_tree_reduce_equals_sequential_fold(alpha):
             assert o.m1[0] == fold.m1[0]
             assert o.m2[0] == fold.m2[0]
             assert o.s_vc[0] == fold.s_vc[0]
-            assert o.s_v[0] == fold.s_v[0]
 
 
 def test_packed_accumulator_matches_value_accumulator():
@@ -254,9 +232,8 @@ def test_packed_accumulator_matches_value_accumulator():
     for i in range(2):
         m = pack_u8(mags[i])
         s = pack_u8(np.where(signs[i], 0xFF, 0).astype(np.uint8))
-        packed.append(packed_edge_acc(m, s, s, i, m.shape))
-        values.append(value_edge_acc(mags[i].astype(np.int32), signs[i],
-                                     signs[i], i, 127))
+        packed.append(packed_edge_acc(m, s, i))
+        values.append(value_edge_acc(mags[i].astype(np.int32), signs[i], i, 127))
     zp = acc_merge(packed[0], packed[1])
     zv = acc_merge(values[0], values[1])
     assert np.array_equal(unpack_u8(zp.m1).astype(np.int32), zv.m1)
@@ -266,7 +243,7 @@ def test_packed_accumulator_matches_value_accumulator():
 
 
 def test_packed_identity_properties():
-    ident = packed_identity(())
+    ident = packed_identity()
     assert unpack_u8(ident.m1).tolist() == [127] * 4
     assert unpack_u8(ident.m2).tolist() == [127] * 4
     assert not unpack_u8(ident.s_vc).any()
@@ -277,15 +254,6 @@ def test_apply_lut_scales_each_lane():
     w = pack_u8(np.array([0, 1, 100, 127], dtype=np.uint8))
     out = unpack_u8(apply_lut_u8(w, lut))
     assert out.tolist() == [0, 0, 75, 95]
-
-
-def test_sat_f16_ops_clamp():
-    big = pack_f16(np.array([65504.0, -65504.0], dtype=np.float16))
-    out = unpack_f16(sat_add_f16(big, big))
-    assert out.tolist() == [65504.0, -65504.0]
-    diff = unpack_f16(sat_sub_f16(big, pack_f16(np.array([-65504.0, 65504.0],
-                                                         dtype=np.float16))))
-    assert diff.tolist() == [65504.0, -65504.0]
 
 
 def test_pack_values_rejects_overflow():
