@@ -118,8 +118,6 @@ def _cmd_decode(args) -> int:
     cfg = _decode_config(args)
     quant = channel.QuantConfig(mode=cfg.precision.value, scale=args.scale)
     block = channel.quantize(llrs, quant, params)
-    if cfg.rho == 4:
-        block = np.tile(block, (4, 1))
     trace = [] if args.trace else None
     result = decoder.decode(block, bg, cfg, trace)
     if args.trace:

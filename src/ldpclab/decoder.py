@@ -266,8 +266,11 @@ class ScalarWorkspace(DecodeWorkspace):
         with np.errstate(over="ignore"):               # f16 saturates via clamp
             lvc = _clamp(self.l_v[:, cols[:, None], idx] - msgs, dtype)
             out = _minsum(lvc, cfg.beta, cfg.strategy, cfg.alpha)
-            msgs[...] = out
-            self.l_v[:, cols[:, None], idx] = _clamp(lvc + out, dtype)
+            upd = _clamp(lvc + out, dtype)
+            # integers store the message the saturated posterior absorbed, so
+            # the next visit subtracts exactly what this one added
+            msgs[...] = upd - lvc if np.issubdtype(dtype, np.integer) else out
+            self.l_v[:, cols[:, None], idx] = upd
 
 
 def _beta_lut(beta: float) -> np.ndarray:
@@ -277,13 +280,19 @@ def _beta_lut(beta: float) -> np.ndarray:
 
 @dataclass
 class PackedWorkspace(DecodeWorkspace):
-    """Sign-magnitude words of 4 lanes over (n_blocks, Z) and (E, Z)."""
+    """Sign-magnitude words over (n_blocks, Z, G) and (E, Z, G).
+
+    Lane l of word group g holds codeword 4g + l. A batch that is not a
+    multiple of 4 is padded with copies of its last codeword; those lanes
+    decode alongside it and are never reported.
+    """
 
     l_v: kernels.PackedWord = field(repr=False)
     messages: kernels.PackedWord = field(repr=False)
 
     def posteriors(self) -> np.ndarray:
-        return np.moveaxis(self.l_v.values(), -1, 0)
+        v = np.moveaxis(self.l_v.values(), (2, 3), (0, 1))      # (G, 4, n_blocks, Z)
+        return v.reshape(-1, *v.shape[2:])[: self.lanes]
 
     def layer(self, r: int, cfg: DecodeConfig) -> None:
         cols, _, e0, idx = self.row_gather[r]
@@ -299,14 +308,15 @@ class PackedWorkspace(DecodeWorkspace):
         lut = _beta_lut(cfg.beta)
         b1 = kernels.apply_lut_u8(acc.m1, lut)
         b2 = kernels.apply_lut_u8(acc.m2, lut)
-        # all per-edge selects are elementwise: run them on the (w, Z) block
-        jw = (np.arange(w, dtype=np.uint32) * np.uint32(0x01010101))[:, None]
-        is_min = ~kernels.vcmplt_u8(np.uint32(0), acc.tag[None, :] ^ jw)
-        mag = (is_min & b2[None, :]) | (~is_min & b1[None, :])
-        sign = (acc.s_vc[None, :] ^ lvc.sign) & kernels.vcmplt_u8(np.uint32(0), mag)
+        # all per-edge selects are elementwise: run them on the (w, Z, G) block
+        jw = (np.arange(w, dtype=np.uint32) * np.uint32(0x01010101)).reshape(-1, 1, 1)
+        is_min = ~kernels.vcmplt_u8(np.uint32(0), acc.tag ^ jw)
+        mag = (is_min & b2) | (~is_min & b1)
+        sign = (acc.s_vc ^ lvc.sign) & kernels.vcmplt_u8(np.uint32(0), mag)
         upd = kernels.sat_add(lvc, kernels.PackedWord(mag, sign))
-        self.messages.mag[e0:e0 + w] = mag
-        self.messages.sign[e0:e0 + w] = sign
+        stored = kernels.sat_sub(upd, lvc)          # mirrors the scalar engine
+        self.messages.mag[e0:e0 + w] = stored.mag
+        self.messages.sign[e0:e0 + w] = stored.sign
         self.l_v.mag[cols[:, None], idx] = upd.mag
         self.l_v.sign[cols[:, None], idx] = upd.sign
 
@@ -326,9 +336,7 @@ def _build_row_gather(bg: BaseGraph, rows_used: int) -> list:
 
 def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     """Workspace from quantized decoder-domain LLRs of shape (B, n_c) or (n_c,)."""
-    arr = np.asarray(llrs)
-    if arr.ndim == 1:
-        arr = arr[None, :]
+    arr = np.atleast_2d(llrs)
     if np.issubdtype(arr.dtype, np.floating) and np.isnan(arr).any():
         raise ValueError("LLRs must not be NaN")
     if arr.shape[-1] % bg.z:
@@ -339,9 +347,6 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
             f"LLR block length implies rows_used={rows_used}, outside [4, {bg.m_bg}]"
         )
     batch = arr.shape[0]
-    packed = cfg.rho == 4
-    if packed and batch != 4:
-        raise ValueError("packed int8 decoding packs exactly rho=4 lanes per group")
     dtype = {Precision.INT8: np.int32, Precision.F16: np.float16,
              Precision.F32: np.float32}[cfg.precision]
     lv = arr.astype(dtype).reshape(batch, bg.k_b + rows_used, bg.z)
@@ -350,9 +355,11 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     common = dict(bg=bg, rows_used=rows_used, lanes=batch,
                   row_gather=_build_row_gather(bg, rows_used))
     n_edges = int(bg.w_r[:rows_used].sum())
-    if packed:
-        zeros = np.zeros((n_edges, bg.z), dtype=np.uint32)
-        return PackedWorkspace(**common, l_v=kernels.pack_values(np.moveaxis(lv, 0, -1)),
+    if cfg.rho == 4:
+        padded = np.pad(lv, [(0, -batch % 4), (0, 0), (0, 0)], mode="edge")
+        words = np.moveaxis(padded.reshape(-1, 4, *lv.shape[1:]), (0, 1), (2, 3))
+        zeros = np.zeros((n_edges, bg.z, words.shape[2]), dtype=np.uint32)
+        return PackedWorkspace(**common, l_v=kernels.pack_values(words),
                                messages=kernels.PackedWord(zeros, zeros.copy()))
     return ScalarWorkspace(**common, l_b=lv.copy(), l_v=lv,
                            messages=np.zeros((batch, n_edges, bg.z), dtype=dtype))
@@ -390,82 +397,62 @@ def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig) -> 
     return ws
 
 
-def _run_schedule(llrs, bg, cfg, trace, step, first: int = 0) -> DecodeResult:
+def _run_schedule(llrs, bg, cfg, trace, step) -> DecodeResult:
+    """Run `step` until every codeword has settled; settled outputs freeze.
+
+    A codeword settles at the first iteration whose hard decision satisfies
+    the syndrome (and the CRC in crc mode); the rest settle at max_iter with
+    that iteration's hard bits and syndrome weight. With early stop off the
+    success test runs once, at max_iter.
+    """
     ws = init_workspace(llrs, bg, cfg)
     batch = ws.lanes
-    k = bg.k_b * bg.z
-    bits = np.zeros((batch, k), dtype=np.uint8)
-    iterations = np.full(batch, cfg.max_iter, dtype=np.int64)
-    weights_out = np.zeros(batch, dtype=np.int64)
-    success = np.zeros(batch, dtype=bool)
-    crc_ok = np.zeros(batch, dtype=bool) if cfg.early_stop is EarlyStop.CRC else None
-    done = np.zeros(batch, dtype=bool)
-
+    res = DecodeResult(
+        bits=np.zeros((batch, bg.k_b * bg.z), dtype=np.uint8),
+        iterations=np.zeros(batch, dtype=np.int64),
+        success=np.zeros(batch, dtype=bool),
+        syndrome_weight=np.zeros(batch, dtype=np.int64),
+        crc_ok=np.zeros(batch, dtype=bool) if cfg.early_stop is EarlyStop.CRC else None,
+    )
     for it in range(1, cfg.max_iter + 1):
         step(ws)
         weights = ws.syndrome()
         margins = ws.min_abs()
         if trace is not None:
             for b in range(batch):
-                trace.append((b + first, it, int(weights[b]), float(margins[b])))
-        if cfg.early_stop is EarlyStop.NONE:
+                trace.append((b, it, int(weights[b]), float(margins[b])))
+        last = it == cfg.max_iter
+        if cfg.early_stop is EarlyStop.NONE and not last:
             continue
+        live = ~res.success
         # a zero-margin posterior is an undecided bit (erasure fixed point):
         # the all-zero hard decision it implies is not a found codeword
-        candidates = ~done & (weights == 0) & (margins > 0)
-        if candidates.any():
+        found = live & (weights == 0) & (margins > 0)
+        if found.any() or last:
             hard = ws.hard_bits()
-            for b in np.flatnonzero(candidates):
-                if cfg.early_stop is EarlyStop.CRC:
-                    ok = crc_check(hard[b], cfg.crc_kind)
-                    crc_ok[b] = ok
-                    if not ok:
-                        continue
-                bits[b] = hard[b]
-                iterations[b] = it
-                weights_out[b] = 0
-                success[b] = True
-                done[b] = True
-        if done.all():
+            if res.crc_ok is not None:
+                for b in np.flatnonzero(found):
+                    found[b] = res.crc_ok[b] = crc_check(hard[b], cfg.crc_kind)
+            settle = live if last else found
+            res.bits[settle] = hard[settle]
+            res.iterations[settle] = it
+            res.syndrome_weight[settle] = weights[settle]
+            res.success |= found
+        if res.success.all():
             break
-
-    if not done.all():
-        hard = ws.hard_bits()
-        weights = ws.syndrome()
-        margins = ws.min_abs()
-        for b in np.flatnonzero(~done):
-            bits[b] = hard[b]
-            iterations[b] = ws.iteration
-            weights_out[b] = int(weights[b])
-            success[b] = weights[b] == 0 and margins[b] > 0
-            if crc_ok is not None and success[b]:
-                crc_ok[b] = crc_check(hard[b], cfg.crc_kind)
-                success[b] = bool(crc_ok[b])
-    return DecodeResult(
-        bits=bits, iterations=iterations, success=success,
-        syndrome_weight=weights_out, crc_ok=crc_ok,
-    )
+    return res
 
 
 def decode(llrs, bg: BaseGraph, cfg: DecodeConfig, trace: list | None = None) -> DecodeResult:
     """Layered min-sum decode of one batch of quantized LLR blocks.
 
-    `llrs` has shape (n_c,) or (B, n_c); packed int8 (rho=4) requires B to
-    be a multiple of 4 and processes each group of four codewords in lanes.
-    Early termination is checked after every full iteration. The optional
-    `trace` list collects (codeword, iteration, syndrome weight, min |L_v|).
+    `llrs` has shape (n_c,) or (B, n_c) for any B. Packed int8 (rho=4)
+    carries four codewords per word inside the decoder and returns the same
+    per-codeword results, trace included, as the scalar engine. Early
+    termination is checked after every full iteration. The optional `trace`
+    list collects (codeword, iteration, syndrome weight, min |L_v|).
     """
-    def step(ws):
-        layered_iteration(ws, bg, cfg)
-
-    if cfg.rho != 4:
-        return _run_schedule(llrs, bg, cfg, trace, step)
-    arr = np.atleast_2d(llrs)
-    if len(arr) % 4:
-        raise ValueError("packed int8 decode needs a multiple of 4 codewords")
-    # a packed workspace holds the four lanes of one word
-    return _concat_results([_run_schedule(arr[g:g + 4], bg, cfg, trace, step, g)
-                            for g in range(0, len(arr), 4)])
+    return _run_schedule(llrs, bg, cfg, trace, lambda ws: layered_iteration(ws, bg, cfg))
 
 
 def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig, trace: list | None = None) -> DecodeResult:
@@ -473,14 +460,3 @@ def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig, trace: list | None =
     if cfg.rho == 4:
         raise ValueError("flooding decoding runs on the scalar path (rho < 4)")
     return _run_schedule(llrs, bg, cfg, trace, lambda ws: _scalar_flood(ws, cfg))
-
-
-def _concat_results(results: list[DecodeResult]) -> DecodeResult:
-    return DecodeResult(
-        bits=np.concatenate([r.bits for r in results]),
-        iterations=np.concatenate([r.iterations for r in results]),
-        success=np.concatenate([r.success for r in results]),
-        syndrome_weight=np.concatenate([r.syndrome_weight for r in results]),
-        crc_ok=(np.concatenate([r.crc_ok for r in results])
-                if results[0].crc_ok is not None else None),
-    )

@@ -14,13 +14,13 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from ldpclab.basegraph import BaseGraph, code_params
 from ldpclab.channel import QuantConfig, bpsk_awgn, bpsk_exact, demap_llr, ebn0_to_sigma, quantize
-from ldpclab.codec import crc_attach, encode_batch
+from ldpclab.codec import CRC_POLYS, crc_attach, encode_batch
 from ldpclab.decoder import DecodeConfig, EarlyStop, decode
 
 # LLR magnitude standing in for a noiseless channel observation; saturates
@@ -92,7 +92,7 @@ def _run_batch(
     params = code_params(bg, bg.z, rows_used)
     rng = np.random.default_rng(seed_key)
     use_crc = cfg.early_stop is EarlyStop.CRC
-    crc_len = 24 if use_crc else 0
+    crc_len = CRC_POLYS[cfg.crc_kind][0] if use_crc else 0
     payload = rng.integers(0, 2, size=(batch_n, params.k - crc_len), dtype=np.uint8)
     if use_crc:
         messages = np.stack([crc_attach(p, cfg.crc_kind, k=params.k)
@@ -152,8 +152,6 @@ def run_bler_sweep(
     params = code_params(bg, z, rows_used)
     quant = quant or QuantConfig(mode=cfg.precision.value)
     rate_eff = params.k / params.n_tx
-    if cfg.rho == 4:
-        batch = max(4, batch - batch % 4)
 
     points: list[SweepPoint] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -172,8 +170,6 @@ def run_bler_sweep(
                 jobs = []
                 while len(jobs) < max(1, workers) and launched < max_codewords:
                     want = min(batch, max_codewords - launched)
-                    if cfg.rho == 4:
-                        want = max(4, want - want % 4)
                     jobs.append((bg, rows_used, cfg, quant, sigma, want,
                                  (seed, p_idx, b_idx), keep_failures))
                     launched += want
@@ -210,10 +206,8 @@ def run_bler_sweep(
 
     meta = {
         "bg": bg.id, "z": z, "rows_used": rows_used,
-        "beta": cfg.beta, "max_iter": cfg.max_iter,
-        "strategy": cfg.strategy.value, "alpha": cfg.alpha, "rho": cfg.rho,
-        "precision": cfg.precision.value, "early_stop": cfg.early_stop.value,
-        "quant_scale": quant.scale,
+        "bg_sha256": hashlib.sha256(bg.canonical_bytes()).hexdigest(),
+        **asdict(cfg), "quant": asdict(quant),
         "grid": ["inf" if math.isinf(g) else g for g in grid],
         "target_block_errors": target_block_errors, "max_codewords": max_codewords,
         "batch": batch, "rate_eff": rate_eff,
@@ -288,8 +282,6 @@ def run_latency_bench(
     rows_used = bg.m_bg if rows_used is None else rows_used
     params = code_params(bg, z, rows_used)
     bench_cfg = replace(cfg, early_stop=EarlyStop.NONE, max_iter=iterations)
-    if bench_cfg.rho == 4 and batch % 4:
-        raise ValueError("packed rho=4 benchmarking needs a multiple of 4 codewords")
     quant = QuantConfig(mode=cfg.precision.value)
     rng = np.random.default_rng((seed, 0))
     msgs = rng.integers(0, 2, size=(batch, params.k), dtype=np.uint8)
@@ -305,7 +297,8 @@ def run_latency_bench(
         dt = time.perf_counter() - t0
         if rep >= warmup:
             times.append(dt)
-        assert int(result.iterations[0]) == iterations
+        if int(result.iterations[0]) != iterations:
+            raise RuntimeError(f"decode did not run the fixed {iterations} iterations")
     per_cw = np.asarray(times) / batch
     stats = {
         "min": float(per_cw.min()),

@@ -174,16 +174,20 @@ def test_decode_trace_file(tmp_path, capsys):
     tx = puncture(encode(msg, bg, 16, 42))
     llr_file = tmp_path / "llr.txt"
     llr_file.write_text("".join(f"{v}\n" for v in bpsk_exact(tx) * 6.0))
-    trace_file = tmp_path / "trace.csv"
-    code, out, err = run_cli(
-        capsys, "decode", "--bg", "2", "--z", "16",
-        "--in", str(llr_file), "--out", str(tmp_path / "bits.txt"),
-        "--max-iter", "3", "--early-stop", "none", "--trace", str(trace_file),
-    )
-    assert code == 0, err
-    lines = trace_file.read_text().splitlines()
+    texts = []
+    for rho in ("1", "4"):
+        trace_file = tmp_path / f"trace{rho}.csv"
+        code, out, err = run_cli(
+            capsys, "decode", "--bg", "2", "--z", "16", "--rho", rho,
+            "--in", str(llr_file), "--out", str(tmp_path / "bits.txt"),
+            "--max-iter", "3", "--early-stop", "none", "--trace", str(trace_file),
+        )
+        assert code == 0, err
+        texts.append(trace_file.read_text())
+    lines = texts[0].splitlines()
     assert lines[0] == "codeword,iteration,syndrome_weight,min_abs_lv"
     assert len(lines) == 4            # header + one row per iteration
+    assert texts[1] == texts[0]       # the packed engine traces the one codeword
 
 
 def test_decode_failure_exit_code(tmp_path, capsys):

@@ -165,6 +165,29 @@ def test_message_conservation_per_layer(bg2_z16, precision):
             assert np.allclose(recomputed, stored, atol=1e-3, rtol=1e-3)
 
 
+def test_int8_message_conservation_under_saturation(bg2_z16):
+    """At the default scale 8 the posteriors saturate at high SNR; the stored
+    message is what the saturated posterior absorbed, so subtracting it
+    gives back the row's clamped input exactly.
+    """
+    _, blocks = make_noisy_blocks(bg2_z16, 42, 8.0, 4, seed=5)
+    cfg = DecodeConfig(precision=Precision.INT8)
+    ws = init_workspace(blocks, bg2_z16, cfg)
+    saturated = mismatches = 0
+    for _ in range(3):
+        for r in range(ws.rows_used):
+            cols, _, e0, idx = ws.row_gather[r]
+            w = len(cols)
+            lvc_in = np.clip(ws.l_v[:, cols[:, None], idx]
+                             - ws.messages[:, e0:e0 + w, :], -127, 127)
+            ws.layer(r, cfg)
+            lv_rows = ws.l_v[:, cols[:, None], idx]
+            saturated += int((np.abs(lv_rows) == 127).sum())
+            mismatches += int((lv_rows - ws.messages[:, e0:e0 + w, :] != lvc_in).sum())
+    assert saturated > 0              # the regime under test is reached
+    assert mismatches == 0
+
+
 @pytest.mark.parametrize("bg_id,z", [("BG1", 2), ("BG2", 2), ("BG2", 16)])
 def test_noise_free_roundtrip_one_iteration(bg_id, z):
     bg = get_graph(bg_id, z)
@@ -278,9 +301,7 @@ def test_flooding_rejects_packed():
 
 
 def test_early_stop_none_runs_all_iterations(bg2_z16):
-    # only the iteration count is pinned: fully saturated inputs make the
-    # 8-bit layered decoder oscillate once converged (stored messages no
-    # longer match the clamped posteriors), which early stop normally hides
+    # fully saturated inputs; with early stop off every iteration runs
     rng = np.random.default_rng(31)
     msg = rng.integers(0, 2, 160, dtype=np.uint8)
     block = _noise_free_block(bg2_z16, 42, msg)
@@ -391,9 +412,16 @@ def test_config_validation():
 
 
 def test_decode_input_validation(bg2_z16):
-    cfg = DecodeConfig(precision=Precision.INT8, rho=4)
-    with pytest.raises(ValueError, match="multiple of 4"):
-        decode(np.zeros((3, 832), dtype=np.int8), bg2_z16, cfg)
+    # packed int8 takes any batch size: it matches the scalar engine on every
+    # output, trace included, when B is not a multiple of its 4 lanes
+    for count in (3, 6):
+        _, blocks = make_noisy_blocks(bg2_z16, 42, 1.5, count, seed=count)
+        trace1, trace4 = [], []
+        scalar = decode(blocks, bg2_z16, DecodeConfig(max_iter=10), trace1)
+        packed = decode(blocks, bg2_z16, DecodeConfig(rho=4, max_iter=10), trace4)
+        for name in ("bits", "iterations", "success", "syndrome_weight"):
+            assert np.array_equal(getattr(scalar, name), getattr(packed, name))
+        assert trace4 == trace1
     with pytest.raises(ValueError, match="multiple of Z"):
         decode(np.zeros(831, dtype=np.int8), bg2_z16,
                DecodeConfig(precision=Precision.INT8))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ldpclab.channel import QuantConfig
 from ldpclab.decoder import DecodeConfig, Precision, Strategy
 from ldpclab.harness import (
     LatencyStats,
@@ -145,9 +146,12 @@ def test_latency_bench_schema(bg2_z16):
 
 
 def test_latency_bench_packed_batch_check(bg2_z16):
+    # packed int8 pads a batch that is not a multiple of its 4 lanes
     cfg = DecodeConfig(precision=Precision.INT8, rho=4)
-    with pytest.raises(ValueError):
-        run_latency_bench(bg2_z16, 16, cfg, batch=3, repetitions=2)
+    stats = run_latency_bench(bg2_z16, 16, cfg, batch=3, repetitions=2,
+                              iterations=2, warmup=1)
+    assert stats.batch == 3
+    assert stats.per_codeword_s["median"] > 0
 
 
 def test_latency_bench_validation(bg2_z16):
@@ -164,12 +168,18 @@ def test_sweep_crc_early_stop_counts_blocks(bg2_z16):
 
 
 def test_sweep_packed_rounds_batch_to_lanes(bg2_z16):
-    cfg = DecodeConfig(precision=Precision.INT8, rho=4, max_iter=8)
-    res = run_bler_sweep(bg2_z16, 16, 42, cfg, [math.inf],
-                         target_block_errors=5, max_codewords=10, seed=2,
-                         batch=6)
-    assert res.points[0].codewords % 4 == 0
-    assert res.points[0].block_errors == 0
+    # batches of 6 and then 4 codewords: the packed engine decodes exactly
+    # max_codewords and counts what the scalar engine counts
+    kw = dict(target_block_errors=5, max_codewords=10, seed=2, batch=6)
+    packed = run_bler_sweep(bg2_z16, 16, 42, DecodeConfig(rho=4, max_iter=8),
+                            [math.inf, 1.0], **kw)
+    scalar = run_bler_sweep(bg2_z16, 16, 42, DecodeConfig(max_iter=8),
+                            [math.inf, 1.0], **kw)
+    assert packed.points[0].codewords == 10
+    assert packed.points[0].block_errors == 0
+    for pp, ps in zip(packed.points, scalar.points):
+        assert (pp.codewords, pp.bit_errors, pp.block_errors, pp.mean_iters) == \
+               (ps.codewords, ps.bit_errors, ps.block_errors, ps.mean_iters)
 
 
 def test_sweep_f32_precision(bg2_z16):
@@ -178,3 +188,36 @@ def test_sweep_f32_precision(bg2_z16):
                          target_block_errors=5, max_codewords=64, seed=4)
     assert res.points[0].codewords == 64
     assert res.points[0].bler <= 0.1
+
+
+def test_sweep_int8_decodes_at_high_snr(bg2_z16):
+    # int8 at the default scale saturates the posteriors here; the decoder
+    # must still decode what f32 decodes
+    res = run_bler_sweep(bg2_z16, 16, 42, DecodeConfig(), [8.0, 10.0],
+                         target_block_errors=1000, max_codewords=32, seed=1,
+                         batch=32)
+    assert [p.codewords for p in res.points] == [32, 32]
+    assert [p.block_errors for p in res.points] == [0, 0]
+
+
+def test_sweep_crc16_early_stop(bg2_z16):
+    cfg = DecodeConfig(early_stop="crc", crc_kind="crc16", max_iter=8)
+    res = run_bler_sweep(bg2_z16, 16, 42, cfg, [math.inf],
+                         target_block_errors=4, max_codewords=16, seed=17)
+    assert res.points[0].codewords == 16
+    assert res.points[0].block_errors == 0
+
+
+def test_config_hash_covers_crc_and_quantizer(bg2_z16):
+    kw = dict(target_block_errors=1, max_codewords=4, seed=3, batch=4)
+
+    def sweep_hash(cfg, quant=None):
+        return run_bler_sweep(bg2_z16, 16, 42, cfg, [math.inf], quant=quant,
+                              **kw).config_hash
+
+    crc = dict(early_stop="crc", max_iter=4)
+    assert sweep_hash(DecodeConfig(crc_kind="crc24a", **crc)) != \
+        sweep_hash(DecodeConfig(crc_kind="crc24b", **crc))
+    f32 = DecodeConfig(precision=Precision.F32, max_iter=4)
+    assert sweep_hash(f32, QuantConfig("f32", clip=4.0)) != \
+        sweep_hash(f32, QuantConfig("f32"))
