@@ -21,21 +21,21 @@ F16_MAX = 65504.0
 class QuantConfig:
     """Decoder-domain representation of channel LLRs.
 
-    `scale` is quantization steps per LLR unit (int8 mode only); int8
-    magnitudes saturate at 127, i.e. at 127/scale LLR units. `clip` bounds
-    float-mode magnitudes; f16 additionally saturates at the largest
-    representable half-precision value.
+    `scale` is quantization steps per LLR unit and applies to int8 mode
+    only; int8 magnitudes saturate at 127, i.e. at 127/scale LLR units. f16
+    saturates at the largest representable half-precision value.
     """
 
     mode: str = "int8"
     scale: float = 8.0
-    clip: float = math.inf
 
     def __post_init__(self):
         if self.mode not in ("int8", "f16", "f32"):
             raise ValueError(f"unknown quantization mode {self.mode!r}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        if self.mode != "int8" and self.scale != QuantConfig.scale:
+            raise ValueError(f"scale applies to int8 only, not {self.mode}")
 
 
 def bpsk_exact(bits) -> np.ndarray:
@@ -80,10 +80,9 @@ def quantize(llrs, cfg: QuantConfig, params: CodeParams) -> np.ndarray:
     if cfg.mode == "int8":
         steps = np.rint(full * cfg.scale)
         return np.clip(steps, -INT8_MAX, INT8_MAX).astype(np.int8)
-    clipped = np.clip(full, -cfg.clip, cfg.clip)
     if cfg.mode == "f16":
-        return np.clip(clipped, -F16_MAX, F16_MAX).astype(np.float16)
-    return clipped.astype(np.float32)
+        return np.clip(full, -F16_MAX, F16_MAX).astype(np.float16)
+    return full.astype(np.float32)
 
 
 def ebn0_to_sigma(ebn0_db: float, rate_eff: float) -> float:

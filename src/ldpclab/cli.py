@@ -118,13 +118,14 @@ def _cmd_decode(args) -> int:
     cfg = _decode_config(args)
     quant = channel.QuantConfig(mode=cfg.precision.value, scale=args.scale)
     block = channel.quantize(llrs, quant, params)
-    trace = [] if args.trace else None
-    result = decoder.decode(block, bg, cfg, trace)
+    result = decoder.decode(block, bg, cfg)
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write("codeword,iteration,syndrome_weight,min_abs_lv\n")
-            for row in trace:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            for it, (weights, margins) in enumerate(
+                    zip(result.syndrome_trace, result.margin_trace), 1):
+                for b, (w, m) in enumerate(zip(weights, margins)):
+                    fh.write(f"{b},{it},{int(w)},{float(m)}\n")
     _write_lines(args.outfile, result.bits[0], "%d")
     ok = bool(result.success[0])
     print(f"success={ok} iterations={int(result.iterations[0])} "

@@ -51,7 +51,10 @@ class EarlyStop(str, Enum):
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decoder knobs; validated against the precision/lane rules."""
+    """Decoder knobs; every stored one takes effect. One partition (high
+    throughput, or low latency with alpha=1) is stored as high_throughput
+    with alpha=1, so equivalent settings compare and hash equal.
+    """
 
     beta: float = 0.75
     max_iter: int = 20
@@ -73,14 +76,14 @@ class DecodeConfig:
         object.__setattr__(self, "strategy", strategy)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "early_stop", early)
-        if strategy is Strategy.LOW_LATENCY:
-            if self.alpha < 1 or self.alpha & (self.alpha - 1):
-                raise ValueError("alpha must be a power of two for low latency")
-        allowed_rho = {
-            Precision.INT8: (1, 4),
-            Precision.F16: (1,),
-            Precision.F32: (1,),
-        }[precision]
+        if strategy is Strategy.LOW_LATENCY and (self.alpha < 1 or self.alpha & (self.alpha - 1)):
+            raise ValueError("alpha must be a power of two for low latency")
+        if strategy is Strategy.HIGH_THROUGHPUT or self.alpha == 1:
+            object.__setattr__(self, "strategy", Strategy.HIGH_THROUGHPUT)
+            object.__setattr__(self, "alpha", 1)
+        if early is not EarlyStop.CRC and self.crc_kind != DecodeConfig.crc_kind:
+            raise ValueError("crc_kind applies only with early_stop='crc'")
+        allowed_rho = (1, 4) if precision is Precision.INT8 else (1,)
         if self.rho not in allowed_rho:
             raise ValueError(
                 f"rho={self.rho} is inconsistent with precision {precision.value} "
@@ -90,13 +93,18 @@ class DecodeConfig:
 
 @dataclass
 class DecodeResult:
-    """Per-codeword outcome; arrays indexed by lane/batch position."""
+    """Per-codeword outcome; the traces have one row per iteration run."""
 
     bits: np.ndarray              # (B, K) hard decisions on information bits
-    iterations: np.ndarray        # (B,) iterations run until exit
+    iterations: np.ndarray        # (B,) iteration each codeword settled at
     success: np.ndarray           # (B,) zero syndrome (and CRC in crc mode)
-    syndrome_weight: np.ndarray   # (B,) unsatisfied checks at exit
-    crc_ok: np.ndarray | None = None
+    syndrome_trace: np.ndarray    # (iterations run, B) unsatisfied checks
+    margin_trace: np.ndarray      # (iterations run, B) min |L_v|
+
+    @property
+    def syndrome_weight(self) -> np.ndarray:
+        """(B,) unsatisfied checks at each codeword's settling iteration."""
+        return self.syndrome_trace[self.iterations - 1, np.arange(len(self.iterations))]
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +128,13 @@ def _clamp(x: np.ndarray, dtype) -> np.ndarray:
     return x if np.isinf(sat) else np.clip(x, -sat, sat, out=x)
 
 
-def _reduce(identity, edge_acc, w: int, strategy: Strategy, alpha: int):
+def _reduce(identity, edge_acc, w: int, alpha: int):
     """Merge edges 0..w-1 of a check row into one accumulator.
 
     `identity` and `edge_acc(j)` come from one arithmetic domain in
-    `kernels`. High throughput folds the edges in order; low latency folds
-    the alpha strided partitions (p, p + alpha, ...) independently, then
-    butterfly-merges them.
+    `kernels`. One partition (high throughput) folds the edges in order;
+    alpha > 1 (low latency) folds the strided partitions (p, p + alpha, ...)
+    independently, then butterfly-merges them.
     """
     def fold(edges):
         acc = identity
@@ -134,12 +142,12 @@ def _reduce(identity, edge_acc, w: int, strategy: Strategy, alpha: int):
             acc = kernels.acc_merge(acc, edge_acc(j))
         return acc
 
-    if strategy is Strategy.HIGH_THROUGHPUT or alpha == 1:
+    if alpha == 1:
         return fold(range(w))
     return kernels.tree_reduce([fold(range(p, w, alpha)) for p in range(alpha)])[0]
 
 
-def _minsum(lvc: np.ndarray, beta: float, strategy: Strategy, alpha: int) -> np.ndarray:
+def _minsum(lvc: np.ndarray, beta: float, alpha: int) -> np.ndarray:
     """Min-sum messages for the edges on axis 1 of `lvc`, (B, w, Z) or (N, w).
 
     Saturation and the beta rule follow the dtype: integers scale by
@@ -151,7 +159,7 @@ def _minsum(lvc: np.ndarray, beta: float, strategy: Strategy, alpha: int) -> np.
     signs = lvc < 0
     acc = _reduce(kernels.value_identity(sat),
                   lambda j: kernels.value_edge_acc(mags[:, j], signs[:, j], j, sat),
-                  lvc.shape[1], strategy, alpha)
+                  lvc.shape[1], alpha)
     if np.issubdtype(dtype, np.integer):
         b1 = np.floor(beta * acc.m1).astype(dtype)
         b2 = np.floor(beta * acc.m2).astype(dtype)
@@ -180,7 +188,8 @@ def check_node_minsum(inputs, beta: float = 0.75, strategy=Strategy.HIGH_THROUGH
         raise ValueError("a check row needs at least two edges")
     integer = np.issubdtype(arr.dtype, np.integer)
     work = (arr.astype(np.int32) if integer else arr).reshape(-1, w)
-    out = _minsum(work, beta, Strategy(strategy), alpha).reshape(arr.shape)
+    alpha = alpha if Strategy(strategy) is Strategy.LOW_LATENCY else 1
+    out = _minsum(work, beta, alpha).reshape(arr.shape)
     return out.astype(arr.dtype) if integer else out
 
 
@@ -218,7 +227,6 @@ class DecodeWorkspace(ABC):
     rows_used: int
     lanes: int
     row_gather: list = field(repr=False)   # per row: (cols, shifts, edge offset, (w, Z) index)
-    iteration: int = field(default=0, init=False)
 
     @property
     def n_edges(self) -> int:
@@ -265,7 +273,7 @@ class ScalarWorkspace(DecodeWorkspace):
         dtype = self.l_v.dtype
         with np.errstate(over="ignore"):               # f16 saturates via clamp
             lvc = _clamp(self.l_v[:, cols[:, None], idx] - msgs, dtype)
-            out = _minsum(lvc, cfg.beta, cfg.strategy, cfg.alpha)
+            out = _minsum(lvc, cfg.beta, cfg.alpha)
             upd = _clamp(lvc + out, dtype)
             # integers store the message the saturated posterior absorbed, so
             # the next visit subtracts exactly what this one added
@@ -304,7 +312,7 @@ class PackedWorkspace(DecodeWorkspace):
         lvc = kernels.sat_sub(lv, msg)
         acc = _reduce(kernels.packed_identity(),
                       lambda j: kernels.packed_edge_acc(lvc.mag[j], lvc.sign[j], j),
-                      w, cfg.strategy, cfg.alpha)
+                      w, cfg.alpha)
         lut = _beta_lut(cfg.beta)
         b1 = kernels.apply_lut_u8(acc.m1, lut)
         b2 = kernels.apply_lut_u8(acc.m2, lut)
@@ -373,7 +381,7 @@ def _scalar_flood(ws: ScalarWorkspace, cfg: DecodeConfig) -> None:
         w = len(cols)
         with np.errstate(over="ignore"):
             lvc = _clamp(ws.l_v[:, cols[:, None], idx] - ws.messages[:, e0:e0 + w, :], dtype)
-        new_msgs[:, e0:e0 + w] = _minsum(lvc, cfg.beta, cfg.strategy, cfg.alpha)
+        new_msgs[:, e0:e0 + w] = _minsum(lvc, cfg.beta, cfg.alpha)
     ws.messages = new_msgs
     # Variable update: L_v = L_b + sum of incoming messages, widened then
     # saturated once per iteration.
@@ -382,7 +390,6 @@ def _scalar_flood(ws: ScalarWorkspace, cfg: DecodeConfig) -> None:
         for j, (c, s) in enumerate(zip(cols, shifts)):
             acc[:, c, :] += np.roll(ws.messages[:, e0 + j, :], s, axis=-1)
     ws.l_v = _clamp(acc, dtype).astype(dtype)
-    ws.iteration += 1
 
 
 # ---------------------------------------------------------------------------
@@ -393,70 +400,64 @@ def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig) -> 
     """One full layered pass: rows in ascending order, each feeding the next."""
     for r in range(ws.rows_used):
         ws.layer(r, cfg)
-    ws.iteration += 1
     return ws
 
 
-def _run_schedule(llrs, bg, cfg, trace, step) -> DecodeResult:
+def _run_schedule(llrs, bg, cfg, step) -> DecodeResult:
     """Run `step` until every codeword has settled; settled outputs freeze.
 
     A codeword settles at the first iteration whose hard decision satisfies
     the syndrome (and the CRC in crc mode); the rest settle at max_iter with
-    that iteration's hard bits and syndrome weight. With early stop off the
-    success test runs once, at max_iter.
+    that iteration's hard bits. With early stop off the success test runs
+    once, at max_iter. Every iteration's syndrome weights and margins go
+    into the result's traces.
     """
     ws = init_workspace(llrs, bg, cfg)
     batch = ws.lanes
-    res = DecodeResult(
-        bits=np.zeros((batch, bg.k_b * bg.z), dtype=np.uint8),
-        iterations=np.zeros(batch, dtype=np.int64),
-        success=np.zeros(batch, dtype=bool),
-        syndrome_weight=np.zeros(batch, dtype=np.int64),
-        crc_ok=np.zeros(batch, dtype=bool) if cfg.early_stop is EarlyStop.CRC else None,
-    )
+    bits = np.zeros((batch, bg.k_b * bg.z), dtype=np.uint8)
+    iterations = np.zeros(batch, dtype=np.int64)
+    success = np.zeros(batch, dtype=bool)
+    weights = np.zeros((cfg.max_iter, batch), dtype=np.int64)
+    margins = np.zeros((cfg.max_iter, batch), dtype=np.float64)
     for it in range(1, cfg.max_iter + 1):
         step(ws)
-        weights = ws.syndrome()
-        margins = ws.min_abs()
-        if trace is not None:
-            for b in range(batch):
-                trace.append((b, it, int(weights[b]), float(margins[b])))
+        weights[it - 1] = ws.syndrome()
+        margins[it - 1] = ws.min_abs()
         last = it == cfg.max_iter
         if cfg.early_stop is EarlyStop.NONE and not last:
             continue
-        live = ~res.success
+        live = ~success
         # a zero-margin posterior is an undecided bit (erasure fixed point):
         # the all-zero hard decision it implies is not a found codeword
-        found = live & (weights == 0) & (margins > 0)
+        found = live & (weights[it - 1] == 0) & (margins[it - 1] > 0)
         if found.any() or last:
             hard = ws.hard_bits()
-            if res.crc_ok is not None:
+            if cfg.early_stop is EarlyStop.CRC:
                 for b in np.flatnonzero(found):
-                    found[b] = res.crc_ok[b] = crc_check(hard[b], cfg.crc_kind)
+                    found[b] = crc_check(hard[b], cfg.crc_kind)
             settle = live if last else found
-            res.bits[settle] = hard[settle]
-            res.iterations[settle] = it
-            res.syndrome_weight[settle] = weights[settle]
-            res.success |= found
-        if res.success.all():
+            bits[settle] = hard[settle]
+            iterations[settle] = it
+            success |= found
+        if success.all():
             break
-    return res
+    return DecodeResult(bits, iterations, success, weights[:it], margins[:it])
 
 
-def decode(llrs, bg: BaseGraph, cfg: DecodeConfig, trace: list | None = None) -> DecodeResult:
+def decode(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
     """Layered min-sum decode of one batch of quantized LLR blocks.
 
     `llrs` has shape (n_c,) or (B, n_c) for any B. Packed int8 (rho=4)
     carries four codewords per word inside the decoder and returns the same
-    per-codeword results, trace included, as the scalar engine. Early
-    termination is checked after every full iteration. The optional `trace`
-    list collects (codeword, iteration, syndrome weight, min |L_v|).
+    per-codeword results, traces included, as the scalar engine. Early
+    termination is checked after every full iteration. The result records
+    every iteration's syndrome weight and min |L_v| per codeword.
     """
-    return _run_schedule(llrs, bg, cfg, trace, lambda ws: layered_iteration(ws, bg, cfg))
+    return _run_schedule(llrs, bg, cfg, lambda ws: layered_iteration(ws, bg, cfg))
 
 
-def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig, trace: list | None = None) -> DecodeResult:
+def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
     """Flooding-schedule decode: all rows consume the previous iteration."""
     if cfg.rho == 4:
         raise ValueError("flooding decoding runs on the scalar path (rho < 4)")
-    return _run_schedule(llrs, bg, cfg, trace, lambda ws: _scalar_flood(ws, cfg))
+    return _run_schedule(llrs, bg, cfg, lambda ws: _scalar_flood(ws, cfg))

@@ -218,6 +218,11 @@ def test_config_hash_covers_crc_and_quantizer(bg2_z16):
     crc = dict(early_stop="crc", max_iter=4)
     assert sweep_hash(DecodeConfig(crc_kind="crc24a", **crc)) != \
         sweep_hash(DecodeConfig(crc_kind="crc24b", **crc))
-    f32 = DecodeConfig(precision=Precision.F32, max_iter=4)
-    assert sweep_hash(f32, QuantConfig("f32", clip=4.0)) != \
-        sweep_hash(f32, QuantConfig("f32"))
+    int8 = DecodeConfig(max_iter=4)
+    assert sweep_hash(int8, QuantConfig("int8", scale=4.0)) != \
+        sweep_hash(int8, QuantConfig("int8"))
+    # one partition is one configuration, however it is spelled
+    same = [DecodeConfig(max_iter=4), DecodeConfig(alpha=1, max_iter=4),
+            DecodeConfig(strategy="low_latency", alpha=1, max_iter=4)]
+    assert same[0] == same[1] == same[2]
+    assert len({sweep_hash(cfg) for cfg in same}) == 1
