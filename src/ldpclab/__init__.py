@@ -4,6 +4,9 @@ Encoder, layered/flooding min-sum decoders with packed-lane kernels, BPSK/AWGN
 channel, parallelization planner, and a BER/BLER + latency benchmark harness.
 """
 
+# defined before the submodules load, so any of them can import it
+__version__ = "0.1.0"
+
 from ldpclab.basegraph import (
     ALL_LIFTING_SIZES,
     LIFTING_SETS,
@@ -42,6 +45,7 @@ from ldpclab.decoder import (
 from ldpclab.planner import StrategyPlan, choose_alpha, make_plan, memory_footprint, thread_count
 
 __all__ = [
+    "__version__",
     "ALL_LIFTING_SIZES",
     "LIFTING_SETS",
     "BaseGraph",

@@ -65,7 +65,6 @@ class BaseGraph:
     cols: np.ndarray        # entry base-column indices
     shifts: np.ndarray      # circulant shifts, already reduced mod z
     w_r: np.ndarray = field(repr=False)   # entries per base row
-    w_c: np.ndarray = field(repr=False)   # entries per base column
     row_start: np.ndarray = field(repr=False)   # first entry of each base row
     # shift of the circulant the XOR of the core rows leaves at column k_b
     core_sum_shift: int = field(repr=False)
@@ -152,18 +151,17 @@ def load_basegraph(
         raise ValueError(f"malformed asset {path}: entry index out of range")
 
     w_r = np.bincount(rows, minlength=m_bg)
-    w_c = np.bincount(cols, minlength=n_cols)
     if w_r.min() < 3:
         raise ValueError(f"malformed asset {path}: base row with weight < 3")
 
     row_start = np.zeros(m_bg + 1, dtype=np.int64)
     np.cumsum(w_r, out=row_start[1:])
-    for arr in (rows, cols, shifts, w_r, w_c, row_start):
+    for arr in (rows, cols, shifts, w_r, row_start):
         arr.flags.writeable = False
 
     bg = BaseGraph(
         id=bg_id, k_b=k_b, m_bg=m_bg, n_cols=n_cols, z=z,
-        rows=rows, cols=cols, shifts=shifts, w_r=w_r, w_c=w_c,
+        rows=rows, cols=cols, shifts=shifts, w_r=w_r,
         row_start=row_start, core_sum_shift=0,
     )
     # the structure check over the graph's rows yields the core shift

@@ -271,13 +271,20 @@ class ScalarWorkspace(DecodeWorkspace):
         cols, _, e0, idx = self.row_gather[r]
         msgs = self.messages[:, e0:e0 + len(cols), :]
         dtype = self.l_v.dtype
+        integer = np.issubdtype(dtype, np.integer)
         with np.errstate(over="ignore"):               # f16 saturates via clamp
-            lvc = _clamp(self.l_v[:, cols[:, None], idx] - msgs, dtype)
+            raw = self.l_v[:, cols[:, None], idx] - msgs
+            # integers keep the extrinsic unclamped and store what the
+            # saturated posterior absorbed on top of it: the next visit
+            # subtracts exactly what this one added, so a found codeword stays
+            lvc = _clamp(raw.copy() if integer else raw, dtype)
             out = _minsum(lvc, cfg.beta, cfg.alpha)
-            upd = _clamp(lvc + out, dtype)
-            # integers store the message the saturated posterior absorbed, so
-            # the next visit subtracts exactly what this one added
-            msgs[...] = upd - lvc if np.issubdtype(dtype, np.integer) else out
+            if integer:
+                upd = _clamp(np.add(out, raw, out=out), dtype)
+                np.subtract(upd, raw, out=msgs)
+            else:
+                upd = _clamp(lvc + out, dtype)
+                msgs[...] = out
             self.l_v[:, cols[:, None], idx] = upd
 
 
@@ -309,7 +316,8 @@ class PackedWorkspace(DecodeWorkspace):
                                 self.l_v.sign[cols[:, None], idx])
         msg = kernels.PackedWord(self.messages.mag[e0:e0 + w],
                                  self.messages.sign[e0:e0 + w])
-        lvc = kernels.sat_sub(lv, msg)
+        raw = kernels.add(lv, kernels.negate(msg))      # |raw| <= 254 fits a lane
+        lvc = kernels.saturate(raw)
         acc = _reduce(kernels.packed_identity(),
                       lambda j: kernels.packed_edge_acc(lvc.mag[j], lvc.sign[j], j),
                       w, cfg.alpha)
@@ -321,8 +329,12 @@ class PackedWorkspace(DecodeWorkspace):
         is_min = ~kernels.vcmplt_u8(np.uint32(0), acc.tag ^ jw)
         mag = (is_min & b2) | (~is_min & b1)
         sign = (acc.s_vc ^ lvc.sign) & kernels.vcmplt_u8(np.uint32(0), mag)
-        upd = kernels.sat_add(lvc, kernels.PackedWord(mag, sign))
-        stored = kernels.sat_sub(upd, lvc)          # mirrors the scalar engine
+        # sat(raw + out), as the scalar engine: a same-sign lane adds onto the
+        # saturated extrinsic, so its magnitude sum stays within the byte
+        same = ~(raw.sign ^ sign)
+        base = kernels.PackedWord((same & lvc.mag) | (~same & raw.mag), raw.sign)
+        upd = kernels.saturate(kernels.add(base, kernels.PackedWord(mag, sign)))
+        stored = kernels.add(upd, kernels.negate(raw))
         self.messages.mag[e0:e0 + w] = stored.mag
         self.messages.sign[e0:e0 + w] = stored.sign
         self.l_v.mag[cols[:, None], idx] = upd.mag
@@ -347,6 +359,8 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     arr = np.atleast_2d(llrs)
     if np.issubdtype(arr.dtype, np.floating) and np.isnan(arr).any():
         raise ValueError("LLRs must not be NaN")
+    if cfg.precision is Precision.INT8 and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("int8 decoding takes integer LLRs (quantize in int8 mode)")
     if arr.shape[-1] % bg.z:
         raise ValueError("LLR block length must be a multiple of Z")
     rows_used = arr.shape[-1] // bg.z - bg.k_b

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from ldpclab import __version__
 from ldpclab.basegraph import BaseGraph, code_params
 from ldpclab.channel import QuantConfig, bpsk_awgn, bpsk_exact, demap_llr, ebn0_to_sigma, quantize
 from ldpclab.codec import CRC_POLYS, crc_attach, encode_batch
@@ -151,6 +152,9 @@ def run_bler_sweep(
         raise ValueError("stopping rule must be positive")
     params = code_params(bg, z, rows_used)
     quant = quant or QuantConfig(mode=cfg.precision.value)
+    if quant.mode != cfg.precision.value:
+        raise ValueError(f"quantizer mode {quant.mode} does not match "
+                         f"decoder precision {cfg.precision.value}")
     rate_eff = params.k / params.n_tx
 
     points: list[SweepPoint] = []
@@ -205,7 +209,7 @@ def run_bler_sweep(
             pool.shutdown()
 
     meta = {
-        "bg": bg.id, "z": z, "rows_used": rows_used,
+        "version": __version__, "bg": bg.id, "z": z, "rows_used": rows_used,
         "bg_sha256": hashlib.sha256(bg.canonical_bytes()).hexdigest(),
         **asdict(cfg), "quant": asdict(quant),
         "grid": ["inf" if math.isinf(g) else g for g in grid],

@@ -3,8 +3,9 @@ and the associative (min, submin, signs) reduction.
 
 A packed word holds rho=4 unsigned 8-bit magnitude lanes, lane l at bits
 [8l, 8l+8); signs travel in a companion word holding 0x00 (positive) or 0xFF
-(negative) per lane. Magnitudes never exceed 127, so single adds and
-subtracts cannot carry across lanes.
+(negative) per lane. Saturated magnitudes never exceed 127. The unsaturated
+`add` takes whole-byte magnitudes wherever the signed result fits a lane;
+it sums same-sign lanes only, so no lane carries into the next.
 
 All functions are pure and operate elementwise on numpy uint32 arrays of any
 shape, mirroring a warp of independent SIMD words. The reduction also has a
@@ -107,19 +108,31 @@ def negate(a: PackedWord) -> PackedWord:
     return _canonical(a.mag, ~a.sign)
 
 
-def sat_add(a: PackedWord, b: PackedWord) -> PackedWord:
-    """Per-lane saturating signed add of sign-magnitude operands."""
+def add(a: PackedWord, b: PackedWord) -> PackedWord:
+    """Per-lane signed add of sign-magnitude operands, unsaturated.
+
+    Same-sign lanes must sum to at most 255. Opposite-sign lanes subtract,
+    so their magnitudes may take the whole byte.
+    """
     same = ~(a.sign ^ b.sign)
-    total = a.mag + b.mag                       # lanes <= 254: no carry-out
-    over = vcmplt_u8(_S127, total)
-    total_sat = _select(over, _S127, total)
+    # only same-sign lanes sum: an opposite-sign lane's sum could pass 255
+    # and carry into the next lane
+    total = (a.mag & same) + (b.mag & same)
     lo, hi = ord_vec(a.mag, b.mag)
     diff = hi - lo                              # lanes >= 0: no borrow
     b_bigger = vcmplt_u8(a.mag, b.mag)
     sign_diff = _select(b_bigger, b.sign, a.sign)
-    mag = _select(same, total_sat, diff)
-    sign = _select(same, a.sign, sign_diff)
-    return _canonical(mag, sign)
+    return _canonical(_select(same, total, diff), _select(same, a.sign, sign_diff))
+
+
+def saturate(a: PackedWord) -> PackedWord:
+    """Clamp every lane's magnitude to 127; signs are kept."""
+    return PackedWord(_select(vcmplt_u8(_S127, a.mag), _S127, a.mag), a.sign)
+
+
+def sat_add(a: PackedWord, b: PackedWord) -> PackedWord:
+    """Per-lane saturating signed add of sign-magnitude operands."""
+    return saturate(add(a, b))
 
 
 def sat_sub(a: PackedWord, b: PackedWord) -> PackedWord:

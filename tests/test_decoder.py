@@ -167,8 +167,8 @@ def test_message_conservation_per_layer(bg2_z16, precision):
 
 def test_int8_message_conservation_under_saturation(bg2_z16):
     """At the default scale 8 the posteriors saturate at high SNR; the stored
-    message is what the saturated posterior absorbed, so subtracting it
-    gives back the row's clamped input exactly.
+    message is what the saturated posterior absorbed on top of the row's
+    unclamped extrinsic, so subtracting it gives that extrinsic back exactly.
     """
     _, blocks = make_noisy_blocks(bg2_z16, 42, 8.0, 4, seed=5)
     cfg = DecodeConfig(precision=Precision.INT8)
@@ -178,12 +178,11 @@ def test_int8_message_conservation_under_saturation(bg2_z16):
         for r in range(ws.rows_used):
             cols, _, e0, idx = ws.row_gather[r]
             w = len(cols)
-            lvc_in = np.clip(ws.l_v[:, cols[:, None], idx]
-                             - ws.messages[:, e0:e0 + w, :], -127, 127)
+            raw = ws.l_v[:, cols[:, None], idx] - ws.messages[:, e0:e0 + w, :]
             ws.layer(r, cfg)
             lv_rows = ws.l_v[:, cols[:, None], idx]
             saturated += int((np.abs(lv_rows) == 127).sum())
-            mismatches += int((lv_rows - ws.messages[:, e0:e0 + w, :] != lvc_in).sum())
+            mismatches += int((lv_rows - ws.messages[:, e0:e0 + w, :] != raw).sum())
     assert saturated > 0              # the regime under test is reached
     assert mismatches == 0
 
@@ -325,6 +324,15 @@ def test_early_stop_none_moderate_llrs_stay_converged(bg2_z16):
     assert res.iterations[0] == 10
     assert res.success[0]
     assert np.array_equal(res.bits[0], msg)
+    # in the waterfall and in saturation alike, int8 keeps every codeword it
+    # finds through all 20 iterations, on both engines
+    bg = get_graph("BG2", 52)
+    for ebn0 in (1.5, 8.0):
+        msgs, blocks = make_noisy_blocks(bg, 42, ebn0, 32, seed=9)
+        for rho in (1, 4):
+            res = decode(blocks, bg, DecodeConfig(rho=rho, early_stop=EarlyStop.NONE))
+            assert res.success.all()
+            assert np.array_equal(res.bits, msgs)
 
 
 def test_early_stop_crc_accepts_attached_payload(bg2_z16):
@@ -427,6 +435,9 @@ def test_decode_input_validation(bg2_z16):
     with pytest.raises(ValueError, match="rows_used"):
         decode(np.zeros(16 * 12, dtype=np.int8), bg2_z16,
                DecodeConfig(precision=Precision.INT8))
+    # float LLRs decoded as int8 would be truncated, not quantized
+    with pytest.raises(ValueError, match="integer LLRs"):
+        decode(np.zeros(832, dtype=np.float32), bg2_z16, DecodeConfig())
 
 
 def test_decode_rejects_nan_llrs(bg2_z16):

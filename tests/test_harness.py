@@ -188,6 +188,13 @@ def test_sweep_f32_precision(bg2_z16):
                          target_block_errors=5, max_codewords=64, seed=4)
     assert res.points[0].codewords == 64
     assert res.points[0].bler <= 0.1
+    # a quantizer for another precision fails at the boundary
+    for quant in (QuantConfig("int8"), QuantConfig("f16")):
+        with pytest.raises(ValueError, match="does not match"):
+            run_bler_sweep(bg2_z16, 16, 42, cfg, [3.5], quant=quant, max_codewords=4)
+    with pytest.raises(ValueError, match="does not match"):
+        run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [3.5], quant=QuantConfig("f32"),
+                       max_codewords=4)
 
 
 def test_sweep_int8_decodes_at_high_snr(bg2_z16):

@@ -8,6 +8,7 @@ from ldpclab.kernels import (
     PackedWord,
     ValueAccumulator,
     acc_merge,
+    add,
     apply_lut_u8,
     ord_vec,
     pack_u8,
@@ -89,6 +90,14 @@ def test_sat_ops_random_against_widened_oracle():
     got_add = sat_add(pa, pb).values()
     assert np.array_equal(got_sub, np.clip(a - b, -127, 127))
     assert np.array_equal(got_add, np.clip(a + b, -127, 127))
+    # the unsaturated add takes magnitudes up to 254 (the decoder's extrinsic)
+    # wherever the exact sum fits a lane; opposite-sign lanes must not carry
+    c = rng.integers(-254, 255, size=(n, 4))
+    d = rng.integers(-127, 128, size=(n, 4))
+    d = np.where((np.sign(c) == np.sign(d)) & (np.abs(c + d) > 255), -d, d)
+    pc, pd = (PackedWord(pack_u8(np.abs(v)), pack_u8(np.where(v < 0, 0xFF, 0)))
+              for v in (c, d))
+    assert np.array_equal(add(pc, pd).values(), c + d)
 
 
 @settings(max_examples=300, deadline=None)
