@@ -333,8 +333,8 @@ class PackedWorkspace(DecodeWorkspace):
         # saturated extrinsic, so its magnitude sum stays within the byte
         same = ~(raw.sign ^ sign)
         base = kernels.PackedWord((same & lvc.mag) | (~same & raw.mag), raw.sign)
-        upd = kernels.saturate(kernels.add(base, kernels.PackedWord(mag, sign)))
-        stored = kernels.add(upd, kernels.negate(raw))
+        upd = kernels.sat_add(base, kernels.PackedWord(mag, sign))
+        stored = kernels.sat_sub(upd, raw)          # |upd - raw| <= 127: exact
         self.messages.mag[e0:e0 + w] = stored.mag
         self.messages.sign[e0:e0 + w] = stored.sign
         self.l_v.mag[cols[:, None], idx] = upd.mag
