@@ -4,7 +4,9 @@ Two engines produce bit-identical results on identical quantized inputs,
 each behind its own workspace type:
 
 * ScalarWorkspace: a batched scalar engine (int8 widened to int32, f16, or
-  f32) that serves as the reference and the fast simulation path, and
+  f32) that serves as the reference; its int8 and f32 layered iterations
+  run in the compiled kernel of `ldpclab.native` where the host can build
+  it, bit-exact with the numpy rows here, and
 * PackedWorkspace: rho=4 codeword lanes per 32-bit word on the
   sign-magnitude SWAR kernels, kept to verify the scalar engine.
 
@@ -24,9 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from ldpclab import kernels
+from ldpclab import kernels, native
 from ldpclab.basegraph import BaseGraph
-from ldpclab.codec import _syndrome_weights, crc_check
+from ldpclab.codec import CRC_POLYS, _syndrome_weights, crc_check
 
 INT8_SAT = 127
 F16_SAT = np.float16(65504.0)
@@ -83,6 +85,9 @@ class DecodeConfig:
             object.__setattr__(self, "alpha", 1)
         if early is not EarlyStop.CRC and self.crc_kind != DecodeConfig.crc_kind:
             raise ValueError("crc_kind applies only with early_stop='crc'")
+        if self.crc_kind not in CRC_POLYS:
+            raise ValueError(f"unknown crc_kind {self.crc_kind!r}; "
+                             f"choose from {sorted(CRC_POLYS)}")
         allowed_rho = (1, 4) if precision is Precision.INT8 else (1,)
         if self.rho not in allowed_rho:
             raise ValueError(
@@ -411,9 +416,16 @@ def _scalar_flood(ws: ScalarWorkspace, cfg: DecodeConfig) -> None:
 
 
 def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
-    """One full layered pass: rows in ascending order, each feeding the next."""
-    for r in range(ws.rows_used):
-        ws.layer(r, cfg)
+    """One full layered pass: rows in ascending order, each feeding the next.
+
+    A scalar int8 or f32 workspace runs the compiled kernel where the host
+    can build it; f16, the packed engine and any host without the kernel run
+    the numpy rows, its bit-exact oracle.
+    """
+    if not (isinstance(ws, ScalarWorkspace)
+            and native.run_iteration(ws.l_v, ws.messages, ws.bg, ws.rows_used, cfg.beta)):
+        for r in range(ws.rows_used):
+            ws.layer(r, cfg)
     return ws
 
 

@@ -417,6 +417,9 @@ def test_config_validation():
         QuantConfig("f32", scale=2.0)
     with pytest.raises(ValueError, match="crc_kind"):
         DecodeConfig(crc_kind="crc16")
+    # an unknown CRC fails here, not later inside a sweep or a decode
+    with pytest.raises(ValueError, match="unknown crc_kind"):
+        DecodeConfig(early_stop=EarlyStop.CRC, crc_kind="crc99")
 
 
 def test_decode_input_validation(bg2_z16):

@@ -1,0 +1,149 @@
+"""The compiled layer kernel against its numpy oracle, and the kernel's loader."""
+
+import os
+import shutil
+import tempfile
+
+import numpy as np
+import pytest
+
+from ldpclab import native
+from ldpclab.decoder import (
+    DecodeConfig,
+    EarlyStop,
+    ScalarWorkspace,
+    Strategy,
+    decode,
+    init_workspace,
+    layered_iteration,
+)
+from tests.conftest import get_graph, make_noisy_blocks
+
+CODES = [("BG2", 16, 42), ("BG2", 52, 42), ("BG1", 384, 46)]
+STRATEGIES = [DecodeConfig(), DecodeConfig(strategy=Strategy.LOW_LATENCY, alpha=4)]
+SNRS_DB = [1.0, 2.5, 8.0, 10.0]          # 8 and 10 dB saturate int8 posteriors
+
+
+@pytest.fixture
+def kernel():
+    """The host's kernel; a host without gcc has none to compare."""
+    if shutil.which(native.COMMAND[0]) is None:
+        pytest.skip("no C compiler on this host")
+    lib = native.load()
+    assert lib is not None, "gcc is present but the kernel did not build"
+    return lib
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The loader on an empty cache in tmp_path, reset before and after."""
+    native.load.cache_clear()
+    monkeypatch.setattr(native, "cache_dir", lambda: tmp_path)
+    yield tmp_path
+    native.load.cache_clear()
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """Raw 32-bit patterns, so f32 compares bit for bit (-0.0 included)."""
+    return a.view(np.uint32)
+
+
+@pytest.mark.parametrize("code", CODES, ids=lambda c: f"{c[0]}-Z{c[1]}")
+@pytest.mark.parametrize("precision", ["int8", "f32"])
+def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, precision):
+    bg_id, z, rows = code
+    bg = get_graph(bg_id, z)
+    ran = []
+    run = native.run_iteration
+    monkeypatch.setattr(native, "run_iteration", lambda *a: ran.append(run(*a)) or ran[-1])
+    for cfg in STRATEGIES:
+        cfg = DecodeConfig(precision=precision, strategy=cfg.strategy, alpha=cfg.alpha)
+        for i, ebn0 in enumerate(SNRS_DB):
+            _, blocks = make_noisy_blocks(bg, rows, ebn0, 3 if z < 384 else 2,
+                                          seed=20 + i, mode=precision)
+            fast = init_workspace(blocks, bg, cfg)
+            oracle = init_workspace(blocks, bg, cfg)
+            for it in range(8):
+                layered_iteration(fast, bg, cfg)
+                for r in range(oracle.rows_used):
+                    oracle.layer(r, cfg)
+                where = f"{cfg.strategy.value} {ebn0} dB iteration {it + 1}"
+                assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), where
+                assert np.array_equal(_bits(fast.messages), _bits(oracle.messages)), where
+    assert ran and all(ran)               # every pass above ran the kernel
+
+
+def _decode_digest(blocks, bg, cfg):
+    res = decode(blocks, bg, cfg)
+    return [res.bits, res.iterations, res.success, res.syndrome_trace, res.margin_trace]
+
+
+def _same(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+@pytest.mark.parametrize("precision", ["int8", "f32"])
+def test_decode_equals_decode_without_kernel(kernel, monkeypatch, precision):
+    bg = get_graph("BG2", 52)
+    cases = []
+    for early in EarlyStop:
+        for cfg in STRATEGIES:
+            cfg = DecodeConfig(precision=precision, strategy=cfg.strategy, alpha=cfg.alpha,
+                               early_stop=early, max_iter=10)
+            for i, ebn0 in enumerate(SNRS_DB):
+                _, blocks = make_noisy_blocks(bg, 42, ebn0, 6, seed=40 + i, mode=precision)
+                cases.append((blocks, cfg))
+    with monkeypatch.context() as m:
+        # the numpy rows must not run while the kernel serves this engine
+        m.setattr(ScalarWorkspace, "layer", None)
+        fast = [_decode_digest(blocks, bg, cfg) for blocks, cfg in cases]
+    monkeypatch.setattr(native, "load", lambda: None)
+    for (blocks, cfg), got in zip(cases, fast):
+        assert _same(got, _decode_digest(blocks, bg, cfg)), cfg
+
+
+def test_loader_builds_once_then_reuses_the_cached_file(kernel, fresh_loader, monkeypatch):
+    assert native.load() is not None
+    built = sorted(p.name for p in fresh_loader.iterdir())
+    assert len(built) == 1 and built[0].startswith("layer-")     # no build leftovers
+    native.load.cache_clear()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("gcc ran although the library was cached")
+
+    monkeypatch.setattr(native.subprocess, "run", no_compiler)
+    assert native.load() is not None
+    assert sorted(p.name for p in fresh_loader.iterdir()) == built
+
+
+def test_missing_compiler_takes_the_numpy_rows(kernel, request, monkeypatch):
+    bg = get_graph("BG2", 52)
+    cfg = DecodeConfig(max_iter=10)
+    _, blocks = make_noisy_blocks(bg, 42, 2.0, 8, seed=3)
+    with_kernel = _decode_digest(blocks, bg, cfg)
+    cache = request.getfixturevalue("fresh_loader")
+    monkeypatch.setenv("PATH", str(cache))            # an empty directory: no gcc
+    assert native.load() is None
+    ws = init_workspace(blocks, bg, cfg)
+    assert not native.run_iteration(ws.l_v, ws.messages, bg, ws.rows_used, cfg.beta)
+    assert _same(_decode_digest(blocks, bg, cfg), with_kernel)
+    assert list(cache.iterdir()) == []                # and no build leftovers
+
+
+def test_cache_dir_falls_back_to_a_private_temp_dir(monkeypatch, tmp_path):
+    blocked = tmp_path / "not-a-dir"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    got = native.cache_dir()
+    assert got == tmp_path / f"ldpclab-{os.getuid()}"
+    assert got.stat().st_mode & 0o777 == 0o700
+
+
+def test_run_iteration_rejects_arrays_of_another_graph(kernel):
+    bg = get_graph("BG2", 16)
+    _, blocks = make_noisy_blocks(bg, 42, 2.0, 2, seed=1)
+    ws = init_workspace(blocks, bg, DecodeConfig())
+    for other, rows in ((get_graph("BG2", 52), 42), (get_graph("BG1", 16), 42), (bg, 41)):
+        with pytest.raises(ValueError, match="do not match"):
+            native.run_iteration(ws.l_v, ws.messages, other, rows, 0.75)
