@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ldpclab import native
 from ldpclab.basegraph import BaseGraph, CodeParams, code_params
 
 # CRC generator polynomials, msb-first without the leading x^L term.
@@ -37,7 +38,7 @@ class Syndrome:
 
 def _as_bits(x, length: int | None = None) -> np.ndarray:
     bits = np.asarray(x, dtype=np.uint8).ravel()
-    if not np.isin(bits, (0, 1)).all():
+    if (bits > 1).any():
         raise ValueError("bit vector may only contain 0 and 1")
     if length is not None and len(bits) != length:
         raise ValueError(f"expected {length} bits, got {len(bits)}")
@@ -73,7 +74,7 @@ def encode_batch(messages, bg: BaseGraph, z: int, rows_used: int) -> np.ndarray:
     msgs = np.asarray(messages, dtype=np.uint8)
     if msgs.ndim != 2 or msgs.shape[1] != params.k:
         raise ValueError(f"expected messages of shape (B, {params.k})")
-    if not np.isin(msgs, (0, 1)).all():
+    if (msgs > 1).any():
         raise ValueError("bit vector may only contain 0 and 1")
     batch = len(msgs)
     p0 = bg.core_parity_col
@@ -140,6 +141,19 @@ def encode_batch(messages, bg: BaseGraph, z: int, rows_used: int) -> np.ndarray:
 
 
 def _syndrome_weights(bits2d: np.ndarray, bg: BaseGraph, rows_used: int) -> np.ndarray:
+    """Unsatisfied checks per row of the (B, n_c) hard bits.
+
+    The compiled kernel counts them; the numpy roll loop, its oracle, runs
+    only where the kernel cannot be built.
+    """
+    bits2d = np.ascontiguousarray(bits2d, dtype=np.uint8)
+    weights = native.syndrome_weights(bits2d, bg, rows_used)
+    if weights is not None:
+        return weights
+    return _syndrome_weights_numpy(bits2d, bg, rows_used)
+
+
+def _syndrome_weights_numpy(bits2d: np.ndarray, bg: BaseGraph, rows_used: int) -> np.ndarray:
     blocks = bits2d.reshape(len(bits2d), -1, bg.z)
     weights = np.zeros(len(bits2d), dtype=np.int64)
     for r in range(rows_used):
@@ -170,25 +184,40 @@ def depuncture(values, z: int) -> np.ndarray:
 
 
 def crc_attach(payload, kind: str = "crc24b", k: int | None = None) -> np.ndarray:
-    """Append the CRC parity bits of `payload` (transmission bit order)."""
-    length, poly = _crc_params(kind)
-    bits = _as_bits(payload)
-    if k is not None and len(bits) + length > k:
+    """Append the CRC parity bits of `payload` (transmission bit order).
+
+    `payload` is one stream (n,) or a batch of streams (B, n); the result is
+    (n + L,) or (B, n + L). `k` bounds the length of each attached stream.
+    """
+    length, _ = _crc_params(kind)
+    bits, single = _bit_rows(payload)
+    n = bits.shape[1]
+    if k is not None and n + length > k:
         raise ValueError(
-            f"payload of {len(bits)} bits plus {length} CRC bits exceeds K={k}"
+            f"payload of {n} bits plus {length} CRC bits exceeds K={k}"
         )
-    return np.concatenate([bits, _crc_remainder(bits, length, poly)])
+    # size the table for the attached stream, which crc_check sees next
+    rem = _crc_remainder(bits, kind, n + length)
+    parity = (rem[:, None] >> np.arange(length - 1, -1, -1, dtype=np.uint32)) & 1
+    out = np.concatenate([bits, parity.astype(np.uint8)], axis=1)
+    return out[0] if single else out
 
 
-def crc_check(bits, kind: str = "crc24b") -> bool:
-    """True when the trailing CRC parity matches the leading payload."""
-    length, poly = _crc_params(kind)
-    data = _as_bits(bits)
-    if len(data) < length:
-        return False
-    # payload(x)*x^L + parity(x) is a multiple of the generator exactly when
-    # the parity is correct, so the register drains to zero.
-    return not _crc_remainder(data, length, poly).any()
+def crc_check(bits, kind: str = "crc24b") -> bool | np.ndarray:
+    """True where the trailing CRC parity matches the leading payload.
+
+    One stream (n,) gives a bool, a batch (B, n) a (B,) bool array. A stream
+    shorter than the CRC fails.
+    """
+    length, _ = _crc_params(kind)
+    data, single = _bit_rows(bits)
+    if data.shape[1] < length:
+        ok = np.zeros(len(data), dtype=bool)
+    else:
+        # payload(x)*x^L + parity(x) is a multiple of the generator exactly
+        # when the parity is correct: the whole stream leaves no remainder
+        ok = _crc_remainder(data, kind, data.shape[1]) == 0
+    return bool(ok[0]) if single else ok
 
 
 def _crc_params(kind: str) -> tuple[int, int]:
@@ -198,16 +227,77 @@ def _crc_params(kind: str) -> tuple[int, int]:
         raise ValueError(f"unknown CRC kind {kind!r}; choose from {sorted(CRC_POLYS)}")
 
 
-def _crc_remainder(stream: np.ndarray, length: int, poly: int) -> np.ndarray:
-    # Bit-serial division of stream(x) * x^length by the generator; the bit
-    # is folded in at the register top, so no explicit zero padding is fed.
-    reg = 0
-    top = 1 << (length - 1)
-    mask = (1 << length) - 1
-    for b in stream:
-        fb = ((reg & top) != 0) ^ int(b)
-        reg = ((reg << 1) & mask) ^ (poly if fb else 0)
-    out = np.empty(length, dtype=np.uint8)
-    for i in range(length):
-        out[i] = (reg >> (length - 1 - i)) & 1
-    return out
+def _bit_rows(x) -> tuple[np.ndarray, bool]:
+    """(B, n) uint8 bits from one stream or a batch, and whether it was one."""
+    bits = np.asarray(x, dtype=np.uint8)
+    if bits.ndim not in (1, 2):
+        raise ValueError(f"expected bits of shape (n,) or (B, n), got {bits.shape}")
+    if (bits > 1).any():
+        raise ValueError("bit vector may only contain 0 and 1")
+    return (bits[None, :], True) if bits.ndim == 1 else (bits, False)
+
+
+# Positional byte tables, one per CRC kind, built for the longest stream
+# asked for so far and at most this many bytes; longer streams fold through
+# the table in chunks.
+_CRC_TABLE_MAX_BYTES = 2048
+_CRC_TABLES: dict[str, np.ndarray] = {}
+
+
+def _crc_table(kind: str, n_bytes: int) -> np.ndarray:
+    """(R, 256) uint32 table, R >= min(n_bytes, _CRC_TABLE_MAX_BYTES).
+
+    Entry (R - 1 - j, v) is the remainder of v(x) * x^(8j) * x^L: byte value
+    v at byte j counted from the end of the stream. A stream of m <= R bytes
+    uses the last m rows.
+    """
+    rows = min(max(n_bytes, 1), _CRC_TABLE_MAX_BYTES)
+    table = _CRC_TABLES.get(kind)
+    if table is not None and len(table) >= rows:
+        return table
+    length, poly = CRC_POLYS[kind]
+    top, mask = 1 << (length - 1), (1 << length) - 1
+    # basis[i] = x^(i + L) mod g(x) for every bit i counted from the end
+    basis, reg = [], poly
+    for _ in range(8 * rows):
+        basis.append(reg)
+        reg = ((reg << 1) & mask) ^ (poly if reg & top else 0)
+    basis = np.array(basis, dtype=np.uint32).reshape(rows, 8)[::-1]
+    # entry v is the XOR of the basis of v's set bits: add one bit at a time
+    table = np.zeros((rows, 256), dtype=np.uint32)
+    for b in range(8):
+        np.bitwise_xor(table[:, : 1 << b], basis[:, b, None],
+                       out=table[:, 1 << b: 2 << b])
+    _CRC_TABLES[kind] = table
+    return table
+
+
+def _crc_remainder(bits: np.ndarray, kind: str, size_for: int) -> np.ndarray:
+    """(B,) uint32 remainders of stream(x) * x^L for the rows of `bits`.
+
+    The table is sized for streams of `size_for` bits. Zero bits in front
+    leave a remainder unchanged, so a stream is padded there to whole bytes.
+    """
+    length, _ = CRC_POLYS[kind]
+    batch, n = bits.shape
+    pad = -n % 8
+    if pad:
+        bits = np.concatenate([np.zeros((batch, pad), dtype=np.uint8), bits], axis=1)
+    packed = np.packbits(bits, axis=1)
+    table = _crc_table(kind, -(-size_for // 8))
+    rows = len(table)
+    rem = np.zeros(batch, dtype=np.uint32)
+    # Horner over chunks of at most `rows` bytes, the first one the shortest:
+    # XORing the remainder so far into the head of the next chunk multiplies
+    # it by x^(8 * chunk bytes), as the chunk's own bytes are.
+    head = np.arange(length // 8 - 1, -1, -1, dtype=np.uint32) * 8
+    start = 0
+    for stop in range(packed.shape[1] % rows or rows, packed.shape[1] + 1, rows):
+        chunk = packed[:, start:stop]
+        if start:
+            chunk = chunk.copy()
+            chunk[:, : length // 8] ^= (rem[:, None] >> head).astype(np.uint8)
+        m = stop - start
+        rem = np.bitwise_xor.reduce(table[rows - m:][np.arange(m), chunk], axis=1)
+        start = stop
+    return rem

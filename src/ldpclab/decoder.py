@@ -458,9 +458,8 @@ def _run_schedule(llrs, bg, cfg, step) -> DecodeResult:
         found = live & (weights[it - 1] == 0) & (margins[it - 1] > 0)
         if found.any() or last:
             hard = ws.hard_bits()
-            if cfg.early_stop is EarlyStop.CRC:
-                for b in np.flatnonzero(found):
-                    found[b] = crc_check(hard[b], cfg.crc_kind)
+            if cfg.early_stop is EarlyStop.CRC and found.any():
+                found[found] = crc_check(hard[found], cfg.crc_kind)
             settle = live if last else found
             bits[settle] = hard[settle]
             iterations[settle] = it

@@ -96,8 +96,7 @@ def _run_batch(
     crc_len = CRC_POLYS[cfg.crc_kind][0] if use_crc else 0
     payload = rng.integers(0, 2, size=(batch_n, params.k - crc_len), dtype=np.uint8)
     if use_crc:
-        messages = np.stack([crc_attach(p, cfg.crc_kind, k=params.k)
-                             for p in payload])
+        messages = crc_attach(payload, cfg.crc_kind, k=params.k)
     else:
         messages = payload
     tx = encode_batch(messages, bg, bg.z, rows_used)[:, 2 * bg.z:]

@@ -2,12 +2,14 @@
 
 `_layer.c` runs one full layered min-sum iteration of the scalar engine in
 int8 (widened to int32) or f32, bit-exact with the numpy rows of
-`ScalarWorkspace.layer`, which stay its oracle and its fallback. The library
+`ScalarWorkspace.layer`, which stay its oracle and its fallback. It also
+counts the unsatisfied parity checks of a batch of hard decisions, with
+`codec`'s numpy roll loop as oracle and fallback. The library
 is compiled with the host's gcc into a per-user cache directory that lasts
 across processes, under a name keyed by the source, the compile command and
 the host CPU's flags, so a `-march=native` build is never loaded on another
-CPU. Where it cannot be built or loaded, `run_iteration` reports so and the
-caller takes the numpy rows.
+CPU. Where it cannot be built or loaded, `run_iteration` and
+`syndrome_weights` report so and the caller takes the numpy path.
 """
 
 from __future__ import annotations
@@ -101,7 +103,28 @@ def load() -> ctypes.CDLL | None:
                       (lib.layer_iteration_f32, ctypes.c_float)):
         fn.argtypes = [ctypes.c_void_p] * 2 + tables + [scale]
         fn.restype = ctypes.c_int
+    lib.syndrome_weights.argtypes = [ctypes.c_void_p] * 2 + tables
+    lib.syndrome_weights.restype = ctypes.c_int
     return lib
+
+
+def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
+    """`bg`'s row_start, cols and shifts as int64, checked against the arrays.
+
+    Returns None where `rows_used` is out of range, `n_blocks` or `z` is not
+    the graph's for `rows_used` rows, or an edge leaves the block range; the
+    kernels index with them unchecked.
+    """
+    row_start, cols, shifts = (np.ascontiguousarray(a, dtype=np.int64)
+                               for a in (bg.row_start, bg.cols, bg.shifts))
+    if not 1 <= rows_used < len(row_start):
+        return None
+    n_edges = row_start[rows_used]
+    if (z != bg.z or n_blocks != bg.k_b + rows_used
+            or not 0 <= cols[:n_edges].min() <= cols[:n_edges].max() < n_blocks
+            or not 0 <= shifts[:n_edges].min() <= shifts[:n_edges].max() < z):
+        return None
+    return row_start, cols, shifts
 
 
 def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
@@ -128,17 +151,39 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
     if lib is None:
         return False
     batch, n_blocks, z = l_v.shape
-    row_start, cols, shifts = (np.ascontiguousarray(a, dtype=np.int64)
-                               for a in (bg.row_start, bg.cols, bg.shifts))
-    n_edges = row_start[rows_used]
-    if (z != bg.z or n_blocks != bg.k_b + rows_used
-            or messages.shape != (batch, n_edges, z)
-            or not 0 <= cols[:n_edges].min() <= cols[:n_edges].max() < n_blocks
-            or not 0 <= shifts[:n_edges].min() <= shifts[:n_edges].max() < z):
+    tables = _graph_tables(bg, rows_used, n_blocks, z)
+    if tables is None or messages.shape != (batch, tables[0][rows_used], z):
         raise ValueError("workspace arrays do not match the base graph")
+    row_start, cols, shifts = tables
     status = getattr(lib, name)(
         l_v.ctypes.data, messages.ctypes.data, batch, n_blocks, z, rows_used,
         row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, scale)
     if status:
         raise MemoryError("layer kernel could not allocate its row buffer")
     return True
+
+
+def syndrome_weights(bits: np.ndarray, bg, rows_used: int) -> np.ndarray | None:
+    """Unsatisfied checks of rows 0..rows_used-1 per row of `bits`.
+
+    `bits` holds C-contiguous uint8 hard decisions, shape
+    (B, (k_b + rows_used) * Z). Returns int64 weights of shape (B,), or None
+    where the kernel is unavailable.
+    """
+    if bits.dtype != np.uint8 or bits.ndim != 2 or not bits.flags.c_contiguous:
+        raise ValueError("hard bits must be a C-contiguous 2-D uint8 array")
+    n_blocks = bg.k_b + rows_used
+    tables = _graph_tables(bg, rows_used, n_blocks, bg.z)
+    if tables is None or bits.shape[1] != n_blocks * bg.z:
+        raise ValueError("hard bits do not match the base graph")
+    lib = load()
+    if lib is None:
+        return None
+    row_start, cols, shifts = tables
+    weights = np.empty(len(bits), dtype=np.int64)
+    status = lib.syndrome_weights(
+        bits.ctypes.data, weights.ctypes.data, len(bits), n_blocks, bg.z, rows_used,
+        row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data)
+    if status:
+        raise MemoryError("syndrome kernel could not allocate its row buffer")
+    return weights

@@ -61,8 +61,8 @@ def encode_by_elimination(bg: BaseGraph, z: int, rows_used: int, messages) -> np
     return out[0] if single else out
 
 
-def syndrome_dense(bits, bg: BaseGraph, z: int, rows_used: int) -> int:
-    h = expand_to_binary(bg, z, rows_used)
+def syndrome_dense(bits, bg: BaseGraph, z: int, rows_used: int, limit: int = 10**7) -> int:
+    h = expand_to_binary(bg, z, rows_used, limit=limit)
     return int(((h @ np.asarray(bits, dtype=np.uint8)) % 2).sum())
 
 

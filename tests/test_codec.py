@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ldpclab import codec
 from ldpclab.basegraph import code_params
 from ldpclab.codec import (
     CRC_POLYS,
@@ -106,6 +107,78 @@ def test_crc_payload_too_long(bg2_z2):
 def test_crc_unknown_kind():
     with pytest.raises(ValueError):
         crc_attach(np.zeros(4, dtype=np.uint8), kind="crc32")
+    with pytest.raises(ValueError):
+        crc_check(np.zeros((2, 40), dtype=np.uint8), kind="crc32")
+
+
+@pytest.mark.parametrize("kind", sorted(CRC_POLYS))
+def test_crc_batch_matches_long_division_oracle(kind):
+    length, poly = CRC_POLYS[kind]
+    rng = np.random.default_rng(21)
+    for n in range(201):                  # whole bytes and every remainder mod 8
+        batch = (0, 1, 37)[n % 3]
+        p = rng.integers(0, 2, (batch, n), dtype=np.uint8)
+        coded = crc_attach(p, kind)
+        assert coded.shape == (batch, n + length)
+        assert np.array_equal(coded[:, :n], p)
+        for row, parity in zip(p, coded[:, n:]):
+            assert np.array_equal(parity, crc_schoolbook(row, length, poly)), n
+        ok = crc_check(coded, kind)
+        assert ok.shape == (batch,) and ok.all()
+        if batch == 1:
+            assert np.array_equal(crc_attach(p[0], kind), coded[0])
+            assert crc_check(coded[0], kind) is True
+
+
+@pytest.mark.parametrize("kind", sorted(CRC_POLYS))
+def test_crc_check_flags_exactly_the_flipped_rows(kind):
+    rng = np.random.default_rng(5)
+    coded = crc_attach(rng.integers(0, 2, (37, 150), dtype=np.uint8), kind)
+    flipped = rng.random(37) < 0.5
+    for i in np.flatnonzero(flipped):
+        coded[i, rng.integers(coded.shape[1])] ^= 1
+    assert np.array_equal(crc_check(coded, kind), ~flipped)
+
+
+def test_crc_rows_shorter_than_the_crc_fail():
+    assert crc_check(np.zeros(23, dtype=np.uint8)) is False
+    got = crc_check(np.zeros((3, 15), dtype=np.uint8), "crc16")
+    assert got.shape == (3,) and not got.any()
+
+
+def test_crc_batch_bounds_and_shape():
+    with pytest.raises(ValueError, match="exceeds"):
+        crc_attach(np.zeros((3, 10), dtype=np.uint8), k=33)
+    assert crc_attach(np.zeros((3, 9), dtype=np.uint8), k=33).shape == (3, 33)
+    with pytest.raises(ValueError, match="shape"):
+        crc_attach(np.zeros((2, 2, 8), dtype=np.uint8))
+    with pytest.raises(ValueError, match="0 and 1"):
+        crc_check(np.full((2, 30), 2, dtype=np.uint8))
+
+
+def test_crc_one_table_per_kind_serves_attach_and_check(monkeypatch):
+    monkeypatch.setattr(codec, "_CRC_TABLES", {})
+    k = 8448
+    coded = crc_attach(np.ones((2, k - 24), dtype=np.uint8), "crc24a", k=k)
+    table = codec._CRC_TABLES["crc24a"]
+    assert table.shape == (k // 8, 256)
+    assert crc_check(coded, "crc24a").all()
+    assert list(codec._CRC_TABLES) == ["crc24a"] and codec._CRC_TABLES["crc24a"] is table
+
+
+@pytest.mark.parametrize("kind", sorted(CRC_POLYS))
+def test_crc_streams_longer_than_the_table_fold_in_chunks(kind, monkeypatch):
+    length, poly = CRC_POLYS[kind]
+    monkeypatch.setattr(codec, "_CRC_TABLES", {})
+    monkeypatch.setattr(codec, "_CRC_TABLE_MAX_BYTES", 5)
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 17, 40, 41, 79, 200):
+        p = rng.integers(0, 2, (4, n), dtype=np.uint8)
+        coded = crc_attach(p, kind)
+        for row, parity in zip(p, coded[:, n:]):
+            assert np.array_equal(parity, crc_schoolbook(row, length, poly)), n
+        assert crc_check(coded, kind).all()
+    assert codec._CRC_TABLES[kind].shape == (5, 256)
 
 
 def test_puncture_drops_first_two_blocks(bg2_z2):

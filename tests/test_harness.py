@@ -215,6 +215,28 @@ def test_sweep_crc16_early_stop(bg2_z16):
     assert res.points[0].block_errors == 0
 
 
+# (codewords, bit errors, block errors, iterations summed over codewords) at
+# 1.0/1.5/2.5 dB, computed with the bit-serial CRC that attached and checked
+# one codeword per call
+CRC_SWEEP_COUNTERS = {
+    "crc24a": [(48, 713, 9, 370), (48, 0, 0, 288), (48, 0, 0, 208)],
+    "crc24b": [(48, 43, 5, 375), (48, 0, 0, 293), (48, 0, 0, 202)],
+    "crc16": [(48, 286, 6, 380), (48, 0, 0, 289), (48, 0, 0, 209)],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(CRC_SWEEP_COUNTERS))
+def test_crc_sweep_counters_are_pinned(kind, workers):
+    bg = get_graph("BG2", 52)
+    cfg = DecodeConfig(early_stop="crc", crc_kind=kind, max_iter=10)
+    res = run_bler_sweep(bg, 52, 42, cfg, [1.0, 1.5, 2.5], target_block_errors=1000,
+                         max_codewords=48, seed=8, batch=16, workers=workers)
+    got = [(p.codewords, p.bit_errors, p.block_errors, p.mean_iters * p.codewords)
+           for p in res.points]
+    assert got == CRC_SWEEP_COUNTERS[kind]
+
+
 def test_config_hash_covers_crc_and_quantizer(bg2_z16):
     kw = dict(target_block_errors=1, max_codewords=4, seed=3, batch=4)
 

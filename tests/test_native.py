@@ -3,11 +3,12 @@
 import os
 import shutil
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ldpclab import native
+from ldpclab import codec, native
 from ldpclab.decoder import (
     DecodeConfig,
     EarlyStop,
@@ -18,6 +19,7 @@ from ldpclab.decoder import (
     layered_iteration,
 )
 from tests.conftest import get_graph, make_noisy_blocks
+from tests.oracles import syndrome_dense
 
 CODES = [("BG2", 16, 42), ("BG2", 52, 42), ("BG1", 384, 46)]
 STRATEGIES = [DecodeConfig(), DecodeConfig(strategy=Strategy.LOW_LATENCY, alpha=4)]
@@ -84,6 +86,9 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("precision", ["int8", "f32"])
 def test_decode_equals_decode_without_kernel(kernel, monkeypatch, precision):
+    """Decodes with the compiled iteration and syndrome equal decodes with
+    neither: the numpy rows and the numpy syndrome roll loop, which are what
+    runs where the kernel cannot be built."""
     bg = get_graph("BG2", 52)
     cases = []
     for early in EarlyStop:
@@ -94,12 +99,18 @@ def test_decode_equals_decode_without_kernel(kernel, monkeypatch, precision):
                 _, blocks = make_noisy_blocks(bg, 42, ebn0, 6, seed=40 + i, mode=precision)
                 cases.append((blocks, cfg))
     with monkeypatch.context() as m:
-        # the numpy rows must not run while the kernel serves this engine
+        # neither numpy path may run while the kernel serves this engine
         m.setattr(ScalarWorkspace, "layer", None)
+        m.setattr(codec, "_syndrome_weights_numpy", None)
         fast = [_decode_digest(blocks, bg, cfg) for blocks, cfg in cases]
     monkeypatch.setattr(native, "load", lambda: None)
+    numpy_syndromes = []
+    roll_loop = codec._syndrome_weights_numpy
+    monkeypatch.setattr(codec, "_syndrome_weights_numpy",
+                        lambda *a: numpy_syndromes.append(1) or roll_loop(*a))
     for (blocks, cfg), got in zip(cases, fast):
         assert _same(got, _decode_digest(blocks, bg, cfg)), cfg
+    assert numpy_syndromes
 
 
 def test_loader_builds_once_then_reuses_the_cached_file(kernel, fresh_loader, monkeypatch):
@@ -126,6 +137,7 @@ def test_missing_compiler_takes_the_numpy_rows(kernel, request, monkeypatch):
     assert native.load() is None
     ws = init_workspace(blocks, bg, cfg)
     assert not native.run_iteration(ws.l_v, ws.messages, bg, ws.rows_used, cfg.beta)
+    assert native.syndrome_weights(ws._hard(), bg, ws.rows_used) is None
     assert _same(_decode_digest(blocks, bg, cfg), with_kernel)
     assert list(cache.iterdir()) == []                # and no build leftovers
 
@@ -147,3 +159,62 @@ def test_run_iteration_rejects_arrays_of_another_graph(kernel):
     for other, rows in ((get_graph("BG2", 52), 42), (get_graph("BG1", 16), 42), (bg, 41)):
         with pytest.raises(ValueError, match="do not match"):
             native.run_iteration(ws.l_v, ws.messages, other, rows, 0.75)
+
+
+# dense H up to BG1 Z=384 with four rows: 1536 x 9984 bytes
+DENSE_LIMIT = 2 * 10**7
+
+
+def _dense_weights(bits, bg, rows):
+    """syndrome_dense, row by row; None where the dense matrix is too large."""
+    if rows * bg.z * (bg.k_b + rows) * bg.z > DENSE_LIMIT:
+        return None
+    return np.array([syndrome_dense(b, bg, bg.z, rows, limit=DENSE_LIMIT) for b in bits])
+
+
+@pytest.mark.parametrize("bg_id", ["BG1", "BG2"])
+@pytest.mark.parametrize("z", [2, 16, 52, 384])
+def test_syndrome_kernel_matches_roll_loop_and_dense_oracle(kernel, bg_id, z):
+    bg = get_graph(bg_id, z)
+    rng = np.random.default_rng(z)
+    dense_checked = False
+    for rows in (4, 9, bg.m_bg - 1):
+        n = (bg.k_b + rows) * z
+        _, blocks = make_noisy_blocks(bg, rows, 1.0, 2, seed=z, mode="f32")
+        bits = np.concatenate([
+            rng.integers(0, 2, (3, n), dtype=np.uint8),
+            (blocks < 0).astype(np.uint8),      # noisy: some checks fail
+            codec.encode_batch(rng.integers(0, 2, (2, bg.k_b * z), dtype=np.uint8),
+                               bg, z, rows),    # codewords: weight 0
+        ])
+        got = native.syndrome_weights(bits, bg, rows)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, codec._syndrome_weights_numpy(bits, bg, rows)), rows
+        assert not got[-2:].any() and got[:3].all()
+        dense = _dense_weights(bits, bg, rows)
+        if dense is not None:
+            assert np.array_equal(got, dense), rows
+            dense_checked = True
+    assert dense_checked
+
+
+def test_syndrome_weights_rejects_arrays_of_another_graph(kernel):
+    bg = get_graph("BG2", 16)
+    bits = np.zeros((2, (bg.k_b + 42) * 16), dtype=np.uint8)
+    for other, rows in ((get_graph("BG2", 52), 42), (get_graph("BG1", 16), 42), (bg, 41)):
+        with pytest.raises(ValueError, match="do not match"):
+            native.syndrome_weights(bits, other, rows)
+    # the core rows reach parity block k_b + 3, past two used rows' blocks
+    with pytest.raises(ValueError, match="do not match"):
+        native.syndrome_weights(bits[:, : (bg.k_b + 2) * 16].copy(), bg, 2)
+    for bad in (bits.astype(np.int32), bits[:, ::2], np.asfortranarray(bits), bits[0]):
+        with pytest.raises(ValueError):
+            native.syndrome_weights(bad, bg, 42)
+    for field, value in (("cols", bg.k_b + 42), ("cols", -1), ("shifts", 16), ("shifts", -1)):
+        arr = getattr(bg, field).copy()
+        arr[3] = value
+        fake = SimpleNamespace(k_b=bg.k_b, z=16, row_start=bg.row_start,
+                               cols=bg.cols, shifts=bg.shifts)
+        setattr(fake, field, arr)
+        with pytest.raises(ValueError, match="do not match"):
+            native.syndrome_weights(bits, fake, 42)
