@@ -1,7 +1,8 @@
 /* One layered min-sum iteration over a batch of codewords, and the parity
- * syndrome of a batch of hard decisions, compiled at first use by
- * ldpclab.native. The iteration is bit-exact with the numpy engine
- * (ScalarWorkspace.layer), the syndrome with codec's numpy roll loop.
+ * bits of a range of base rows over a batch of hard decisions (the syndrome
+ * and the encoder), compiled at first use by ldpclab.native. The iteration is
+ * bit-exact with the numpy engine (ScalarWorkspace.layer), the row parities
+ * with codec's numpy roll loop.
  *
  * Layout, all C-contiguous: posteriors lv (batch, n_blocks, z), messages
  * msg (batch, n_edges, z). Edge e of base row r lies in
@@ -201,22 +202,21 @@ int layer_iteration_f32(float *lv, float *msg, int64_t batch,
     return 0;
 }
 
-/* Unsatisfied parity checks per codeword of the uint8 hard bits
- * (batch, n_blocks, z): row r's check at position k is the XOR over its
- * edges of bits[cols[e]][(k + shift) mod z], gathered through the same two
- * runs as the layer iterations. */
-int syndrome_weights(const uint8_t *bits, int64_t *weights, int64_t batch,
-                     int64_t n_blocks, int64_t z, int64_t rows,
-                     const int64_t *row_start, const int64_t *cols,
-                     const int64_t *shifts)
+/* Parity bits of base rows [r0, r1) of the uint8 hard bits
+ * (batch, n_blocks, z), written to par (batch, r1 - r0, z), and each
+ * codeword's count of unsatisfied checks among them in weights. Row r's check
+ * at position k is the XOR over its edges of bits[cols[e]][(k + shift) mod z],
+ * gathered through the same two runs as the layer iterations. */
+void row_parities(const uint8_t *restrict bits, uint8_t *restrict par,
+                  int64_t *restrict weights, int64_t batch, int64_t n_blocks,
+                  int64_t z, int64_t r0, int64_t r1, const int64_t *row_start,
+                  const int64_t *cols, const int64_t *shifts)
 {
-    uint8_t *acc = malloc(z);
-    if (!acc)
-        return -1;
     for (int64_t b = 0; b < batch; b++) {
         const uint8_t *bitsb = bits + b * n_blocks * z;
         int64_t w = 0;
-        for (int64_t r = 0; r < rows; r++) {
+        for (int64_t r = r0; r < r1; r++) {
+            uint8_t *acc = par + (b * (r1 - r0) + r - r0) * z;
             for (int64_t k = 0; k < z; k++)
                 acc[k] = 0;
             for (int64_t e = row_start[r]; e < row_start[r + 1]; e++) {
@@ -232,6 +232,4 @@ int syndrome_weights(const uint8_t *bits, int64_t *weights, int64_t batch,
         }
         weights[b] = w;
     }
-    free(acc);
-    return 0;
 }

@@ -68,6 +68,9 @@ class BaseGraph:
     row_start: np.ndarray = field(repr=False)   # first entry of each base row
     # shift of the circulant the XOR of the core rows leaves at column k_b
     core_sum_shift: int = field(repr=False)
+    # (row, column, shift) solving core columns k_b+1..k_b+3 in turn: each row
+    # has one core column left unknown, at that shift
+    core_order: tuple[tuple[int, int, int], ...] = field(repr=False)
 
     @property
     def n_entries(self) -> int:
@@ -162,19 +165,24 @@ def load_basegraph(
     bg = BaseGraph(
         id=bg_id, k_b=k_b, m_bg=m_bg, n_cols=n_cols, z=z,
         rows=rows, cols=cols, shifts=shifts, w_r=w_r,
-        row_start=row_start, core_sum_shift=0,
+        row_start=row_start, core_sum_shift=0, core_order=(),
     )
-    # the structure check over the graph's rows yields the core shift
-    return replace(bg, core_sum_shift=_validate_encoding_structure(bg))
+    # the structure check over the graph's rows yields the encoder's core solve
+    shift, order = _validate_encoding_structure(bg)
+    return replace(bg, core_sum_shift=shift, core_order=order)
 
 
-def _validate_encoding_structure(bg: BaseGraph) -> int:
+def _validate_encoding_structure(bg: BaseGraph) -> tuple[int, tuple]:
     """Check the parity structure the systematic encoder relies on.
 
     Returns the shift of the single circulant that the XOR of the four core
-    rows leaves at the first parity column.
+    rows leaves at the first parity column, and the order in which the core
+    rows then give the other three core columns (`BaseGraph.core_order`).
     """
     p0 = bg.core_parity_col
+    for r in range(4):
+        if (bg.row_entries(r)[0] >= p0 + 4).any():
+            raise ValueError(f"{bg.id}: core row {r} references an extension column")
     # Extension rows may reference information and core parity columns plus
     # exactly one shift-0 identity in their own extension column.
     for r in range(4, bg.m_bg):
@@ -204,7 +212,22 @@ def _validate_encoding_structure(bg: BaseGraph) -> int:
         raise ValueError(
             f"{bg.id}: core rows do not sum to a single circulant at column {p0}"
         )
-    return odd[0]
+    # Back-substitution: once column p0 is known, some core row must have
+    # exactly one unknown core column, and so on until all four are known.
+    order, known = [], {p0}
+    while len(known) < 4:
+        for r in range(4):
+            cols, shifts = bg.row_entries(r)
+            unknown = [(int(c), int(s)) for c, s in zip(cols, shifts)
+                       if c >= p0 and c not in known]
+            if len(unknown) == 1:
+                order.append((r, *unknown[0]))
+                known.add(unknown[0][0])
+                break
+        else:
+            raise ValueError(f"{bg.id}: core rows cannot isolate core columns "
+                             f"{sorted(set(range(p0, p0 + 4)) - known)}")
+    return odd[0], tuple(order)
 
 
 @dataclass(frozen=True)

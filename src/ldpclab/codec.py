@@ -45,18 +45,14 @@ def _as_bits(x, length: int | None = None) -> np.ndarray:
     return bits
 
 
-def _apply_shift(block: np.ndarray, shift: int) -> np.ndarray:
-    # Multiply by the shift-s circulant: output position i reads (i+s) mod Z.
-    return np.roll(block, -shift, axis=-1)
-
-
 def encode(message, bg: BaseGraph, z: int, rows_used: int) -> Codeword:
     """Systematically encode K = Z*k_b message bits.
 
     The first four base rows form a double-diagonal parity core: their XOR
     isolates the first parity column, the remaining three follow by
-    back-substitution, and every extension row then yields its parity block
-    directly through its identity column.
+    back-substitution in the order fixed when the graph loads, and every
+    extension row then yields its parity block directly through its identity
+    column.
     """
     params = code_params(bg, z, rows_used)
     msg = _as_bits(message, params.k)
@@ -67,8 +63,9 @@ def encode(message, bg: BaseGraph, z: int, rows_used: int) -> Codeword:
 def encode_batch(messages, bg: BaseGraph, z: int, rows_used: int) -> np.ndarray:
     """Encode many messages at once; returns (B, n_c) codeword bits.
 
-    Same algorithm as encode(), vectorized so each circulant multiply rolls
-    a whole (B, Z) block. The simulation harness lives on this path.
+    Same algorithm as encode(), batched: every step is the parity of some
+    base rows over the blocks known so far, with the blocks still unknown
+    zero. The simulation harness lives on this path.
     """
     params = code_params(bg, z, rows_used)
     msgs = np.asarray(messages, dtype=np.uint8)
@@ -80,59 +77,20 @@ def encode_batch(messages, bg: BaseGraph, z: int, rows_used: int) -> np.ndarray:
     p0 = bg.core_parity_col
     known = np.zeros((batch, bg.k_b + rows_used, z), dtype=np.uint8)
     known[:, :bg.k_b] = msgs.reshape(batch, bg.k_b, z)
-    have = np.zeros(bg.k_b + rows_used, dtype=bool)
-    have[: bg.k_b] = True
 
-    # Information contribution of each core row.
-    t = np.zeros((batch, 4, z), dtype=np.uint8)
-    for r in range(4):
-        cols, shifts = bg.row_entries(r)
-        for c, s in zip(cols, shifts):
-            if c < bg.k_b:
-                t[:, r] ^= _apply_shift(known[:, c], s)
-
-    # XOR of the core rows leaves a single circulant at the first parity
-    # column (validated at load time).
-    known[:, p0] = np.roll(t[:, 0] ^ t[:, 1] ^ t[:, 2] ^ t[:, 3],
-                           bg.core_sum_shift, axis=-1)
-    have[p0] = True
-
-    # Back-substitute the remaining core columns: each core row has exactly
-    # one unknown among p0+1..p0+3 once p0 is known.
-    rows_left = list(range(4))
-    while rows_left:
-        for r in rows_left:
-            cols, shifts = bg.row_entries(r)
-            unknown = [(c, s) for c, s in zip(cols, shifts)
-                       if c >= p0 and not have[c]]
-            if len(unknown) > 1:
-                continue
-            u = t[:, r].copy()
-            for c, s in zip(cols, shifts):
-                if c >= p0 and have[c]:
-                    u ^= _apply_shift(known[:, c], s)
-            if not unknown:
-                if u.any():
-                    raise ValueError(
-                        "singular parity core: asset does not encode systematically"
-                    )
-            else:
-                c, s = unknown[0]
-                known[:, c] = np.roll(u, s, axis=-1)
-                have[c] = True
-            rows_left.remove(r)
-            break
-        else:
-            raise ValueError("singular parity core: cannot isolate core columns")
-
-    # Extension rows: identity column gives the parity block outright.
-    for r in range(4, rows_used):
-        cols, shifts = bg.row_entries(r)
-        u = np.zeros((batch, z), dtype=np.uint8)
-        for c, s in zip(cols, shifts):
-            if c != p0 + r:
-                u ^= _apply_shift(known[:, c], s)
-        known[:, p0 + r] = u
+    # With every parity block zero, the core rows' parities are their
+    # information contributions; their XOR leaves a single circulant at the
+    # first parity column (validated at load time).
+    info, _ = _row_parities(known, bg, rows_used, 0, 4)
+    known[:, p0] = np.roll(np.bitwise_xor.reduce(info, axis=1), bg.core_sum_shift, axis=-1)
+    # Each core row of the load-time order has one unknown core column left.
+    for r, c, s in bg.core_order:
+        parity, _ = _row_parities(known, bg, rows_used, r, r + 1)
+        known[:, c] = np.roll(parity[:, 0], s, axis=-1)
+    # Each extension row's own column is a shift-0 identity, and no row
+    # references a later extension column (validated at load time): the rows'
+    # parities over the other blocks are the extension blocks.
+    known[:, p0 + 4:] = _row_parities(known, bg, rows_used, 4, rows_used)[0]
 
     bits = known.reshape(batch, params.n_c)
     if _syndrome_weights(bits, bg, rows_used).any():
@@ -140,29 +98,42 @@ def encode_batch(messages, bg: BaseGraph, z: int, rows_used: int) -> np.ndarray:
     return bits
 
 
-def _syndrome_weights(bits2d: np.ndarray, bg: BaseGraph, rows_used: int) -> np.ndarray:
-    """Unsatisfied checks per row of the (B, n_c) hard bits.
+def _row_parities(blocks: np.ndarray, bg: BaseGraph, rows_used: int, r0: int,
+                  r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parity bits (B, r1 - r0, Z) of base rows r0..r1-1 over the C-contiguous
+    uint8 blocks (B, k_b + rows_used, Z), and each codeword's count of ones
+    among them.
 
-    The compiled kernel counts them; the numpy roll loop, its oracle, runs
+    The compiled kernel computes them; the numpy roll loop, its oracle, runs
     only where the kernel cannot be built.
     """
+    got = native.row_parities(blocks, bg, rows_used, r0, r1)
+    return _row_parities_numpy(blocks, bg, r0, r1) if got is None else got
+
+
+def _row_parities_numpy(blocks: np.ndarray, bg: BaseGraph, r0: int,
+                        r1: int) -> tuple[np.ndarray, np.ndarray]:
+    blocks = blocks.reshape(len(blocks), -1, bg.z)
+    parities = np.zeros((len(blocks), r1 - r0, bg.z), dtype=np.uint8)
+    for r in range(r0, r1):
+        cols, shifts = bg.row_entries(r)
+        for c, s in zip(cols, shifts):
+            # the shift-s circulant: output position i reads (i + s) mod Z
+            parities[:, r - r0] ^= np.roll(blocks[:, c], -s, axis=-1)
+    return parities, parities.sum(axis=(1, 2), dtype=np.int64)
+
+
+def _syndrome_weights(bits2d: np.ndarray, bg: BaseGraph, rows_used: int) -> np.ndarray:
+    """Unsatisfied checks per row of the (B, n_c) hard bits: the counts of
+    `_row_parities` over every used row, or of its numpy oracle.
+    """
     bits2d = np.ascontiguousarray(bits2d, dtype=np.uint8)
-    weights = native.syndrome_weights(bits2d, bg, rows_used)
-    if weights is not None:
-        return weights
-    return _syndrome_weights_numpy(bits2d, bg, rows_used)
+    got = native.row_parities(bits2d, bg, rows_used, 0, rows_used)
+    return _syndrome_weights_numpy(bits2d, bg, rows_used) if got is None else got[1]
 
 
 def _syndrome_weights_numpy(bits2d: np.ndarray, bg: BaseGraph, rows_used: int) -> np.ndarray:
-    blocks = bits2d.reshape(len(bits2d), -1, bg.z)
-    weights = np.zeros(len(bits2d), dtype=np.int64)
-    for r in range(rows_used):
-        cols, shifts = bg.row_entries(r)
-        acc = np.zeros((len(bits2d), bg.z), dtype=np.uint8)
-        for c, s in zip(cols, shifts):
-            acc ^= _apply_shift(blocks[:, c], s)
-        weights += acc.sum(axis=-1, dtype=np.int64)
-    return weights
+    return _row_parities_numpy(bits2d, bg, 0, rows_used)[1]
 
 
 def syndrome(hard_bits, bg: BaseGraph, z: int, rows_used: int) -> Syndrome:

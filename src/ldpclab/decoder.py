@@ -224,8 +224,9 @@ def check_node_exact(inputs) -> np.ndarray:
 class DecodeWorkspace(ABC):
     """Mutable decode state for one batch; each engine subclasses it.
 
-    An engine supplies `layer` and `posteriors`; hard decisions, the
-    syndrome and the margins follow from the posteriors alike for both.
+    An engine supplies `layer` and `posteriors`; the decode loop reads hard
+    decisions, the syndrome and the margins from the posteriors alike for
+    both.
     """
 
     bg: BaseGraph
@@ -244,21 +245,6 @@ class DecodeWorkspace(ABC):
     @abstractmethod
     def posteriors(self) -> np.ndarray:
         """Signed posteriors L_v, shape (lanes, n_blocks, Z)."""
-
-    def _hard(self) -> np.ndarray:
-        return (self.posteriors() < 0).view(np.uint8).reshape(self.lanes, -1)
-
-    def syndrome(self) -> np.ndarray:
-        """Unsatisfied checks per lane."""
-        return _syndrome_weights(self._hard(), self.bg, self.rows_used)
-
-    def hard_bits(self) -> np.ndarray:
-        """(lanes, K) hard decisions on the information bits."""
-        return self._hard()[:, : self.bg.k_b * self.bg.z]
-
-    def min_abs(self) -> np.ndarray:
-        """Smallest |L_v| per lane."""
-        return np.abs(self.posteriors()).min(axis=(1, 2)).astype(np.float64)
 
 
 @dataclass
@@ -447,8 +433,11 @@ def _run_schedule(llrs, bg, cfg, step) -> DecodeResult:
     margins = np.zeros((cfg.max_iter, batch), dtype=np.float64)
     for it in range(1, cfg.max_iter + 1):
         step(ws)
-        weights[it - 1] = ws.syndrome()
-        margins[it - 1] = ws.min_abs()
+        # one read of the posteriors gives the hard decisions and the margins
+        lv = ws.posteriors()
+        hard = (lv < 0).view(np.uint8).reshape(batch, -1)
+        weights[it - 1] = _syndrome_weights(hard, bg, ws.rows_used)
+        margins[it - 1] = np.abs(lv).min(axis=(1, 2))
         last = it == cfg.max_iter
         if cfg.early_stop is EarlyStop.NONE and not last:
             continue
@@ -457,11 +446,11 @@ def _run_schedule(llrs, bg, cfg, step) -> DecodeResult:
         # the all-zero hard decision it implies is not a found codeword
         found = live & (weights[it - 1] == 0) & (margins[it - 1] > 0)
         if found.any() or last:
-            hard = ws.hard_bits()
+            info = hard[:, : bg.k_b * bg.z]
             if cfg.early_stop is EarlyStop.CRC and found.any():
-                found[found] = crc_check(hard[found], cfg.crc_kind)
+                found[found] = crc_check(info[found], cfg.crc_kind)
             settle = live if last else found
-            bits[settle] = hard[settle]
+            bits[settle] = info[settle]
             iterations[settle] = it
             success |= found
         if success.all():

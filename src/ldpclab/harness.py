@@ -178,7 +178,7 @@ def run_bler_sweep(
                     launched += want
                     b_idx += 1
                 if pool is not None:
-                    results = list(pool.map(_run_batch_star, jobs))
+                    results = list(pool.map(_run_batch, *zip(*jobs)))
                 else:
                     results = [_run_batch(*j) for j in jobs]
                 for res in results:
@@ -220,10 +220,6 @@ def run_bler_sweep(
         config_hash=_config_hash({**meta, "seed": seed}),
         metadata=meta,
     )
-
-
-def _run_batch_star(args):
-    return _run_batch(*args)
 
 
 SWEEP_COLUMNS = [

@@ -3,13 +3,14 @@
 `_layer.c` runs one full layered min-sum iteration of the scalar engine in
 int8 (widened to int32) or f32, bit-exact with the numpy rows of
 `ScalarWorkspace.layer`, which stay its oracle and its fallback. It also
-counts the unsatisfied parity checks of a batch of hard decisions, with
-`codec`'s numpy roll loop as oracle and fallback. The library
+computes the parity bits of a range of base rows over a batch of hard
+decisions, for the syndrome and the encoder, with `codec`'s numpy roll loop
+as oracle and fallback. The library
 is compiled with the host's gcc into a per-user cache directory that lasts
 across processes, under a name keyed by the source, the compile command and
 the host CPU's flags, so a `-march=native` build is never loaded on another
 CPU. Where it cannot be built or loaded, `run_iteration` and
-`syndrome_weights` report so and the caller takes the numpy path.
+`row_parities` report so and the caller takes the numpy path.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ def load() -> ctypes.CDLL | None:
                       (lib.layer_iteration_f32, ctypes.c_float)):
         fn.argtypes = [ctypes.c_void_p] * 2 + tables + [scale]
         fn.restype = ctypes.c_int
-    lib.syndrome_weights.argtypes = [ctypes.c_void_p] * 2 + tables
-    lib.syndrome_weights.restype = ctypes.c_int
+    lib.row_parities.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 5
+                                 + [ctypes.c_void_p] * 3)
+    lib.row_parities.restype = None
     return lib
 
 
@@ -163,27 +165,31 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
     return True
 
 
-def syndrome_weights(bits: np.ndarray, bg, rows_used: int) -> np.ndarray | None:
-    """Unsatisfied checks of rows 0..rows_used-1 per row of `bits`.
+def row_parities(bits: np.ndarray, bg, rows_used: int, r0: int,
+                 r1: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parity bits of base rows r0..r1-1 over hard bits of rows_used rows.
 
     `bits` holds C-contiguous uint8 hard decisions, shape
-    (B, (k_b + rows_used) * Z). Returns int64 weights of shape (B,), or None
-    where the kernel is unavailable.
+    (B, (k_b + rows_used) * Z) or (B, k_b + rows_used, Z). Returns the
+    (B, r1 - r0, Z) uint8 parities and each codeword's int64 count of ones
+    among them, or None where the kernel is unavailable.
     """
-    if bits.dtype != np.uint8 or bits.ndim != 2 or not bits.flags.c_contiguous:
-        raise ValueError("hard bits must be a C-contiguous 2-D uint8 array")
+    if bits.dtype != np.uint8 or bits.ndim not in (2, 3) or not bits.flags.c_contiguous:
+        raise ValueError("hard bits must be a C-contiguous 2-D or 3-D uint8 array")
     n_blocks = bg.k_b + rows_used
     tables = _graph_tables(bg, rows_used, n_blocks, bg.z)
-    if tables is None or bits.shape[1] != n_blocks * bg.z:
+    if tables is None or bits.shape[1:] not in ((n_blocks * bg.z,), (n_blocks, bg.z)):
         raise ValueError("hard bits do not match the base graph")
+    if not 0 <= r0 <= r1 <= rows_used:
+        raise ValueError(f"rows {r0}..{r1 - 1} are not within the {rows_used} rows used")
     lib = load()
     if lib is None:
         return None
     row_start, cols, shifts = tables
+    parities = np.empty((len(bits), r1 - r0, bg.z), dtype=np.uint8)
     weights = np.empty(len(bits), dtype=np.int64)
-    status = lib.syndrome_weights(
-        bits.ctypes.data, weights.ctypes.data, len(bits), n_blocks, bg.z, rows_used,
-        row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data)
-    if status:
-        raise MemoryError("syndrome kernel could not allocate its row buffer")
-    return weights
+    lib.row_parities(
+        bits.ctypes.data, parities.ctypes.data, weights.ctypes.data, len(bits),
+        n_blocks, bg.z, r0, r1, row_start.ctypes.data, cols.ctypes.data,
+        shifts.ctypes.data)
+    return parities, weights

@@ -65,6 +65,24 @@ def test_malformed_asset_rejected(tmp_path):
         load_basegraph("BG2", 2, assets_dir=tmp_path)
 
 
+def test_asset_without_core_solve_order_rejected(tmp_path, monkeypatch):
+    # Row 2's entry at column 12 moved to row 0: the core still XORs to one
+    # circulant at column 10, but rows 0 and 1 then both have the unknowns
+    # {11, 12}, so no back-substitution order exists.
+    src = get_graph("BG2", 2)
+    lines = ["row,col,s0,s1,s2,s3,s4,s5,s6,s7"]
+    for r, c, s in zip(src.rows, src.cols, src.shifts):
+        r = 0 if (r, c) == (2, 12) else r
+        lines.append(f"{r},{c},{s},{s},{s},{s},{s},{s},{s},{s}")
+    assert len(lines) == 1 + 197
+    (tmp_path / "bg2.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="cannot isolate core columns"):
+        load_basegraph("BG2", 2, assets_dir=tmp_path)
+    monkeypatch.setenv("LDPCLAB_ASSETS", str(tmp_path))
+    with pytest.raises(ValueError, match="cannot isolate core columns"):
+        load_basegraph("BG2", 2)
+
+
 def test_missing_asset(tmp_path):
     with pytest.raises(ValueError, match="not found"):
         load_basegraph("BG1", 2, assets_dir=tmp_path)

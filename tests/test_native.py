@@ -137,7 +137,8 @@ def test_missing_compiler_takes_the_numpy_rows(kernel, request, monkeypatch):
     assert native.load() is None
     ws = init_workspace(blocks, bg, cfg)
     assert not native.run_iteration(ws.l_v, ws.messages, bg, ws.rows_used, cfg.beta)
-    assert native.syndrome_weights(ws._hard(), bg, ws.rows_used) is None
+    hard = (ws.l_v < 0).view(np.uint8).reshape(ws.lanes, -1)
+    assert native.row_parities(hard, bg, ws.rows_used, 0, ws.rows_used) is None
     assert _same(_decode_digest(blocks, bg, cfg), with_kernel)
     assert list(cache.iterdir()) == []                # and no build leftovers
 
@@ -187,7 +188,7 @@ def test_syndrome_kernel_matches_roll_loop_and_dense_oracle(kernel, bg_id, z):
             codec.encode_batch(rng.integers(0, 2, (2, bg.k_b * z), dtype=np.uint8),
                                bg, z, rows),    # codewords: weight 0
         ])
-        got = native.syndrome_weights(bits, bg, rows)
+        got = native.row_parities(bits, bg, rows, 0, rows)[1]
         assert got.dtype == np.int64
         assert np.array_equal(got, codec._syndrome_weights_numpy(bits, bg, rows)), rows
         assert not got[-2:].any() and got[:3].all()
@@ -195,7 +196,24 @@ def test_syndrome_kernel_matches_roll_loop_and_dense_oracle(kernel, bg_id, z):
         if dense is not None:
             assert np.array_equal(got, dense), rows
             dense_checked = True
+        # the encoder's ranges: the core, each row alone, the extension rows
+        blocks = bits.reshape(len(bits), -1, z)
+        for r0, r1 in [(0, 4), *((r, r + 1) for r in range(rows)), (4, rows)]:
+            parities, counts = native.row_parities(blocks, bg, rows, r0, r1)
+            want, want_counts = codec._row_parities_numpy(blocks, bg, r0, r1)
+            assert parities.shape == (len(bits), r1 - r0, z), (rows, r0, r1)
+            assert np.array_equal(parities, want), (rows, r0, r1)
+            assert np.array_equal(counts, want_counts), (rows, r0, r1)
     assert dense_checked
+
+
+@pytest.mark.parametrize("bg_id, z, rows", [("BG1", 384, 46), ("BG2", 52, 42)])
+def test_encoder_with_kernel_equals_encoder_without(kernel, monkeypatch, bg_id, z, rows):
+    bg = get_graph(bg_id, z)
+    msgs = np.random.default_rng(z).integers(0, 2, (5, bg.k_b * z), dtype=np.uint8)
+    fast = codec.encode_batch(msgs, bg, z, rows)
+    monkeypatch.setattr(native, "load", lambda: None)
+    assert np.array_equal(fast, codec.encode_batch(msgs, bg, z, rows))
 
 
 def test_syndrome_weights_rejects_arrays_of_another_graph(kernel):
@@ -203,13 +221,17 @@ def test_syndrome_weights_rejects_arrays_of_another_graph(kernel):
     bits = np.zeros((2, (bg.k_b + 42) * 16), dtype=np.uint8)
     for other, rows in ((get_graph("BG2", 52), 42), (get_graph("BG1", 16), 42), (bg, 41)):
         with pytest.raises(ValueError, match="do not match"):
-            native.syndrome_weights(bits, other, rows)
+            native.row_parities(bits, other, rows, 0, rows)
     # the core rows reach parity block k_b + 3, past two used rows' blocks
     with pytest.raises(ValueError, match="do not match"):
-        native.syndrome_weights(bits[:, : (bg.k_b + 2) * 16].copy(), bg, 2)
-    for bad in (bits.astype(np.int32), bits[:, ::2], np.asfortranarray(bits), bits[0]):
+        native.row_parities(bits[:, : (bg.k_b + 2) * 16].copy(), bg, 2, 0, 2)
+    for bad in (bits.astype(np.int32), bits[:, ::2], np.asfortranarray(bits), bits[0],
+                bits.reshape(2, -1, 32)):
         with pytest.raises(ValueError):
-            native.syndrome_weights(bad, bg, 42)
+            native.row_parities(bad, bg, 42, 0, 42)
+    for r0, r1 in ((0, 43), (5, 4), (-1, 4)):
+        with pytest.raises(ValueError, match="not within"):
+            native.row_parities(bits, bg, 42, r0, r1)
     for field, value in (("cols", bg.k_b + 42), ("cols", -1), ("shifts", 16), ("shifts", -1)):
         arr = getattr(bg, field).copy()
         arr[3] = value
@@ -217,4 +239,4 @@ def test_syndrome_weights_rejects_arrays_of_another_graph(kernel):
                                cols=bg.cols, shifts=bg.shifts)
         setattr(fake, field, arr)
         with pytest.raises(ValueError, match="do not match"):
-            native.syndrome_weights(bits, fake, 42)
+            native.row_parities(bits, fake, 42, 0, 42)
