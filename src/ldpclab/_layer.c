@@ -1,8 +1,9 @@
-/* One layered min-sum iteration over a batch of codewords, and the parity
- * bits of a range of base rows over a batch of hard decisions (the syndrome
- * and the encoder), compiled at first use by ldpclab.native. The iteration is
- * bit-exact with the numpy engine (ScalarWorkspace.layer), the row parities
- * with codec's numpy roll loop.
+/* One layered min-sum iteration over a batch of codewords, the parity bits of
+ * a range of base rows over a batch of hard decisions (the syndrome and the
+ * encoder), and the per-iteration readout of the posteriors, compiled at
+ * first use by ldpclab.native. The iteration is bit-exact with the numpy
+ * engine (ScalarWorkspace.layer), the row parities with codec's numpy roll
+ * loop, the readout with the numpy lines of decoder._run_schedule.
  *
  * Layout, all C-contiguous: posteriors lv (batch, n_blocks, z), messages
  * msg (batch, n_edges, z). Edge e of base row r lies in
@@ -17,15 +18,85 @@
  * where m1 == m2, where the selected magnitude is the same, so one
  * sequential fold serves both strategies.
  *
- * Build without -ffast-math and with -ffp-contract=off: a fused multiply-add
- * would round differently from numpy.
+ * Codewords never interact, so every entry point shares its batch among
+ * `slices` threads (split()): the calling thread and slices - 1 pthreads
+ * claim codewords one at a time from a shared counter, and the calling
+ * thread joins the others before it returns, so no thread outlives a call.
+ * All threads' scratch comes from one malloc in the calling thread; where a
+ * thread cannot be created the others take its codewords. The result is the
+ * same for every slice count.
+ *
+ * Build with -pthread, without -ffast-math and with -ffp-contract=off: a
+ * fused multiply-add would round differently from numpy.
  */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 
 #define INT8_SAT 127
+
+/* The work on codewords [b0, b1) of the call described by args. */
+typedef int (*slice_fn)(const void *args, int64_t b0, int64_t b1, void *scratch);
+
+struct slice {
+    slice_fn fn;
+    const void *args;
+    int64_t batch, *next;
+    void *scratch;
+    int status;
+    int started;
+    pthread_t thread;
+};
+
+/* Claim codewords one at a time until none is left, so a thread whose core
+ * runs slower (on a shared host) takes fewer of them. */
+static void *run_slice(void *p)
+{
+    struct slice *s = p;
+    int64_t b;
+    while ((b = __atomic_fetch_add(s->next, 1, __ATOMIC_RELAXED)) < s->batch)
+        s->status |= s->fn(s->args, b, b + 1, s->scratch);
+    return NULL;
+}
+
+/* Run fn over `batch` codewords on `slices` threads (at most one per
+ * codeword), each with scratch_bytes of its own. Returns -1 if the block for
+ * the threads and their scratch cannot be allocated, else their status
+ * OR-ed. */
+static int split(slice_fn fn, const void *args, int64_t batch, int64_t slices,
+                 size_t scratch_bytes)
+{
+    slices = slices > batch ? batch : slices;
+    slices = slices < 1 ? 1 : slices;
+    size_t head = (sizeof(struct slice) * slices + 63) & ~(size_t)63;
+    size_t stride = (scratch_bytes + 63) & ~(size_t)63;
+    char *block = malloc(head + stride * slices);
+    if (!block)
+        return -1;
+    struct slice *s = (struct slice *)block;
+    int64_t next = 0;
+    for (int64_t i = 0; i < slices; i++) {
+        s[i].fn = fn;
+        s[i].args = args;
+        s[i].batch = batch;
+        s[i].next = &next;
+        s[i].scratch = block + head + stride * i;
+        s[i].status = 0;
+    }
+    for (int64_t i = 1; i < slices; i++)
+        s[i].started = pthread_create(&s[i].thread, NULL, run_slice, &s[i]) == 0;
+    run_slice(&s[0]);
+    int status = s[0].status;
+    for (int64_t i = 1; i < slices; i++) {
+        if (s[i].started)
+            pthread_join(s[i].thread, NULL);
+        status |= s[i].status;
+    }
+    free(block);
+    return status;
+}
 
 static inline int32_t sat_i32(int32_t v)
 {
@@ -41,28 +112,33 @@ static int64_t max_row_weight(int64_t rows, const int64_t *row_start)
     return w_max;
 }
 
+struct layer_args {
+    void *lv, *msg;
+    int64_t n_blocks, z, rows, w_max;
+    const int64_t *row_start, *cols, *shifts;
+    const int32_t *beta_lut;
+    float beta;
+};
+
 /* int8 arithmetic widened to int32: the extrinsic raw = L_v - msg stays
  * unclamped, sat(raw) enters the check node, the posterior becomes
  * sat(raw + out) and the message stores sat(raw + out) - raw. beta_lut[m]
  * is floor(beta * m) for m in 0..127. */
-int layer_iteration_i32(int32_t *lv, int32_t *msg, int64_t batch,
-                        int64_t n_blocks, int64_t z, int64_t rows,
-                        const int64_t *row_start, const int64_t *cols,
-                        const int64_t *shifts, const int32_t *beta_lut)
+static int layer_i32(const void *args, int64_t b0, int64_t b1, void *scratch)
 {
+    const struct layer_args *p = args;
+    int64_t z = p->z, n_edges = p->row_start[p->rows];
+    const int64_t *row_start = p->row_start, *cols = p->cols, *shifts = p->shifts;
+    const int32_t *beta_lut = p->beta_lut;
     /* per row: the extrinsics of up to w_max edges, then the fold's m1, m2,
      * sign parity and argmin tag at every position */
-    int64_t w_max = max_row_weight(rows, row_start);
-    int32_t *x = malloc(sizeof(int32_t) * (w_max + 4) * z);
-    if (!x)
-        return -1;
-    int32_t *m1 = x + w_max * z, *m2 = m1 + z, *sg = m2 + z, *tag = sg + z;
-    int64_t n_edges = row_start[rows];
+    int32_t *x = scratch;
+    int32_t *m1 = x + p->w_max * z, *m2 = m1 + z, *sg = m2 + z, *tag = sg + z;
 
-    for (int64_t b = 0; b < batch; b++) {
-        int32_t *lvb = lv + b * n_blocks * z;
-        int32_t *msgb = msg + b * n_edges * z;
-        for (int64_t r = 0; r < rows; r++) {
+    for (int64_t b = b0; b < b1; b++) {
+        int32_t *lvb = (int32_t *)p->lv + b * p->n_blocks * z;
+        int32_t *msgb = (int32_t *)p->msg + b * n_edges * z;
+        for (int64_t r = 0; r < p->rows; r++) {
             int64_t e0 = row_start[r], w = row_start[r + 1] - e0;
             for (int64_t j = 0; j < w; j++) {
                 const int32_t *src = lvb + cols[e0 + j] * z;
@@ -117,33 +193,25 @@ int layer_iteration_i32(int32_t *lv, int32_t *msg, int64_t batch,
             }
         }
     }
-    free(x);
     return 0;
 }
 
 /* f32: the extrinsic lvc = L_v - msg enters the check node, the posterior
  * becomes lvc + out and the message stores out; beta scales in f32. */
-int layer_iteration_f32(float *lv, float *msg, int64_t batch,
-                        int64_t n_blocks, int64_t z, int64_t rows,
-                        const int64_t *row_start, const int64_t *cols,
-                        const int64_t *shifts, float beta)
+static int layer_f32(const void *args, int64_t b0, int64_t b1, void *scratch)
 {
-    int64_t w_max = max_row_weight(rows, row_start);
-    float *x = malloc(sizeof(float) * (w_max + 2) * z);
-    int32_t *flags = malloc(sizeof(int32_t) * 2 * z);
-    if (!x || !flags) {
-        free(x);
-        free(flags);
-        return -1;
-    }
-    float *m1 = x + w_max * z, *m2 = m1 + z;
-    int32_t *sg = flags, *tag = flags + z;
-    int64_t n_edges = row_start[rows];
+    const struct layer_args *p = args;
+    int64_t z = p->z, n_edges = p->row_start[p->rows];
+    const int64_t *row_start = p->row_start, *cols = p->cols, *shifts = p->shifts;
+    float beta = p->beta;
+    float *x = scratch;
+    float *m1 = x + p->w_max * z, *m2 = m1 + z;
+    int32_t *sg = (int32_t *)(m2 + z), *tag = sg + z;
 
-    for (int64_t b = 0; b < batch; b++) {
-        float *lvb = lv + b * n_blocks * z;
-        float *msgb = msg + b * n_edges * z;
-        for (int64_t r = 0; r < rows; r++) {
+    for (int64_t b = b0; b < b1; b++) {
+        float *lvb = (float *)p->lv + b * p->n_blocks * z;
+        float *msgb = (float *)p->msg + b * n_edges * z;
+        for (int64_t r = 0; r < p->rows; r++) {
             int64_t e0 = row_start[r], w = row_start[r + 1] - e0;
             for (int64_t j = 0; j < w; j++) {
                 const float *src = lvb + cols[e0 + j] * z;
@@ -197,39 +265,155 @@ int layer_iteration_f32(float *lv, float *msg, int64_t batch,
             }
         }
     }
-    free(x);
-    free(flags);
+    return 0;
+}
+
+int layer_iteration_i32(int32_t *lv, int32_t *msg, int64_t batch,
+                        int64_t n_blocks, int64_t z, int64_t rows,
+                        const int64_t *row_start, const int64_t *cols,
+                        const int64_t *shifts, const int32_t *beta_lut,
+                        int64_t slices)
+{
+    struct layer_args a = {lv, msg, n_blocks, z, rows,
+                           max_row_weight(rows, row_start), row_start, cols,
+                           shifts, beta_lut, 0.0f};
+    return split(layer_i32, &a, batch, slices,
+                 sizeof(int32_t) * (a.w_max + 4) * z);
+}
+
+int layer_iteration_f32(float *lv, float *msg, int64_t batch,
+                        int64_t n_blocks, int64_t z, int64_t rows,
+                        const int64_t *row_start, const int64_t *cols,
+                        const int64_t *shifts, float beta, int64_t slices)
+{
+    struct layer_args a = {lv, msg, n_blocks, z, rows,
+                           max_row_weight(rows, row_start), row_start, cols,
+                           shifts, NULL, beta};
+    /* the extrinsics, m1 and m2 as floats; sign parity and tag as int32 */
+    return split(layer_f32, &a, batch, slices, 4 * (a.w_max + 4) * z);
+}
+
+/* Row r's parity bits over one codeword's hard bits into acc (z bytes): the
+ * check at position k is the XOR over the row's edges of
+ * bits[cols[e]][(k + shift) mod z], gathered through the same two runs as the
+ * layer iterations. Returns the count of ones. */
+static int64_t row_parity(const uint8_t *restrict bits, uint8_t *restrict acc,
+                          int64_t z, int64_t r, const int64_t *row_start,
+                          const int64_t *cols, const int64_t *shifts)
+{
+    for (int64_t k = 0; k < z; k++)
+        acc[k] = 0;
+    for (int64_t e = row_start[r]; e < row_start[r + 1]; e++) {
+        const uint8_t *src = bits + cols[e] * z;
+        int64_t s = shifts[e];
+        for (int64_t k = 0; k < z - s; k++)
+            acc[k] ^= src[k + s];
+        for (int64_t k = z - s; k < z; k++)
+            acc[k] ^= src[k + s - z];
+    }
+    int64_t ones = 0;
+    for (int64_t k = 0; k < z; k++)
+        ones += acc[k];
+    return ones;
+}
+
+struct parity_args {
+    const uint8_t *bits;
+    uint8_t *par;
+    int64_t *weights;
+    const void *lv;
+    int is_float;
+    double *margins;
+    int64_t n_blocks, z, r0, r1;
+    const int64_t *row_start, *cols, *shifts;
+};
+
+static int parities(const void *args, int64_t b0, int64_t b1, void *scratch)
+{
+    const struct parity_args *a = args;
+    (void)scratch;
+    for (int64_t b = b0; b < b1; b++) {
+        const uint8_t *bitsb = a->bits + b * a->n_blocks * a->z;
+        int64_t w = 0;
+        for (int64_t r = a->r0; r < a->r1; r++)
+            w += row_parity(bitsb, a->par + (b * (a->r1 - a->r0) + r - a->r0) * a->z,
+                            a->z, r, a->row_start, a->cols, a->shifts);
+        a->weights[b] = w;
+    }
     return 0;
 }
 
 /* Parity bits of base rows [r0, r1) of the uint8 hard bits
  * (batch, n_blocks, z), written to par (batch, r1 - r0, z), and each
- * codeword's count of unsatisfied checks among them in weights. Row r's check
- * at position k is the XOR over its edges of bits[cols[e]][(k + shift) mod z],
- * gathered through the same two runs as the layer iterations. */
-void row_parities(const uint8_t *restrict bits, uint8_t *restrict par,
-                  int64_t *restrict weights, int64_t batch, int64_t n_blocks,
-                  int64_t z, int64_t r0, int64_t r1, const int64_t *row_start,
-                  const int64_t *cols, const int64_t *shifts)
+ * codeword's count of unsatisfied checks among them in weights. */
+int row_parities(const uint8_t *bits, uint8_t *par, int64_t *weights,
+                 int64_t batch, int64_t n_blocks, int64_t z, int64_t r0,
+                 int64_t r1, const int64_t *row_start, const int64_t *cols,
+                 const int64_t *shifts, int64_t slices)
 {
-    for (int64_t b = 0; b < batch; b++) {
-        const uint8_t *bitsb = bits + b * n_blocks * z;
-        int64_t w = 0;
-        for (int64_t r = r0; r < r1; r++) {
-            uint8_t *acc = par + (b * (r1 - r0) + r - r0) * z;
-            for (int64_t k = 0; k < z; k++)
-                acc[k] = 0;
-            for (int64_t e = row_start[r]; e < row_start[r + 1]; e++) {
-                const uint8_t *src = bitsb + cols[e] * z;
-                int64_t s = shifts[e];
-                for (int64_t k = 0; k < z - s; k++)
-                    acc[k] ^= src[k + s];
-                for (int64_t k = z - s; k < z; k++)
-                    acc[k] ^= src[k + s - z];
-            }
-            for (int64_t k = 0; k < z; k++)
-                w += acc[k];
-        }
-        weights[b] = w;
+    struct parity_args a = {bits, par, weights, NULL, 0, NULL, n_blocks, z,
+                            r0, r1, row_start, cols, shifts};
+    return split(parities, &a, batch, slices, 0);
+}
+
+/* One codeword's hard decisions lv < 0 and min |lv| over n posteriors. An
+ * f32 posterior is read as its bit pattern, so both loops vectorize: for
+ * finite values |v| orders as the bits below the sign, and v < 0 is a set
+ * sign on a nonzero magnitude (-0.0 is not negative). A NaN would order
+ * above +inf, where numpy's min returns it; init_workspace bounds the LLRs
+ * so that the posteriors stay finite. */
+static double hard_and_margin_f32(const uint32_t *lv, uint8_t *hard, int64_t n)
+{
+    uint32_t m = 0x7f800000u;                  /* +inf */
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t a = lv[i] & 0x7fffffffu;
+        m = a < m ? a : m;
     }
+    for (int64_t i = 0; i < n; i++)
+        hard[i] = (lv[i] >> 31) & ((lv[i] & 0x7fffffffu) != 0);
+    union { uint32_t u; float f; } margin = {m};
+    return margin.f;
+}
+
+static double hard_and_margin_i32(const int32_t *lv, uint8_t *hard, int64_t n)
+{
+    int32_t m = INT32_MAX;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t a = lv[i] < 0 ? -lv[i] : lv[i];
+        m = a < m ? a : m;
+    }
+    for (int64_t i = 0; i < n; i++)
+        hard[i] = lv[i] < 0;
+    return m;
+}
+
+static int read_posteriors(const void *args, int64_t b0, int64_t b1, void *scratch)
+{
+    const struct parity_args *a = args;
+    int64_t n = a->n_blocks * a->z;
+    for (int64_t b = b0; b < b1; b++) {
+        uint8_t *hard = a->par + b * n;
+        a->margins[b] = a->is_float
+            ? hard_and_margin_f32((const uint32_t *)a->lv + b * n, hard, n)
+            : hard_and_margin_i32((const int32_t *)a->lv + b * n, hard, n);
+        int64_t w = 0;
+        for (int64_t r = a->r0; r < a->r1; r++)
+            w += row_parity(hard, scratch, a->z, r, a->row_start, a->cols, a->shifts);
+        a->weights[b] = w;
+    }
+    return 0;
+}
+
+/* One iteration's readout of the posteriors lv (batch, n_blocks, z), int32
+ * or (is_float) f32: per codeword the uint8 hard decisions lv < 0 into hard
+ * (batch, n_blocks, z), min |lv| into margins and the count of unsatisfied
+ * checks over base rows [0, rows) into weights. */
+int readout(const void *lv, int is_float, uint8_t *hard, double *margins,
+            int64_t *weights, int64_t batch, int64_t n_blocks, int64_t z,
+            int64_t rows, const int64_t *row_start, const int64_t *cols,
+            const int64_t *shifts, int64_t slices)
+{
+    struct parity_args a = {NULL, hard, weights, lv, is_float, margins,
+                            n_blocks, z, 0, rows, row_start, cols, shifts};
+    return split(read_posteriors, &a, batch, slices, z);
 }

@@ -28,6 +28,7 @@ import numpy as np
 
 from ldpclab import kernels, native
 from ldpclab.basegraph import BaseGraph
+from ldpclab.channel import F32_MAX
 from ldpclab.codec import CRC_POLYS, _syndrome_weights, crc_check
 
 INT8_SAT = 127
@@ -360,11 +361,16 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
             f"LLR block length implies rows_used={rows_used}, outside [4, {bg.m_bg}]"
         )
     batch = arr.shape[0]
-    dtype = {Precision.INT8: np.int32, Precision.F16: np.float16,
-             Precision.F32: np.float32}[cfg.precision]
+    if batch == 0:
+        raise ValueError("a batch needs at least one codeword")
+    dtype, bound = {Precision.INT8: (np.int32, INT8_SAT), Precision.F16: (np.float16, F16_SAT),
+                    Precision.F32: (np.float32, F32_MAX)}[cfg.precision]
     lv = arr.astype(dtype).reshape(batch, bg.k_b + rows_used, bg.z)
-    if cfg.precision is Precision.INT8 and np.abs(lv).max(initial=0) > INT8_SAT:
-        raise ValueError("int8 LLR magnitudes must be at most 127")
+    # the largest value `quantize` emits; an f32 posterior past it can
+    # overflow to inf and NaN, which the syndrome reads as a hard 0
+    if not (-bound <= lv.min() and lv.max() <= bound):
+        raise ValueError(f"{cfg.precision.value} LLR magnitudes must be finite and "
+                         f"at most {bound:g}")
     common = dict(bg=bg, rows_used=rows_used, lanes=batch,
                   row_gather=_build_row_gather(bg, rows_used))
     n_edges = int(bg.w_r[:rows_used].sum())
@@ -431,13 +437,16 @@ def _run_schedule(llrs, bg, cfg, step) -> DecodeResult:
     success = np.zeros(batch, dtype=bool)
     weights = np.zeros((cfg.max_iter, batch), dtype=np.int64)
     margins = np.zeros((cfg.max_iter, batch), dtype=np.float64)
+    hard = np.empty((batch, (bg.k_b + ws.rows_used) * bg.z), dtype=np.uint8)
     for it in range(1, cfg.max_iter + 1):
         step(ws)
-        # one read of the posteriors gives the hard decisions and the margins
+        # one read of the posteriors gives the hard decisions, the syndrome
+        # and the margins: compiled for int32 and f32, else these numpy lines
         lv = ws.posteriors()
-        hard = (lv < 0).view(np.uint8).reshape(batch, -1)
-        weights[it - 1] = _syndrome_weights(hard, bg, ws.rows_used)
-        margins[it - 1] = np.abs(lv).min(axis=(1, 2))
+        if not native.readout(lv, bg, ws.rows_used, hard, weights[it - 1], margins[it - 1]):
+            np.less(lv, 0, out=hard.view(bool).reshape(lv.shape))
+            weights[it - 1] = _syndrome_weights(hard, bg, ws.rows_used)
+            margins[it - 1] = np.abs(lv).min(axis=(1, 2))
         last = it == cfg.max_iter
         if cfg.early_stop is EarlyStop.NONE and not last:
             continue

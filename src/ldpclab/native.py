@@ -5,12 +5,21 @@ int8 (widened to int32) or f32, bit-exact with the numpy rows of
 `ScalarWorkspace.layer`, which stay its oracle and its fallback. It also
 computes the parity bits of a range of base rows over a batch of hard
 decisions, for the syndrome and the encoder, with `codec`'s numpy roll loop
-as oracle and fallback. The library
-is compiled with the host's gcc into a per-user cache directory that lasts
-across processes, under a name keyed by the source, the compile command and
-the host CPU's flags, so a `-march=native` build is never loaded on another
-CPU. Where it cannot be built or loaded, `run_iteration` and
-`row_parities` report so and the caller takes the numpy path.
+as oracle and fallback, and reads an iteration's hard decisions, margins and
+syndrome counts out of int32 or f32 posteriors, with the numpy lines of
+`decoder._run_schedule` as oracle and fallback.
+
+Every call shares its batch among `slice_count` threads, which claim
+codewords one at a time, so a thread on a slower core takes fewer. The
+threads are created and joined inside the call, so none is alive between
+calls and forked pool workers stay safe. Codewords never interact, so the
+outputs are the same for every slice count.
+
+The library is compiled with the host's gcc into a per-user cache directory
+that lasts across processes, under a name keyed by the source, the compile
+command and the host CPU's flags, so a `-march=native` build is never loaded
+on another CPU. Where it cannot be built or loaded, `run_iteration`,
+`row_parities` and `readout` report so and the caller takes the numpy path.
 """
 
 from __future__ import annotations
@@ -28,8 +37,25 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_layer.c")
 # -ffp-contract=off and no -ffast-math: f32 must round as numpy does
-COMMAND = ("gcc", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+COMMAND = ("gcc", "-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared",
+           "-fPIC")
 BUILD_TIMEOUT_S = 120
+# Edge-positions (codewords x edges x Z) per thread below which a batch is not
+# shared. On a 2-core VM, starting and joining a thread took 50-110 us, and a
+# second thread sped a layer pass up reliably only from about 1M (BG1 Z=384
+# B=8 1.38x, B=16 1.62x; BG2 Z=52 B=128 1.37x), not below it (BG1 B=4 0.89x,
+# BG2 Z=52 B=32 0.78x).
+MIN_SLICE_WORK = 1 << 19
+
+
+def slice_count(batch: int, work: int) -> int:
+    """Threads for a call over `batch` codewords and `work` edge-positions.
+
+    At most one per codeword and one per CPU this process may run on, and no
+    more than leave every thread MIN_SLICE_WORK edge-positions.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(batch, cpus or 1, work // MIN_SLICE_WORK))
 
 
 def cache_dir() -> Path | None:
@@ -99,15 +125,21 @@ def load() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
-    tables = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 3
-    for fn, scale in ((lib.layer_iteration_i32, ctypes.c_void_p),
-                      (lib.layer_iteration_f32, ctypes.c_float)):
-        fn.argtypes = [ctypes.c_void_p] * 2 + tables + [scale]
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    tables = [i64] * 4 + [ptr] * 3
+    for fn, scale in ((lib.layer_iteration_i32, ptr), (lib.layer_iteration_f32, ctypes.c_float)):
+        fn.argtypes = [ptr] * 2 + tables + [scale, i64]
+    lib.row_parities.argtypes = [ptr] * 3 + [i64] * 5 + [ptr] * 3 + [i64]
+    lib.readout.argtypes = [ptr, ctypes.c_int] + [ptr] * 3 + tables + [i64]
+    for fn in (lib.layer_iteration_i32, lib.layer_iteration_f32, lib.row_parities, lib.readout):
         fn.restype = ctypes.c_int
-    lib.row_parities.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 5
-                                 + [ctypes.c_void_p] * 3)
-    lib.row_parities.restype = None
     return lib
+
+
+def _call(fn, *args) -> None:
+    """Run a kernel entry point; its one failure is the slices' allocation."""
+    if fn(*args):
+        raise MemoryError(f"{fn.__name__} could not allocate its threads' scratch")
 
 
 def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
@@ -157,11 +189,9 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
     if tables is None or messages.shape != (batch, tables[0][rows_used], z):
         raise ValueError("workspace arrays do not match the base graph")
     row_start, cols, shifts = tables
-    status = getattr(lib, name)(
-        l_v.ctypes.data, messages.ctypes.data, batch, n_blocks, z, rows_used,
-        row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, scale)
-    if status:
-        raise MemoryError("layer kernel could not allocate its row buffer")
+    _call(getattr(lib, name), l_v.ctypes.data, messages.ctypes.data, batch, n_blocks, z,
+          rows_used, row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, scale,
+          slice_count(batch, batch * messages.shape[1] * z))
     return True
 
 
@@ -188,8 +218,39 @@ def row_parities(bits: np.ndarray, bg, rows_used: int, r0: int,
     row_start, cols, shifts = tables
     parities = np.empty((len(bits), r1 - r0, bg.z), dtype=np.uint8)
     weights = np.empty(len(bits), dtype=np.int64)
-    lib.row_parities(
-        bits.ctypes.data, parities.ctypes.data, weights.ctypes.data, len(bits),
-        n_blocks, bg.z, r0, r1, row_start.ctypes.data, cols.ctypes.data,
-        shifts.ctypes.data)
+    edges = int(row_start[r1] - row_start[r0])
+    _call(lib.row_parities, bits.ctypes.data, parities.ctypes.data, weights.ctypes.data,
+          len(bits), n_blocks, bg.z, r0, r1, row_start.ctypes.data, cols.ctypes.data,
+          shifts.ctypes.data, slice_count(len(bits), len(bits) * edges * bg.z))
     return parities, weights
+
+
+def readout(l_v: np.ndarray, bg, rows_used: int, hard: np.ndarray, weights: np.ndarray,
+            margins: np.ndarray) -> bool:
+    """One iteration's readout of the posteriors `l_v`, into the given arrays.
+
+    `l_v` is C-contiguous (B, n_blocks, Z) int32 or float32. Writes the uint8
+    hard decisions `l_v < 0` into `hard` (B, n_blocks * Z), min |L_v| into
+    the float64 `margins` (B,) and the unsatisfied checks over the used rows
+    into the int64 `weights` (B,), as the numpy lines of
+    `decoder._run_schedule` compute them. Returns False, touching nothing,
+    where the kernel does not apply or is unavailable.
+    """
+    if l_v.dtype not in (np.int32, np.float32) or l_v.ndim != 3 or not l_v.flags.c_contiguous:
+        return False
+    lib = load()
+    if lib is None:
+        return False
+    batch, n_blocks, z = l_v.shape
+    tables = _graph_tables(bg, rows_used, n_blocks, z)
+    if (tables is None or hard.dtype != np.uint8 or hard.shape != (batch, n_blocks * z)
+            or weights.dtype != np.int64 or margins.dtype != np.float64
+            or weights.shape != (batch,) or margins.shape != (batch,)
+            or not all(a.flags.c_contiguous for a in (hard, weights, margins))):
+        raise ValueError("readout arrays do not match the posteriors and the base graph")
+    row_start, cols, shifts = tables
+    _call(lib.readout, l_v.ctypes.data, int(l_v.dtype == np.float32), hard.ctypes.data,
+          margins.ctypes.data, weights.ctypes.data, batch, n_blocks, z, rows_used,
+          row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data,
+          slice_count(batch, batch * int(row_start[rows_used]) * z))
+    return True

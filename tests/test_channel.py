@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ldpclab.basegraph import code_params
 from ldpclab.channel import (
+    F32_MAX,
     QuantConfig,
     bpsk_awgn,
     bpsk_exact,
@@ -84,6 +85,8 @@ def test_quantize_rejects_nan_clamps_inf(params_bg2_z2):
     llr[0], llr[1] = np.inf, -np.inf
     out = quantize(llr, QuantConfig("int8"), params_bg2_z2)
     assert (out[4], out[5]) == (127, -127)
+    out = quantize(llr, QuantConfig("f32"), params_bg2_z2)
+    assert (out[4], out[5]) == (F32_MAX, -F32_MAX)
 
 
 def test_quantize_f16_rounds_to_nearest_even(params_bg2_z2):
@@ -139,3 +142,20 @@ def test_ebn0_to_sigma_known_point():
     # rate 1/2 at 0 dB: sigma^2 = 1/(2 * 0.5 * 1) = 1
     assert ebn0_to_sigma(0.0, 0.5) == pytest.approx(1.0)
     assert ebn0_to_sigma(3.0, 0.5) == pytest.approx(1.0 / np.sqrt(10 ** 0.3))
+
+
+def test_channel_stage_keeps_its_draw_and_leaves_inputs_alone(params_bg2_z2):
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2, (3, 100), dtype=np.uint8)
+    received = bpsk_awgn(bits, 0.7, 5)
+    noise = np.random.default_rng(5).normal(0.0, 0.7, size=bits.shape)
+    assert received.dtype == np.float64
+    assert np.array_equal(received, bpsk_exact(bits) + noise)
+    kept = received.copy()
+    llrs = demap_llr(received, 0.7)
+    assert np.array_equal(received, kept)
+    assert np.array_equal(llrs, 2.0 * kept / (0.7 * 0.7))
+    out = quantize(llrs, QuantConfig("int8", scale=3.0), params_bg2_z2)
+    want = np.clip(np.rint(llrs * 3.0), -127, 127).astype(np.int8)
+    assert out.dtype == np.int8 and np.array_equal(out[:, 4:], want)
+    assert np.array_equal(llrs, 2.0 * kept / (0.7 * 0.7))

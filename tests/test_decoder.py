@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ldpclab.basegraph import code_params
-from ldpclab.channel import QuantConfig, bpsk_exact, quantize
-from ldpclab.codec import crc_attach, encode, puncture
+from ldpclab.channel import F32_MAX, QuantConfig, bpsk_exact, quantize
+from ldpclab.codec import crc_attach, encode, encode_batch, puncture
 from ldpclab.decoder import (
     DecodeConfig,
     EarlyStop,
@@ -449,6 +449,45 @@ def test_decode_rejects_nan_llrs(bg2_z16):
     for fn in (decode, decode_flooding):
         with pytest.raises(ValueError, match="NaN"):
             fn(block, bg2_z16, DecodeConfig(precision=Precision.F32))
+
+
+def test_decode_rejects_an_empty_batch(bg2_z16):
+    for cfg, dtype in ((DecodeConfig(), np.int8), (DecodeConfig(rho=4), np.int8),
+                       (DecodeConfig(precision=Precision.F32), np.float32)):
+        with pytest.raises(ValueError, match="at least one codeword"):
+            decode(np.zeros((0, 832), dtype=dtype), bg2_z16, cfg)
+
+
+def test_workspace_rejects_infinite_and_oversized_float_llrs(bg2_z16):
+    for precision in (Precision.F32, Precision.F16):
+        for value in (np.inf, -np.inf):
+            block = np.zeros(832, dtype=np.float32)
+            block[100] = value
+            with pytest.raises(ValueError, match="finite"):
+                init_workspace(block, bg2_z16, DecodeConfig(precision=precision))
+    block = np.zeros(832)
+    block[3] = -F32_MAX
+    init_workspace(block, bg2_z16, DecodeConfig(precision=Precision.F32))
+    block[3] = -2 * F32_MAX
+    with pytest.raises(ValueError, match="at most"):
+        init_workspace(block, bg2_z16, DecodeConfig(precision=Precision.F32))
+
+
+@pytest.mark.parametrize("magnitude", [1e37, np.inf])
+def test_f32_decodes_huge_llrs(magnitude):
+    """LLRs past the f32 range's headroom used to overflow the posteriors to
+    NaN, read as hard 0s with a zero syndrome; quantize now clamps them."""
+    bg = get_graph("BG2", 52)
+    params = code_params(bg, 52, 42)
+    msgs = np.random.default_rng(0).integers(0, 2, (2, params.k), dtype=np.uint8)
+    cw = encode_batch(msgs, bg, 52, 42)
+    llrs = magnitude * (1.0 - 2.0 * cw[:, 2 * 52:])
+    blocks = quantize(llrs, QuantConfig("f32"), params)
+    res = decode(blocks, bg, DecodeConfig(precision=Precision.F32, early_stop="none",
+                                          max_iter=10))
+    assert np.array_equal(res.bits, msgs)
+    assert np.isfinite(res.margin_trace).all() and (res.margin_trace > 0).all()
+    assert not res.syndrome_trace.any()
 
 
 def test_partial_rows_decode(bg2_z16):

@@ -15,6 +15,7 @@ from ldpclab.decoder import (
     ScalarWorkspace,
     Strategy,
     decode,
+    decode_flooding,
     init_workspace,
     layered_iteration,
 )
@@ -75,8 +76,8 @@ def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, pr
     assert ran and all(ran)               # every pass above ran the kernel
 
 
-def _decode_digest(blocks, bg, cfg):
-    res = decode(blocks, bg, cfg)
+def _decode_digest(blocks, bg, cfg, fn=decode):
+    res = fn(blocks, bg, cfg)
     return [res.bits, res.iterations, res.success, res.syndrome_trace, res.margin_trace]
 
 
@@ -160,6 +161,17 @@ def test_run_iteration_rejects_arrays_of_another_graph(kernel):
     for other, rows in ((get_graph("BG2", 52), 42), (get_graph("BG1", 16), 42), (bg, 41)):
         with pytest.raises(ValueError, match="do not match"):
             native.run_iteration(ws.l_v, ws.messages, other, rows, 0.75)
+        with pytest.raises(ValueError, match="do not match"):
+            _compiled_readout(ws.l_v, other, rows)
+    hard, weights, margins = _compiled_readout(ws.l_v, bg, 42)
+    for args in ((hard[:, 1:], weights, margins), (hard.view(bool), weights, margins),
+                 (hard, weights[:1], margins), (hard, weights, margins.astype(np.float32)),
+                 (hard, margins, weights), (hard, weights, np.zeros((2, 2))[:, 0])):
+        with pytest.raises(ValueError, match="do not match"):
+            native.readout(ws.l_v, bg, 42, *args)
+    # f16 and strided posteriors take the numpy lines
+    assert not native.readout(ws.l_v.astype(np.float16), bg, 42, hard, weights, margins)
+    assert not native.readout(ws.l_v[::-1], bg, 42, hard, weights, margins)
 
 
 # dense H up to BG1 Z=384 with four rows: 1536 x 9984 bytes
@@ -240,3 +252,112 @@ def test_syndrome_weights_rejects_arrays_of_another_graph(kernel):
         setattr(fake, field, arr)
         with pytest.raises(ValueError, match="do not match"):
             native.row_parities(bits, fake, 42, 0, 42)
+
+
+def _numpy_readout(lv, bg, rows):
+    """The numpy lines of `_run_schedule`: hard decisions, syndrome counts, margins."""
+    hard = (lv < 0).view(np.uint8).reshape(len(lv), -1)
+    return hard, codec._syndrome_weights_numpy(hard, bg, rows), np.abs(lv).min(axis=(1, 2))
+
+
+def _compiled_readout(lv, bg, rows):
+    hard = np.empty((len(lv), lv[0].size), dtype=np.uint8)
+    weights, margins = np.empty(len(lv), dtype=np.int64), np.empty(len(lv))
+    assert native.readout(lv, bg, rows, hard, weights, margins)
+    return hard, weights, margins
+
+
+@pytest.mark.parametrize("batch, slices", [(5, 1), (5, 2), (5, 3), (1, 1), (1, 3)])
+@pytest.mark.parametrize("precision", ["int8", "f32"])
+def test_slices_match_the_numpy_oracles(kernel, monkeypatch, batch, slices, precision):
+    """Every entry point, run on a forced thread count (three threads sharing
+    five codewords, and more threads than codewords, included), equals its
+    numpy oracle after every iteration."""
+    bg, rows = get_graph("BG2", 52), 42
+    asked = []
+    monkeypatch.setattr(native, "slice_count", lambda b, work: asked.append(b) or slices)
+    cfg = DecodeConfig(precision=precision)
+    _, blocks = make_noisy_blocks(bg, rows, 2.0, batch, seed=60 + batch, mode=precision)
+    fast = init_workspace(blocks, bg, cfg)
+    oracle = init_workspace(blocks, bg, cfg)
+    for it in range(8):
+        layered_iteration(fast, bg, cfg)
+        for r in range(rows):
+            oracle.layer(r, cfg)
+        assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), it
+        assert np.array_equal(_bits(fast.messages), _bits(oracle.messages)), it
+        got, want = _compiled_readout(fast.l_v, bg, rows), _numpy_readout(oracle.l_v, bg, rows)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), it
+    blocks_bits = got[0].reshape(batch, -1, bg.z)
+    for r0, r1 in ((0, 4), (3, 4), (4, rows), (0, rows)):
+        got = native.row_parities(blocks_bits, bg, rows, r0, r1)
+        want = codec._row_parities_numpy(blocks_bits, bg, r0, r1)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), (r0, r1)
+    assert asked and set(asked) == {batch}
+
+
+@pytest.mark.parametrize("precision", ["int8", "f32"])
+def test_decode_is_the_same_in_every_slice_count(kernel, monkeypatch, precision):
+    bg = get_graph("BG2", 52)
+    digests = {}
+    for slices in (1, 2, 3):
+        monkeypatch.setattr(native, "slice_count", lambda b, work: slices)
+        digests[slices] = [
+            _decode_digest(make_noisy_blocks(bg, 42, ebn0, batch, seed=70 + batch,
+                                             mode=precision)[1], bg,
+                           DecodeConfig(precision=precision, early_stop=early, max_iter=10))
+            for ebn0 in (1.0, 2.5) for batch in (1, 5) for early in ("syndrome", "none")
+        ]
+    for slices in (2, 3):
+        assert all(_same(a, b) for a, b in zip(digests[1], digests[slices], strict=True))
+
+
+def test_slice_count_stays_within_batch_cpus_and_work_floor(kernel, monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    for batch in (1, 2, 3, 64, 1000):
+        for work in (0, native.MIN_SLICE_WORK, 10**12):
+            got = native.slice_count(batch, work)
+            assert 1 <= got <= min(batch, cpus)
+            assert got == 1 or work // got >= native.MIN_SLICE_WORK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert native.slice_count(64, 10**12) == 3
+    assert native.slice_count(2, 10**12) == 2
+    # the work floor: a small code's call stays on the calling thread
+    counts = []
+    count = native.slice_count
+    monkeypatch.setattr(native, "slice_count", lambda *a: counts.append(count(*a)) or counts[-1])
+    bg = get_graph("BG2", 16)
+    decode(make_noisy_blocks(bg, 42, 2.0, 2, seed=9)[1], bg, DecodeConfig(max_iter=3))
+    assert counts and set(counts) == {1}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_no_thread_outlives_a_call(kernel, monkeypatch):
+    bg = get_graph("BG2", 52)
+    _, blocks = make_noisy_blocks(bg, 42, 2.0, 5, seed=4, mode="f32")
+    before = len(os.listdir("/proc/self/task"))
+    monkeypatch.setattr(native, "slice_count", lambda b, work: 3)
+    decode(blocks, bg, DecodeConfig(precision="f32", max_iter=4, early_stop="none"))
+    assert len(os.listdir("/proc/self/task")) == before
+
+
+def test_packed_and_flooding_decode_as_without_the_kernel(kernel, monkeypatch):
+    """Flooding's int32 and f32 posteriors take the compiled readout, the
+    packed engine's unpacked lanes (a strided view) the numpy lines; both
+    decode as they do without the kernel."""
+    bg = get_graph("BG2", 52)
+    cases = [(decode, DecodeConfig(rho=4, max_iter=8), "int8"),
+             (decode_flooding, DecodeConfig(max_iter=8), "int8"),
+             (decode_flooding, DecodeConfig(precision="f32", max_iter=8), "f32")]
+    inputs = [make_noisy_blocks(bg, 42, 2.0, 5, seed=80, mode=mode)[1] for *_, mode in cases]
+    calls = []
+    readout = native.readout
+    monkeypatch.setattr(native, "readout", lambda *a: calls.append(readout(*a)) or calls[-1])
+    fast = []
+    for (fn, cfg, _), blocks in zip(cases, inputs):
+        calls.clear()
+        fast.append(_decode_digest(blocks, bg, cfg, fn))
+        assert calls and set(calls) == {fn is decode_flooding}, (fn.__name__, cfg)
+    monkeypatch.setattr(native, "load", lambda: None)
+    for (fn, cfg, _), blocks, got in zip(cases, inputs, fast):
+        assert _same(got, _decode_digest(blocks, bg, cfg, fn)), (fn.__name__, cfg)
