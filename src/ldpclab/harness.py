@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ldpclab import __version__
+from ldpclab import __version__, native
 from ldpclab.basegraph import BaseGraph, code_params
 from ldpclab.channel import QuantConfig, bpsk_awgn, bpsk_exact, demap_llr, ebn0_to_sigma, quantize
 from ldpclab.codec import CRC_POLYS, crc_attach, encode_batch
@@ -157,7 +157,10 @@ def run_bler_sweep(
     rate_eff = params.k / params.n_tx
 
     points: list[SweepPoint] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    # each worker's kernel calls take CPUs // workers threads: with all CPUs
+    # each, the workers' threads would contend for the same cores
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=native.share_cpus,
+                                initargs=(workers,)) if workers > 1 else None)
     try:
         for p_idx, ebn0 in enumerate(grid):
             sigma = None if math.isinf(ebn0) else ebn0_to_sigma(ebn0, rate_eff)

@@ -12,7 +12,8 @@ syndrome counts out of int32 or f32 posteriors, with the numpy lines of
 Every call shares its batch among `slice_count` threads, which claim
 codewords one at a time, so a thread on a slower core takes fewer. The
 threads are created and joined inside the call, so none is alive between
-calls and forked pool workers stay safe. Codewords never interact, so the
+calls and forked pool workers stay safe; a sweep's pool workers split the
+CPUs among themselves (`share_cpus`). Codewords never interact, so the
 outputs are the same for every slice count.
 
 The library is compiled with the host's gcc into a per-user cache directory
@@ -48,14 +49,31 @@ BUILD_TIMEOUT_S = 120
 MIN_SLICE_WORK = 1 << 19
 
 
+# Processes that share this one's CPUs: set in each worker of a sweep's
+# process pool by share_cpus, 1 everywhere else.
+_sharers = 1
+
+
+def share_cpus(processes: int) -> None:
+    """Give this process 1/`processes` of its CPUs for its calls' threads.
+
+    The initializer of a pool of `processes` workers: without it each worker
+    would start one thread per CPU, and the workers' threads would contend
+    for the same cores.
+    """
+    global _sharers
+    _sharers = max(1, processes)
+
+
 def slice_count(batch: int, work: int) -> int:
     """Threads for a call over `batch` codewords and `work` edge-positions.
 
-    At most one per codeword and one per CPU this process may run on, and no
-    more than leave every thread MIN_SLICE_WORK edge-positions.
+    At most one per codeword and one per CPU this process may run on (its
+    share of them in a pool worker, see share_cpus), and no more than leave
+    every thread MIN_SLICE_WORK edge-positions.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(batch, cpus or 1, work // MIN_SLICE_WORK))
+    return max(1, min(batch, (cpus or 1) // _sharers, work // MIN_SLICE_WORK))
 
 
 def cache_dir() -> Path | None:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ldpclab import codec, native
+from ldpclab import codec, harness, native
 from ldpclab.decoder import (
     DecodeConfig,
     EarlyStop,
@@ -19,6 +19,7 @@ from ldpclab.decoder import (
     init_workspace,
     layered_iteration,
 )
+from ldpclab.harness import run_bler_sweep
 from tests.conftest import get_graph, make_noisy_blocks
 from tests.oracles import syndrome_dense
 
@@ -329,6 +330,32 @@ def test_slice_count_stays_within_batch_cpus_and_work_floor(kernel, monkeypatch)
     bg = get_graph("BG2", 16)
     decode(make_noisy_blocks(bg, 42, 2.0, 2, seed=9)[1], bg, DecodeConfig(max_iter=3))
     assert counts and set(counts) == {1}
+
+
+def test_pool_workers_share_the_cpus(monkeypatch):
+    monkeypatch.setattr(native, "_sharers", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert native.slice_count(64, 10**12) == 4
+    native.share_cpus(2)
+    assert native.slice_count(64, 10**12) == 2
+    native.share_cpus(8)
+    assert native.slice_count(64, 10**12) == 1
+    monkeypatch.undo()
+    # each worker of a sweep's pool gets CPUs // workers threads per call
+    seen = []
+
+    class Probe(harness.ProcessPoolExecutor):
+        def __init__(self, **kw):
+            super().__init__(**kw)
+            seen.append(self.submit(native.slice_count, 64, 10**12).result())
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Probe)
+    bg = get_graph("BG2", 16)
+    run_bler_sweep(bg, 16, 42, DecodeConfig(max_iter=2), [2.0], max_codewords=8, batch=4,
+                   workers=2)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert seen == [max(1, cpus // 2)]
+    assert native._sharers == 1
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
