@@ -34,7 +34,6 @@ from ldpclab.decoder import (
     DecodeWorkspace,
     EarlyStop,
     Precision,
-    Strategy,
     check_node_exact,
     check_node_minsum,
     decode,
@@ -42,7 +41,14 @@ from ldpclab.decoder import (
     init_workspace,
     layered_iteration,
 )
-from ldpclab.planner import StrategyPlan, choose_alpha, make_plan, memory_footprint, thread_count
+from ldpclab.planner import (
+    Strategy,
+    StrategyPlan,
+    choose_alpha,
+    make_plan,
+    memory_footprint,
+    thread_count,
+)
 
 __all__ = [
     "__version__",

@@ -13,10 +13,7 @@
  *
  * Per row and codeword: gather each edge's extrinsic, fold (m1, m2, sign,
  * argmin tag) elementwise over z in edge order, scale by beta, then write
- * messages and posteriors back through the same two runs. The strided
- * low-latency reduce yields the same m1, m2 and signs; its tag differs only
- * where m1 == m2, where the selected magnitude is the same, so one
- * sequential fold serves both strategies.
+ * messages and posteriors back through the same two runs.
  *
  * Codewords never interact, so every entry point shares its batch among
  * `slices` threads (split()): the calling thread and slices - 1 pthreads

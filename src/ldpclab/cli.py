@@ -29,9 +29,6 @@ def _add_code_args(p: argparse.ArgumentParser) -> None:
 def _add_decode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=0.75)
     p.add_argument("--max-iter", type=int, default=20)
-    p.add_argument("--strategy", choices=[s.value for s in decoder.Strategy],
-                   default=decoder.Strategy.HIGH_THROUGHPUT.value)
-    p.add_argument("--alpha", type=int, default=4)
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--precision", choices=[m.value for m in decoder.Precision],
                    default=decoder.Precision.INT8.value)
@@ -51,7 +48,6 @@ def _load_graph(args) -> tuple:
 def _decode_config(args) -> decoder.DecodeConfig:
     return decoder.DecodeConfig(
         beta=args.beta, max_iter=args.max_iter,
-        strategy=decoder.Strategy(args.strategy), alpha=args.alpha,
         rho=args.rho, precision=decoder.Precision(args.precision),
         early_stop=decoder.EarlyStop(args.early_stop),
     )
@@ -77,11 +73,11 @@ def _cmd_info(args) -> int:
     for eps, mode in ((1, "int8"), (2, "f16")):
         s_v, s_cv = planner.memory_footprint(bg, args.z, rows, eps)
         lines.append(f"[{mode}] S_v={s_v} B S_cv={s_cv} B")
-    for strat in decoder.Strategy:
+    for strat in planner.Strategy:
         try:
             plan = planner.make_plan(
                 strat, bg, args.z, rows, rho=args.rho, epsilon=1,
-                alpha=args.alpha if strat is decoder.Strategy.LOW_LATENCY else None,
+                alpha=args.alpha if strat is planner.Strategy.LOW_LATENCY else None,
                 worker_budget=args.budget,
             )
         except ValueError as exc:
@@ -162,18 +158,16 @@ def _cmd_bench(args) -> int:
     bg, rows, params = _load_graph(args)
     rows_out = ["# ldpclab latency/throughput bench (host hardware)",
                 ",".join(harness.BENCH_COLUMNS)]
-    for strat in args.strategies.split(","):
-        for prec in args.precisions.split(","):
-            cfg = decoder.DecodeConfig(
-                beta=args.beta, strategy=decoder.Strategy(strat),
-                alpha=args.alpha, rho=args.rho if prec == "int8" else 1,
-                precision=decoder.Precision(prec),
-            )
-            stats = harness.run_latency_bench(
-                bg, args.z, cfg, batch=args.batch, repetitions=args.reps,
-                rows_used=rows, iterations=args.iters, seed=args.seed,
-            )
-            rows_out.append(harness.bench_to_csv_row(cfg, stats))
+    for prec in args.precisions.split(","):
+        cfg = decoder.DecodeConfig(
+            beta=args.beta, rho=args.rho if prec == "int8" else 1,
+            precision=decoder.Precision(prec),
+        )
+        stats = harness.run_latency_bench(
+            bg, args.z, cfg, batch=args.batch, repetitions=args.reps,
+            rows_used=rows, iterations=args.iters, seed=args.seed,
+        )
+        rows_out.append(harness.bench_to_csv_row(cfg, stats))
     text = "\n".join(rows_out) + "\n"
     if args.outfile:
         Path(args.outfile).write_text(text)
@@ -232,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     p.add_argument("--precisions", default="int8",
                    help="comma-separated: int8,f16,f32")
-    p.add_argument("--strategies", default=decoder.Strategy.LOW_LATENCY.value,
-                   help="comma-separated: low_latency,high_throughput")
-    p.add_argument("--alpha", type=int, default=4)
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--beta", type=float, default=0.75)
     p.add_argument("--batch", type=int, default=4)

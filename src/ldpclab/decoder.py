@@ -10,12 +10,8 @@ each behind its own workspace type:
 * PackedWorkspace: rho=4 codeword lanes per 32-bit word on the
   sign-magnitude SWAR kernels, kept to verify the scalar engine.
 
-Both reduce a check row through one driver, in the high-throughput shape
-(one sequential scan over the row's columns) or the low-latency shape (alpha
-strided partitions folded independently, then butterfly-merged in
-log2(alpha) rounds). Both shapes compute the same (m1, m2, signs); only the
-argmin tag may differ on ties, where m1 = m2 makes the outputs
-tie-independent.
+Both reduce a check row through one driver: an in-order fold of the row's
+edges through `kernels.acc_merge`, in the arithmetic domain of the engine.
 """
 
 from __future__ import annotations
@@ -23,6 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +30,6 @@ from ldpclab.codec import CRC_POLYS, _syndrome_weights, crc_check
 
 INT8_SAT = 127
 F16_SAT = np.float16(65504.0)
-
-
-class Strategy(str, Enum):
-    HIGH_THROUGHPUT = "high_throughput"
-    LOW_LATENCY = "low_latency"
 
 
 class Precision(str, Enum):
@@ -54,15 +46,10 @@ class EarlyStop(str, Enum):
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decoder knobs; every stored one takes effect. One partition (high
-    throughput, or low latency with alpha=1) is stored as high_throughput
-    with alpha=1, so equivalent settings compare and hash equal.
-    """
+    """Decoder knobs; every stored one takes effect."""
 
     beta: float = 0.75
     max_iter: int = 20
-    strategy: Strategy = Strategy.HIGH_THROUGHPUT
-    alpha: int = 4
     rho: int = 1
     precision: Precision = Precision.INT8
     early_stop: EarlyStop = EarlyStop.SYNDROME
@@ -73,17 +60,10 @@ class DecodeConfig:
             raise ValueError("beta must be in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        strategy = Strategy(self.strategy)
         precision = Precision(self.precision)
         early = EarlyStop(self.early_stop)
-        object.__setattr__(self, "strategy", strategy)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "early_stop", early)
-        if strategy is Strategy.LOW_LATENCY and (self.alpha < 1 or self.alpha & (self.alpha - 1)):
-            raise ValueError("alpha must be a power of two for low latency")
-        if strategy is Strategy.HIGH_THROUGHPUT or self.alpha == 1:
-            object.__setattr__(self, "strategy", Strategy.HIGH_THROUGHPUT)
-            object.__setattr__(self, "alpha", 1)
         if early is not EarlyStop.CRC and self.crc_kind != DecodeConfig.crc_kind:
             raise ValueError("crc_kind applies only with early_stop='crc'")
         if self.crc_kind not in CRC_POLYS:
@@ -134,26 +114,19 @@ def _clamp(x: np.ndarray, dtype) -> np.ndarray:
     return x if np.isinf(sat) else np.clip(x, -sat, sat, out=x)
 
 
-def _reduce(identity, edge_acc, w: int, alpha: int):
-    """Merge edges 0..w-1 of a check row into one accumulator.
+def _reduce(identity, edge_acc, w: int):
+    """Fold edges 0..w-1 of a check row, in order, into one accumulator.
 
     `identity` and `edge_acc(j)` come from one arithmetic domain in
-    `kernels`. One partition (high throughput) folds the edges in order;
-    alpha > 1 (low latency) folds the strided partitions (p, p + alpha, ...)
-    independently, then butterfly-merges them.
+    `kernels`.
     """
-    def fold(edges):
-        acc = identity
-        for j in edges:
-            acc = kernels.acc_merge(acc, edge_acc(j))
-        return acc
-
-    if alpha == 1:
-        return fold(range(w))
-    return kernels.tree_reduce([fold(range(p, w, alpha)) for p in range(alpha)])[0]
+    acc = identity
+    for j in range(w):
+        acc = kernels.acc_merge(acc, edge_acc(j))
+    return acc
 
 
-def _minsum(lvc: np.ndarray, beta: float, alpha: int) -> np.ndarray:
+def _minsum(lvc: np.ndarray, beta: float) -> np.ndarray:
     """Min-sum messages for the edges on axis 1 of `lvc`, (B, w, Z) or (N, w).
 
     Saturation and the beta rule follow the dtype: integers scale by
@@ -165,7 +138,7 @@ def _minsum(lvc: np.ndarray, beta: float, alpha: int) -> np.ndarray:
     signs = lvc < 0
     acc = _reduce(kernels.value_identity(sat),
                   lambda j: kernels.value_edge_acc(mags[:, j], signs[:, j], j, sat),
-                  lvc.shape[1], alpha)
+                  lvc.shape[1])
     if np.issubdtype(dtype, np.integer):
         b1 = np.floor(beta * acc.m1).astype(dtype)
         b2 = np.floor(beta * acc.m2).astype(dtype)
@@ -179,8 +152,7 @@ def _minsum(lvc: np.ndarray, beta: float, alpha: int) -> np.ndarray:
     return out
 
 
-def check_node_minsum(inputs, beta: float = 0.75, strategy=Strategy.HIGH_THROUGHPUT,
-                      alpha: int = 1) -> np.ndarray:
+def check_node_minsum(inputs, beta: float = 0.75) -> np.ndarray:
     """Min-sum check update over the last axis (the row's edges).
 
     Edge i receives beta-scaled m2 if it contributed the minimum, m1
@@ -194,8 +166,7 @@ def check_node_minsum(inputs, beta: float = 0.75, strategy=Strategy.HIGH_THROUGH
         raise ValueError("a check row needs at least two edges")
     integer = np.issubdtype(arr.dtype, np.integer)
     work = (arr.astype(np.int32) if integer else arr).reshape(-1, w)
-    alpha = alpha if Strategy(strategy) is Strategy.LOW_LATENCY else 1
-    out = _minsum(work, beta, alpha).reshape(arr.shape)
+    out = _minsum(work, beta).reshape(arr.shape)
     return out.astype(arr.dtype) if integer else out
 
 
@@ -233,11 +204,17 @@ class DecodeWorkspace(ABC):
     bg: BaseGraph
     rows_used: int
     lanes: int
-    row_gather: list = field(repr=False)   # per row: (cols, shifts, edge offset, (w, Z) index)
 
     @property
     def n_edges(self) -> int:
         return int(self.bg.w_r[: self.rows_used].sum())
+
+    @cached_property
+    def row_gather(self) -> list:
+        """Per row: (cols, shifts, edge offset, (w, Z) index), built on first
+        use by the numpy rows, the packed engine or flooding; the compiled
+        kernel never reads it."""
+        return _build_row_gather(self.bg, self.rows_used)
 
     @abstractmethod
     def layer(self, r: int, cfg: DecodeConfig) -> None:
@@ -250,9 +227,8 @@ class DecodeWorkspace(ABC):
 
 @dataclass
 class ScalarWorkspace(DecodeWorkspace):
-    """(B, n_blocks, Z) channel values and posteriors, (B, E, Z) messages."""
+    """(B, n_blocks, Z) posteriors, (B, E, Z) messages."""
 
-    l_b: np.ndarray = field(repr=False)
     l_v: np.ndarray = field(repr=False)
     messages: np.ndarray = field(repr=False)
 
@@ -270,7 +246,7 @@ class ScalarWorkspace(DecodeWorkspace):
             # saturated posterior absorbed on top of it: the next visit
             # subtracts exactly what this one added, so a found codeword stays
             lvc = _clamp(raw.copy() if integer else raw, dtype)
-            out = _minsum(lvc, cfg.beta, cfg.alpha)
+            out = _minsum(lvc, cfg.beta)
             if integer:
                 upd = _clamp(np.add(out, raw, out=out), dtype)
                 np.subtract(upd, raw, out=msgs)
@@ -312,7 +288,7 @@ class PackedWorkspace(DecodeWorkspace):
         lvc = kernels.saturate(raw)
         acc = _reduce(kernels.packed_identity(),
                       lambda j: kernels.packed_edge_acc(lvc.mag[j], lvc.sign[j], j),
-                      w, cfg.alpha)
+                      w)
         lut = _beta_lut(cfg.beta)
         b1 = kernels.apply_lut_u8(acc.m1, lut)
         b2 = kernels.apply_lut_u8(acc.m2, lut)
@@ -365,14 +341,17 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
         raise ValueError("a batch needs at least one codeword")
     dtype, bound = {Precision.INT8: (np.int32, INT8_SAT), Precision.F16: (np.float16, F16_SAT),
                     Precision.F32: (np.float32, F32_MAX)}[cfg.precision]
-    lv = arr.astype(dtype).reshape(batch, bg.k_b + rows_used, bg.z)
     # the largest value `quantize` emits; an f32 posterior past it can
-    # overflow to inf and NaN, which the syndrome reads as a hard 0
-    if not (-bound <= lv.min() and lv.max() <= bound):
+    # overflow to inf and NaN, which the syndrome reads as a hard 0. Integers
+    # are checked in their own dtype, before the cast could wrap them (2**32 + 5
+    # to 5); floats after it, where f16 overflow shows as inf
+    integer = cfg.precision is Precision.INT8
+    checked = arr if integer else arr.astype(dtype)
+    if not (-bound <= checked.min() and checked.max() <= bound):
         raise ValueError(f"{cfg.precision.value} LLR magnitudes must be finite and "
                          f"at most {bound:g}")
-    common = dict(bg=bg, rows_used=rows_used, lanes=batch,
-                  row_gather=_build_row_gather(bg, rows_used))
+    lv = (arr.astype(dtype) if integer else checked).reshape(batch, bg.k_b + rows_used, bg.z)
+    common = dict(bg=bg, rows_used=rows_used, lanes=batch)
     n_edges = int(bg.w_r[:rows_used].sum())
     if cfg.rho == 4:
         padded = np.pad(lv, [(0, -batch % 4), (0, 0), (0, 0)], mode="edge")
@@ -380,23 +359,27 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
         zeros = np.zeros((n_edges, bg.z, words.shape[2]), dtype=np.uint32)
         return PackedWorkspace(**common, l_v=kernels.pack_values(words),
                                messages=kernels.PackedWord(zeros, zeros.copy()))
-    return ScalarWorkspace(**common, l_b=lv.copy(), l_v=lv,
+    return ScalarWorkspace(**common, l_v=lv,
                            messages=np.zeros((batch, n_edges, bg.z), dtype=dtype))
 
 
-def _scalar_flood(ws: ScalarWorkspace, cfg: DecodeConfig) -> None:
-    """One flooding iteration: every row consumes the previous posteriors."""
+def _scalar_flood(ws: ScalarWorkspace, l_b: np.ndarray, cfg: DecodeConfig) -> None:
+    """One flooding iteration: every row consumes the previous posteriors.
+
+    `l_b` holds the channel values, the workspace's posteriors before the
+    first iteration.
+    """
     dtype = ws.l_v.dtype
     new_msgs = np.empty_like(ws.messages)
     for cols, _, e0, idx in ws.row_gather:
         w = len(cols)
         with np.errstate(over="ignore"):
             lvc = _clamp(ws.l_v[:, cols[:, None], idx] - ws.messages[:, e0:e0 + w, :], dtype)
-        new_msgs[:, e0:e0 + w] = _minsum(lvc, cfg.beta, cfg.alpha)
+        new_msgs[:, e0:e0 + w] = _minsum(lvc, cfg.beta)
     ws.messages = new_msgs
     # Variable update: L_v = L_b + sum of incoming messages, widened then
     # saturated once per iteration.
-    acc = ws.l_b.astype(np.int64 if np.issubdtype(dtype, np.integer) else np.float64)
+    acc = l_b.astype(np.int64 if np.issubdtype(dtype, np.integer) else np.float64)
     for cols, shifts, e0, _ in ws.row_gather:
         for j, (c, s) in enumerate(zip(cols, shifts)):
             acc[:, c, :] += np.roll(ws.messages[:, e0 + j, :], s, axis=-1)
@@ -421,7 +404,7 @@ def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig) -> 
     return ws
 
 
-def _run_schedule(llrs, bg, cfg, step) -> DecodeResult:
+def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     """Run `step` until every codeword has settled; settled outputs freeze.
 
     A codeword settles at the first iteration whose hard decision satisfies
@@ -430,7 +413,6 @@ def _run_schedule(llrs, bg, cfg, step) -> DecodeResult:
     once, at max_iter. Every iteration's syndrome weights and margins go
     into the result's traces.
     """
-    ws = init_workspace(llrs, bg, cfg)
     batch = ws.lanes
     bits = np.zeros((batch, bg.k_b * bg.z), dtype=np.uint8)
     iterations = np.zeros(batch, dtype=np.int64)
@@ -476,11 +458,14 @@ def decode(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
     termination is checked after every full iteration. The result records
     every iteration's syndrome weight and min |L_v| per codeword.
     """
-    return _run_schedule(llrs, bg, cfg, lambda ws: layered_iteration(ws, bg, cfg))
+    ws = init_workspace(llrs, bg, cfg)
+    return _run_schedule(ws, bg, cfg, lambda ws: layered_iteration(ws, bg, cfg))
 
 
 def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
     """Flooding-schedule decode: all rows consume the previous iteration."""
     if cfg.rho == 4:
         raise ValueError("flooding decoding runs on the scalar path (rho < 4)")
-    return _run_schedule(llrs, bg, cfg, lambda ws: _scalar_flood(ws, cfg))
+    ws = init_workspace(llrs, bg, cfg)
+    l_b = ws.l_v.copy()
+    return _run_schedule(ws, bg, cfg, lambda ws: _scalar_flood(ws, l_b, cfg))

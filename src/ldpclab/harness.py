@@ -318,7 +318,7 @@ def run_latency_bench(
 
 
 BENCH_COLUMNS = [
-    "precision", "rho", "strategy", "alpha", "batch", "iterations",
+    "precision", "rho", "batch", "iterations",
     "latency_per_cw_min_s", "latency_per_cw_median_s", "latency_per_cw_p99_s",
     "latency_per_iter_median_s", "throughput_cbps",
 ]
@@ -326,8 +326,7 @@ BENCH_COLUMNS = [
 
 def bench_to_csv_row(cfg: DecodeConfig, stats: LatencyStats) -> str:
     return ",".join([
-        cfg.precision.value, str(cfg.rho), cfg.strategy.value, str(cfg.alpha),
-        str(stats.batch), str(stats.iterations),
+        cfg.precision.value, str(cfg.rho), str(stats.batch), str(stats.iterations),
         f"{stats.per_codeword_s['min']:.6g}",
         f"{stats.per_codeword_s['median']:.6g}",
         f"{stats.per_codeword_s['p99']:.6g}",

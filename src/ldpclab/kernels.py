@@ -240,6 +240,10 @@ def acc_merge(x: Accumulator, y: Accumulator) -> Accumulator:
 def tree_reduce(partials) -> list:
     """Butterfly-merge alpha partials in log2(alpha) rounds.
 
+    The paper's low-latency merge of alpha strided column partitions
+    (`planner.Strategy.LOW_LATENCY`). The decoder folds each row in order,
+    which gives the same (m1, m2, signs); this stays as the tested reference
+    of that merge, and perfbench's tracing times it with `acc_merge`.
     Every output slot holds the identical fully merged value; the merge
     order is the fixed binary tree, so results are deterministic.
     """

@@ -5,9 +5,9 @@ and cooperation-width selection for a parameterized accelerator budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from ldpclab.basegraph import BaseGraph
-from ldpclab.decoder import Strategy
 
 # Resident workers needed to hide arithmetic latency on the newer
 # architectures; exposed as configuration, not hard-coded policy.
@@ -15,6 +15,18 @@ DEFAULT_WORKER_BUDGET = 128
 
 # Local (shared) memory budget the posterior block should fit into.
 DEFAULT_LOCAL_BYTES = 64 * 1024
+
+
+class Strategy(str, Enum):
+    """The paper's two layouts of a codeword's row work: high throughput puts
+    Z/rho workers on it, each scanning a row in order; low latency puts
+    (alpha/rho)Z on it, folding alpha strided column partitions and merging
+    them with `kernels.tree_reduce`. Both give the same (m1, m2, signs), so
+    the decoder runs the in-order fold; only the worker count differs here.
+    """
+
+    HIGH_THROUGHPUT = "high_throughput"
+    LOW_LATENCY = "low_latency"
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,23 @@ def test_bench_emits_metric_schema(tmp_path, capsys):
     assert rows[1].startswith("f16,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["decode", "--in", "x", "--out", "y", "--strategy", "low_latency"],
+    ["decode", "--in", "x", "--out", "y", "--alpha", "4"],
+    ["simulate", "--snr-start", "1", "--snr-stop", "2", "--snr-step", "1", "--out", "y",
+     "--strategy", "low_latency"],
+    ["simulate", "--snr-start", "1", "--snr-stop", "2", "--snr-step", "1", "--out", "y",
+     "--alpha", "4"],
+    ["bench", "--strategies", "low_latency"],
+    ["bench", "--alpha", "4"],
+])
+def test_removed_strategy_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch([argv[0], "--bg", "2", "--z", "16", *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unreadable_input_file(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "encode", "--bg", "2", "--z", "16",

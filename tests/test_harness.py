@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldpclab.channel import QuantConfig
-from ldpclab.decoder import DecodeConfig, Precision, Strategy
+from ldpclab.decoder import DecodeConfig, Precision
 from ldpclab.harness import (
     LatencyStats,
     run_bler_sweep,
@@ -130,8 +130,7 @@ def test_csv_emission_and_determinism(bg2_z16):
 
 
 def test_latency_bench_schema(bg2_z16):
-    cfg = DecodeConfig(precision=Precision.INT8,
-                       strategy=Strategy.LOW_LATENCY, alpha=4)
+    cfg = DecodeConfig(precision=Precision.INT8)
     stats = run_latency_bench(bg2_z16, 16, cfg, batch=2, repetitions=8,
                               iterations=5, warmup=2, seed=13)
     assert isinstance(stats, LatencyStats)
@@ -250,8 +249,10 @@ def test_config_hash_covers_crc_and_quantizer(bg2_z16):
     int8 = DecodeConfig(max_iter=4)
     assert sweep_hash(int8, QuantConfig("int8", scale=4.0)) != \
         sweep_hash(int8, QuantConfig("int8"))
-    # one partition is one configuration, however it is spelled
-    same = [DecodeConfig(max_iter=4), DecodeConfig(alpha=1, max_iter=4),
-            DecodeConfig(strategy="low_latency", alpha=1, max_iter=4)]
-    assert same[0] == same[1] == same[2]
+    # one configuration, however its enums are spelled
+    same = [DecodeConfig(max_iter=4),
+            DecodeConfig(precision="int8", early_stop="syndrome", max_iter=4)]
+    assert same[0] == same[1]
     assert len({sweep_hash(cfg) for cfg in same}) == 1
+    meta = run_bler_sweep(bg2_z16, 16, 42, same[0], [math.inf], **kw).metadata
+    assert not {"strategy", "alpha"} & set(meta)          # the decoder has no such knob

@@ -8,12 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ldpclab import codec, harness, native
+from ldpclab import codec, decoder, harness, native
 from ldpclab.decoder import (
     DecodeConfig,
     EarlyStop,
     ScalarWorkspace,
-    Strategy,
     decode,
     decode_flooding,
     init_workspace,
@@ -24,7 +23,6 @@ from tests.conftest import get_graph, make_noisy_blocks
 from tests.oracles import syndrome_dense
 
 CODES = [("BG2", 16, 42), ("BG2", 52, 42), ("BG1", 384, 46)]
-STRATEGIES = [DecodeConfig(), DecodeConfig(strategy=Strategy.LOW_LATENCY, alpha=4)]
 SNRS_DB = [1.0, 2.5, 8.0, 10.0]          # 8 and 10 dB saturate int8 posteriors
 
 
@@ -60,20 +58,19 @@ def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, pr
     ran = []
     run = native.run_iteration
     monkeypatch.setattr(native, "run_iteration", lambda *a: ran.append(run(*a)) or ran[-1])
-    for cfg in STRATEGIES:
-        cfg = DecodeConfig(precision=precision, strategy=cfg.strategy, alpha=cfg.alpha)
-        for i, ebn0 in enumerate(SNRS_DB):
-            _, blocks = make_noisy_blocks(bg, rows, ebn0, 3 if z < 384 else 2,
-                                          seed=20 + i, mode=precision)
-            fast = init_workspace(blocks, bg, cfg)
-            oracle = init_workspace(blocks, bg, cfg)
-            for it in range(8):
-                layered_iteration(fast, bg, cfg)
-                for r in range(oracle.rows_used):
-                    oracle.layer(r, cfg)
-                where = f"{cfg.strategy.value} {ebn0} dB iteration {it + 1}"
-                assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), where
-                assert np.array_equal(_bits(fast.messages), _bits(oracle.messages)), where
+    cfg = DecodeConfig(precision=precision)
+    for i, ebn0 in enumerate(SNRS_DB):
+        _, blocks = make_noisy_blocks(bg, rows, ebn0, 3 if z < 384 else 2,
+                                      seed=20 + i, mode=precision)
+        fast = init_workspace(blocks, bg, cfg)
+        oracle = init_workspace(blocks, bg, cfg)
+        for it in range(8):
+            layered_iteration(fast, bg, cfg)
+            for r in range(oracle.rows_used):
+                oracle.layer(r, cfg)
+            where = f"{ebn0} dB iteration {it + 1}"
+            assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), where
+            assert np.array_equal(_bits(fast.messages), _bits(oracle.messages)), where
     assert ran and all(ran)               # every pass above ran the kernel
 
 
@@ -94,12 +91,10 @@ def test_decode_equals_decode_without_kernel(kernel, monkeypatch, precision):
     bg = get_graph("BG2", 52)
     cases = []
     for early in EarlyStop:
-        for cfg in STRATEGIES:
-            cfg = DecodeConfig(precision=precision, strategy=cfg.strategy, alpha=cfg.alpha,
-                               early_stop=early, max_iter=10)
-            for i, ebn0 in enumerate(SNRS_DB):
-                _, blocks = make_noisy_blocks(bg, 42, ebn0, 6, seed=40 + i, mode=precision)
-                cases.append((blocks, cfg))
+        cfg = DecodeConfig(precision=precision, early_stop=early, max_iter=10)
+        for i, ebn0 in enumerate(SNRS_DB):
+            _, blocks = make_noisy_blocks(bg, 42, ebn0, 6, seed=40 + i, mode=precision)
+            cases.append((blocks, cfg))
     with monkeypatch.context() as m:
         # neither numpy path may run while the kernel serves this engine
         m.setattr(ScalarWorkspace, "layer", None)
@@ -113,6 +108,22 @@ def test_decode_equals_decode_without_kernel(kernel, monkeypatch, precision):
     for (blocks, cfg), got in zip(cases, fast):
         assert _same(got, _decode_digest(blocks, bg, cfg)), cfg
     assert numpy_syndromes
+
+
+@pytest.mark.parametrize("precision", ["int8", "f32"])
+def test_compiled_decode_builds_no_row_gather(kernel, monkeypatch, precision):
+    """The gather tables serve the numpy rows alone: the kernel never reads them."""
+    bg = get_graph("BG2", 52)
+    msgs, blocks = make_noisy_blocks(bg, 42, 3.0, 4, seed=5, mode=precision)
+
+    def unused(*args):
+        raise AssertionError("the numpy gather tables were built")
+
+    monkeypatch.setattr(decoder, "_build_row_gather", unused)
+    res = decode(blocks, bg, DecodeConfig(precision=precision))
+    assert res.success.all() and np.array_equal(res.bits, msgs)
+    with pytest.raises(AssertionError, match="gather tables"):      # f16 runs numpy rows
+        decode(blocks.astype(np.float16), bg, DecodeConfig(precision="f16"))
 
 
 def test_loader_builds_once_then_reuses_the_cached_file(kernel, fresh_loader, monkeypatch):

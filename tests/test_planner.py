@@ -1,7 +1,6 @@
 import pytest
 
-from ldpclab.decoder import Strategy
-from ldpclab.planner import choose_alpha, make_plan, memory_footprint, thread_count
+from ldpclab.planner import Strategy, choose_alpha, make_plan, memory_footprint, thread_count
 from tests.conftest import get_graph
 
 
