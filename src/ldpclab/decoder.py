@@ -10,8 +10,9 @@ each behind its own workspace type:
 * PackedWorkspace: rho=4 codeword lanes per 32-bit word on the
   sign-magnitude SWAR kernels, kept to verify the scalar engine.
 
-Both reduce a check row through one driver: an in-order fold of the row's
-edges through `kernels.acc_merge`, in the arithmetic domain of the engine.
+The scalar engine reduces a check row to (m1, m2, argmin, sign parity) with
+whole-array numpy over the edge axis, as the compiled kernel does per edge;
+the packed engine folds the row's edges in order through `kernels.acc_merge`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,8 @@ import numpy as np
 
 from ldpclab import kernels, native
 from ldpclab.basegraph import BaseGraph
-from ldpclab.channel import F32_MAX
+from ldpclab.channel import F16_MAX, F32_MAX, INT8_MAX
 from ldpclab.codec import CRC_POLYS, _syndrome_weights, crc_check
-
-INT8_SAT = 127
-F16_SAT = np.float16(65504.0)
 
 
 class Precision(str, Enum):
@@ -101,11 +99,12 @@ def _saturation(dtype):
     """Largest magnitude a decoder value of `dtype` holds.
 
     The widened int8 engine stays within +/-127, f16 within its largest
-    finite value; f32 is unbounded (inf). It is also the reduce identity.
+    finite value; f32 is unbounded (inf). The row reduce saturates its
+    magnitudes here.
     """
     if np.issubdtype(dtype, np.integer):
-        return dtype.type(INT8_SAT)
-    return F16_SAT if dtype == np.float16 else dtype.type(np.inf)
+        return dtype.type(INT8_MAX)
+    return np.float16(F16_MAX) if dtype == np.float16 else dtype.type(np.inf)
 
 
 def _clamp(x: np.ndarray, dtype) -> np.ndarray:
@@ -114,42 +113,27 @@ def _clamp(x: np.ndarray, dtype) -> np.ndarray:
     return x if np.isinf(sat) else np.clip(x, -sat, sat, out=x)
 
 
-def _reduce(identity, edge_acc, w: int):
-    """Fold edges 0..w-1 of a check row, in order, into one accumulator.
-
-    `identity` and `edge_acc(j)` come from one arithmetic domain in
-    `kernels`.
-    """
-    acc = identity
-    for j in range(w):
-        acc = kernels.acc_merge(acc, edge_acc(j))
-    return acc
-
-
 def _minsum(lvc: np.ndarray, beta: float) -> np.ndarray:
     """Min-sum messages for the edges on axis 1 of `lvc`, (B, w, Z) or (N, w).
 
     Saturation and the beta rule follow the dtype: integers scale by
-    floor(beta * magnitude), floats in their own dtype.
+    `kernels.beta_lut`, floats in their own dtype. The tag is the first
+    argmin; where every edge saturates, m1 == m2 and the tag does not matter.
     """
     dtype = lvc.dtype
-    sat = _saturation(dtype)
-    mags = np.abs(lvc)
+    mags = np.minimum(np.abs(lvc), _saturation(dtype))
     signs = lvc < 0
-    acc = _reduce(kernels.value_identity(sat),
-                  lambda j: kernels.value_edge_acc(mags[:, j], signs[:, j], j, sat),
-                  lvc.shape[1])
+    part = np.partition(mags, 1, axis=1)
+    m1, m2 = part[:, :1], part[:, 1:2]
     if np.issubdtype(dtype, np.integer):
-        b1 = np.floor(beta * acc.m1).astype(dtype)
-        b2 = np.floor(beta * acc.m2).astype(dtype)
+        lut = kernels.beta_lut(beta)
+        b1, b2 = lut[m1], lut[m2]
     else:
-        b1 = dtype.type(beta) * acc.m1
-        b2 = dtype.type(beta) * acc.m2
-    out = np.empty_like(lvc)
-    for j in range(lvc.shape[1]):
-        mag = np.where(acc.tag == j, b2, b1)
-        out[:, j] = np.where(acc.s_vc ^ signs[:, j], -mag, mag)
-    return out
+        b1, b2 = dtype.type(beta) * m1, dtype.type(beta) * m2
+    edge = np.arange(lvc.shape[1]).reshape((-1,) + (1,) * (lvc.ndim - 2))
+    mag = np.where(np.argmin(mags, axis=1)[:, None] == edge, b2, b1)
+    parity = np.bitwise_xor.reduce(signs, axis=1, keepdims=True)
+    return np.where(parity ^ signs, -mag, mag)
 
 
 def check_node_minsum(inputs, beta: float = 0.75) -> np.ndarray:
@@ -157,14 +141,21 @@ def check_node_minsum(inputs, beta: float = 0.75) -> np.ndarray:
 
     Edge i receives beta-scaled m2 if it contributed the minimum, m1
     otherwise, with the product of the other edges' signs. Integer inputs
-    use the fixed-point rule floor(beta * magnitude); float inputs scale in
-    their own dtype.
+    use the fixed-point rule floor(beta * magnitude) and must lie within
+    +/-127, as the decoder's; float inputs scale in their own dtype and must
+    not be NaN. beta lies in (0, 1], as in `DecodeConfig`.
     """
     arr = np.asarray(inputs)
     w = arr.shape[-1]
     if w < 2:
         raise ValueError("a check row needs at least two edges")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must be in (0, 1]")
     integer = np.issubdtype(arr.dtype, np.integer)
+    if integer and ((arr < -INT8_MAX) | (arr > INT8_MAX)).any():
+        raise ValueError(f"integer check-node inputs must be within +/-{INT8_MAX}")
+    if not integer and np.isnan(arr).any():
+        raise ValueError("check-node inputs must not be NaN")
     work = (arr.astype(np.int32) if integer else arr).reshape(-1, w)
     out = _minsum(work, beta).reshape(arr.shape)
     return out.astype(arr.dtype) if integer else out
@@ -256,11 +247,6 @@ class ScalarWorkspace(DecodeWorkspace):
             self.l_v[:, cols[:, None], idx] = upd
 
 
-def _beta_lut(beta: float) -> np.ndarray:
-    lut = np.floor(beta * np.arange(256)).astype(np.uint32)
-    return np.minimum(lut, 255)
-
-
 @dataclass
 class PackedWorkspace(DecodeWorkspace):
     """Sign-magnitude words over (n_blocks, Z, G) and (E, Z, G).
@@ -286,10 +272,10 @@ class PackedWorkspace(DecodeWorkspace):
                                  self.messages.sign[e0:e0 + w])
         raw = kernels.add(lv, kernels.negate(msg))      # |raw| <= 254 fits a lane
         lvc = kernels.saturate(raw)
-        acc = _reduce(kernels.packed_identity(),
-                      lambda j: kernels.packed_edge_acc(lvc.mag[j], lvc.sign[j], j),
-                      w)
-        lut = _beta_lut(cfg.beta)
+        acc = kernels.packed_identity()
+        for j in range(w):
+            acc = kernels.acc_merge(acc, kernels.packed_edge_acc(lvc.mag[j], lvc.sign[j], j))
+        lut = kernels.beta_lut(cfg.beta)
         b1 = kernels.apply_lut_u8(acc.m1, lut)
         b2 = kernels.apply_lut_u8(acc.m2, lut)
         # all per-edge selects are elementwise: run them on the (w, Z, G) block
@@ -339,7 +325,7 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     batch = arr.shape[0]
     if batch == 0:
         raise ValueError("a batch needs at least one codeword")
-    dtype, bound = {Precision.INT8: (np.int32, INT8_SAT), Precision.F16: (np.float16, F16_SAT),
+    dtype, bound = {Precision.INT8: (np.int32, INT8_MAX), Precision.F16: (np.float16, F16_MAX),
                     Precision.F32: (np.float32, F32_MAX)}[cfg.precision]
     # the largest value `quantize` emits; an f32 posterior past it can
     # overflow to inf and NaN, which the syndrome reads as a hard 0. Integers

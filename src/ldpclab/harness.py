@@ -149,6 +149,10 @@ def run_bler_sweep(
         raise ValueError("SNR grid must be non-empty")
     if target_block_errors <= 0 or max_codewords <= 0:
         raise ValueError("stopping rule must be positive")
+    if batch < 1 or workers < 1:
+        raise ValueError("batch and workers must be at least 1")
+    if keep_failures < 0:
+        raise ValueError("keep_failures must not be negative")
     params = code_params(bg, z, rows_used)
     quant = quant or QuantConfig(mode=cfg.precision.value)
     if quant.mode != cfg.precision.value:
@@ -174,7 +178,7 @@ def run_bler_sweep(
                 # to the batch that meets the stopping rule; batches launched
                 # past it are dropped.
                 jobs = []
-                while len(jobs) < max(1, workers) and launched < max_codewords:
+                while len(jobs) < workers and launched < max_codewords:
                     want = min(batch, max_codewords - launched)
                     jobs.append((bg, rows_used, cfg, quant, sigma, want,
                                  (seed, p_idx, b_idx), keep_failures))

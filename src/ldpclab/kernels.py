@@ -8,19 +8,17 @@ A packed word holds rho=4 unsigned 8-bit magnitude lanes, lane l at bits
 it sums same-sign lanes only, so no lane carries into the next.
 
 All functions are pure and operate elementwise on numpy uint32 arrays of any
-shape, mirroring a warp of independent SIMD words. The reduction also has a
-scalar-domain accumulator over plain numpy values, so both decoder engines
-share one merge algebra.
+shape, mirroring a warp of independent SIMD words. `beta_lut` holds the
+fixed-point beta rule that every integer min-sum reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-U8_SAT = 127
+from ldpclab.channel import INT8_MAX
 
 _B0 = np.uint32(0x00FF00FF)      # even-lane byte fields
 _HI = np.uint32(0x01000100)      # borrow-guard bit per 16-bit field
@@ -91,7 +89,7 @@ class PackedWord:
 def pack_values(values) -> PackedWord:
     """PackedWord from (..., 4) signed lane values in [-127, 127]."""
     v = np.asarray(values, dtype=np.int32)
-    if np.abs(v).max(initial=0) > U8_SAT:
+    if np.abs(v).max(initial=0) > INT8_MAX:
         raise ValueError("lane magnitude exceeds saturation")
     mag = pack_u8(np.abs(v).astype(np.uint8))
     sign = pack_u8(np.where(v < 0, 0xFF, 0).astype(np.uint8))
@@ -153,6 +151,15 @@ def apply_lut_u8(words, lut) -> np.ndarray:
     return out
 
 
+def beta_lut(beta: float) -> np.ndarray:
+    """The fixed-point beta rule floor(beta * m) for m = 0..255, as int32.
+
+    One table serves every integer min-sum: the scalar engine's numpy rows,
+    the packed lanes (`apply_lut_u8`) and the compiled kernel (m <= 127).
+    """
+    return np.floor(beta * np.arange(256)).astype(np.int32)
+
+
 @dataclass
 class PackedAccumulator:
     """Per-lane (m1, m2, message sign, argmin tag) words."""
@@ -190,46 +197,7 @@ def packed_edge_acc(mag, sign, edge_index: int) -> PackedAccumulator:
                              tag=np.uint32(edge_index) * _ONES)
 
 
-@dataclass
-class ValueAccumulator:
-    """Scalar-domain accumulator over plain numpy arrays.
-
-    Signs are boolean (True = negative) so products become xor; tags are the
-    contributing edge index, -1 for the identity.
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-    s_vc: np.ndarray
-    tag: np.ndarray
-
-    def merge(self, other: "ValueAccumulator") -> "ValueAccumulator":
-        y_wins = other.m1 < self.m1
-        m1 = np.where(y_wins, other.m1, self.m1)
-        loser = np.where(y_wins, self.m1, other.m1)
-        m2 = np.minimum(loser, np.minimum(self.m2, other.m2))
-        return ValueAccumulator(
-            m1=m1,
-            m2=m2,
-            s_vc=self.s_vc ^ other.s_vc,
-            tag=np.where(y_wins, other.tag, self.tag),
-        )
-
-
-def value_identity(sat) -> ValueAccumulator:
-    """Merge identity with scalar fields; `sat` carries the value dtype."""
-    return ValueAccumulator(m1=sat, m2=sat, s_vc=False, tag=-1)
-
-
-def value_edge_acc(mag, sign, edge_index: int, sat) -> ValueAccumulator:
-    """Single-edge accumulator; keeps the given magnitude and sign arrays."""
-    return ValueAccumulator(m1=mag, m2=sat, s_vc=sign, tag=edge_index)
-
-
-Accumulator = Union[PackedAccumulator, ValueAccumulator]
-
-
-def acc_merge(x: Accumulator, y: Accumulator) -> Accumulator:
+def acc_merge(x: PackedAccumulator, y: PackedAccumulator) -> PackedAccumulator:
     """Associative merge; on m1 ties the x (lower-partition) tag survives.
 
     Outputs are new arrays; the inputs are never written.
@@ -237,13 +205,13 @@ def acc_merge(x: Accumulator, y: Accumulator) -> Accumulator:
     return x.merge(y)
 
 
-def tree_reduce(partials) -> list:
+def tree_reduce(partials: list[PackedAccumulator]) -> list[PackedAccumulator]:
     """Butterfly-merge alpha partials in log2(alpha) rounds.
 
     The paper's low-latency merge of alpha strided column partitions
-    (`planner.Strategy.LOW_LATENCY`). The decoder folds each row in order,
-    which gives the same (m1, m2, signs); this stays as the tested reference
-    of that merge, and perfbench's tracing times it with `acc_merge`.
+    (`planner.Strategy.LOW_LATENCY`). The packed engine folds each row in
+    order, which gives the same (m1, m2, signs); this stays as the tested
+    reference of that merge, and perfbench's tracing times it with `acc_merge`.
     Every output slot holds the identical fully merged value; the merge
     order is the fixed binary tree, so results are deterministic.
     """

@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ldpclab import kernels
+
 SOURCE = Path(__file__).with_name("_layer.c")
 # -ffp-contract=off and no -ffast-math: f32 must round as numpy does
 COMMAND = ("gcc", "-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared",
@@ -189,8 +191,8 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
     not apply or is unavailable.
     """
     if l_v.dtype == np.int32:
-        # floor(beta * m) for the int8 magnitudes m = 0..127, as the numpy rows
-        lut = np.floor(beta * np.arange(128)).astype(np.int32)
+        # the beta rule for the int8 magnitudes m = 0..127, as the numpy rows
+        lut = kernels.beta_lut(beta)[:128]
         name, scale = "layer_iteration_i32", lut.ctypes.data
     elif l_v.dtype == np.float32:
         name, scale = "layer_iteration_f32", float(np.float32(beta))

@@ -22,7 +22,7 @@ class Strategy(str, Enum):
     Z/rho workers on it, each scanning a row in order; low latency puts
     (alpha/rho)Z on it, folding alpha strided column partitions and merging
     them with `kernels.tree_reduce`. Both give the same (m1, m2, signs), so
-    the decoder runs the in-order fold; only the worker count differs here.
+    the decoder reduces each whole row; only the worker count differs here.
     """
 
     HIGH_THROUGHPUT = "high_throughput"

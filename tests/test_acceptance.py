@@ -15,6 +15,7 @@ from ldpclab.codec import encode, puncture
 from ldpclab.decoder import (
     DecodeConfig,
     Precision,
+    check_node_minsum,
     decode,
     decode_flooding,
 )
@@ -27,12 +28,10 @@ from ldpclab.kernels import (
     packed_identity,
     tree_reduce,
     unpack_u8,
-    value_edge_acc,
-    value_identity,
 )
 from ldpclab.planner import Strategy, memory_footprint, thread_count
 from tests.conftest import get_graph, make_noisy_blocks
-from tests.oracles import encode_by_elimination
+from tests.oracles import encode_by_elimination, minsum_row_reference
 
 
 def _report(n: int, text: str) -> None:
@@ -77,7 +76,7 @@ def test_criterion_2_encoder_oracle_equivalence():
 
 
 def test_criterion_3_kernel_exactness():
-    """ord_vec exhaustive; reductions vs sorted two-smallest scan."""
+    """ord_vec exhaustive; the check-node reduce vs the sorted two-smallest scan."""
     a_lane, b_lane = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
     a = pack_u8(a_lane.reshape(-1, 4).astype(np.uint8))
     b = pack_u8(b_lane.reshape(-1, 4).astype(np.uint8))
@@ -88,28 +87,13 @@ def test_criterion_3_kernel_exactness():
                           np.maximum(a_lane.reshape(-1, 4), b_lane.reshape(-1, 4)))
 
     rng = np.random.default_rng(303)
-    n_rows = 10_000
-    for alpha in (2, 4, 8, 16):
-        w = 19
-        mags = rng.integers(0, 127, size=(n_rows, w))
-        signs = rng.integers(0, 2, size=(n_rows, w), dtype=bool)
-
-        def fold(indices):
-            acc = value_identity(127)
-            for j in indices:
-                acc = acc_merge(acc, value_edge_acc(mags[:, j], signs[:, j], int(j), 127))
-            return acc
-
-        partials = [fold(range(p, w, alpha)) for p in range(alpha)]
-        merged = tree_reduce(partials)
-        part = np.partition(mags, 1, axis=1)
-        sign_ref = signs.sum(axis=1) % 2 == 1
-        for slot in merged:
-            assert np.array_equal(slot.m1, part[:, 0])
-            assert np.array_equal(slot.m2, part[:, 1])
-            assert np.array_equal(slot.s_vc, sign_ref)
-    _report(3, "ord_vec exhaustive over 2^16 lane pairs; acc_merge/tree_reduce "
-               "match the two-smallest scan on 10^4 rows per alpha in {2,4,8,16}")
+    n_rows, w = 10_000, 19
+    rows = rng.integers(-127, 128, size=(n_rows, w)).astype(np.int8)
+    got = check_node_minsum(rows, beta=0.75)
+    for row, out in zip(rows, got):
+        assert np.array_equal(out, minsum_row_reference(row, 0.75, integer=True))
+    _report(3, "ord_vec exhaustive over 2^16 lane pairs; check_node_minsum matches "
+               f"the two-smallest scan on {n_rows} {w}-edge int8 rows")
 
 
 def test_criterion_4_strategy_invariance():

@@ -39,6 +39,17 @@ def test_simulate_rejects_zero_step(tmp_path, capsys):
     assert "snr-step" in err
 
 
+def test_simulate_rejects_zero_workers(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--bg", "2", "--z", "16",
+        "--snr-start", "1", "--snr-stop", "2", "--snr-step", "1", "--workers", "0",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert "workers" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_encode_decode_roundtrip(tmp_path, capsys):
     z = 16
     bg = load_basegraph("BG2", z)

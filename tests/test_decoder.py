@@ -56,6 +56,26 @@ def test_minsum_matches_sorted_reference():
         got = check_node_minsum(row, beta=0.75)
         ref = minsum_row_reference(row, 0.75, integer=False)
         assert np.allclose(got, ref, rtol=1e-6)
+    # f16 rounds the one product beta * m, as the float64 reference does once
+    # it is cast; rows drawn from a few values give ties, zeros and rows whose
+    # every magnitude saturates, where only m1 == m2 keeps the tag rule moot
+    for dtype, sat in ((np.float16, 65504.0), (np.int32, 127)):
+        integer = np.issubdtype(dtype, np.integer)
+        pools = ([0, 1, -1, 3, -3], [sat, -sat], [0, 2, -2, sat, -sat])
+        for i in range(300):
+            w = int(rng.integers(2, 20))
+            if i < 100 and not integer:
+                row = rng.normal(0, 5, w).astype(dtype)
+            else:
+                row = rng.choice(pools[i % 3], w).astype(dtype)
+            got = check_node_minsum(row, beta=0.75)
+            ref = minsum_row_reference(row, 0.75, integer=integer)
+            assert got.dtype == dtype
+            assert np.array_equal(got, ref.astype(dtype))
+    # f16 +/-inf saturates at the largest finite value
+    row = np.array([np.inf, -np.inf, 2.0, np.inf], dtype=np.float16)
+    ref = minsum_row_reference(np.clip(row, -65504, 65504), 0.75, integer=False)
+    assert np.array_equal(check_node_minsum(row, beta=0.75), ref.astype(np.float16))
 
 
 def test_exact_degree_two_passes_through():
@@ -95,6 +115,22 @@ def test_check_node_needs_two_edges():
         check_node_minsum(np.array([1.0]))
     with pytest.raises(ValueError):
         check_node_exact(np.array([1.0]))
+
+
+def test_check_node_rejects_bad_inputs():
+    # these passed through: NaN spread into every other edge's output,
+    # int32 magnitudes above 127 saturated at 127 without a word, and a
+    # negative beta flipped every message's sign
+    with pytest.raises(ValueError, match="beta"):
+        check_node_minsum(np.array([16, -24, 40]), beta=-0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        check_node_minsum(np.array([[-2.0, 3.0, np.nan], [np.nan, 1.0, 1.0]]))
+    for row in (np.array([300, -400, 500], dtype=np.int32), np.array([-128, 5], dtype=np.int8),
+                np.array([200, 5], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="127"):
+            check_node_minsum(row, beta=0.75)
+    edge = np.array([127, -127, 5], dtype=np.int8)
+    assert check_node_minsum(edge, beta=0.75).tolist() == [-3, 3, -95]
 
 
 # --- workspace / iteration mechanics ----------------------------------------

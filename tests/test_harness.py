@@ -101,6 +101,17 @@ def test_sweep_validation(bg2_z16):
                        target_block_errors=0, max_codewords=1)
 
 
+@pytest.mark.parametrize("knob", [dict(batch=0), dict(batch=-4), dict(workers=0),
+                                  dict(workers=-2), dict(keep_failures=-1)])
+def test_sweep_rejects_nonsense_batch_workers_and_samples(bg2_z16, knob):
+    # before any batch runs: a zero or negative batch failed deep in the
+    # decoder or numpy, workers < 1 ran one worker, keep_failures=-1 dropped
+    # the last failed sample
+    with pytest.raises(ValueError, match="batch and workers|keep_failures"):
+        run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [1.0],
+                       target_block_errors=1, max_codewords=4, **knob)
+
+
 def test_wilson_interval_values():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from ldpclab.kernels import (
     PackedAccumulator,
     PackedWord,
-    ValueAccumulator,
     acc_merge,
     add,
     apply_lut_u8,
+    beta_lut,
     ord_vec,
     pack_u8,
     pack_values,
@@ -19,8 +19,6 @@ from ldpclab.kernels import (
     sat_sub,
     tree_reduce,
     unpack_u8,
-    value_edge_acc,
-    value_identity,
     vcmplt_u8,
 )
 from tests.oracles import two_smallest
@@ -117,138 +115,152 @@ def test_canonical_zero_sign():
     assert not unpack_u8(out.sign).any()   # -0 never stored
 
 
-def _value_acc(m1, m2, neg):
-    return ValueAccumulator(
-        m1=np.array([m1]), m2=np.array([m2]),
-        s_vc=np.array([neg]), tag=np.array([0]),
+def _packed_acc(m1, m2, neg, tag=0):
+    """Accumulator words from per-lane values; a scalar fills all four lanes."""
+    m1, m2, neg, tag, _ = np.broadcast_arrays(m1, m2, neg, tag, np.zeros((1, 4)))
+    return PackedAccumulator(
+        m1=pack_u8(m1.astype(np.uint8)), m2=pack_u8(m2.astype(np.uint8)),
+        s_vc=pack_u8(np.where(neg, 0xFF, 0).astype(np.uint8)),
+        tag=pack_u8(tag.astype(np.uint8)),
     )
 
 
+def _lanes(acc):
+    """(m1, m2, negative, tag) per lane, each of shape (..., 4)."""
+    return (unpack_u8(acc.m1).astype(np.int64), unpack_u8(acc.m2).astype(np.int64),
+            unpack_u8(acc.s_vc) != 0, unpack_u8(acc.tag).astype(np.int64))
+
+
 def test_acc_merge_example():
-    x = _value_acc(1, 3, False)
-    y = _value_acc(2, 2, True)
-    z = acc_merge(x, y)
-    assert (z.m1[0], z.m2[0], bool(z.s_vc[0])) == (1, 2, True)
+    x = _packed_acc([1, 4, 0, 127], [3, 4, 9, 127], [False, True, False, True], tag=0)
+    y = _packed_acc([2, 3, 0, 5], [2, 8, 0, 6], [True, True, False, False], tag=1)
+    before = [f.copy() for acc in (x, y) for f in _lanes(acc)]
+    m1, m2, neg, tag = _lanes(acc_merge(x, y))
+    assert m1.tolist() == [[1, 3, 0, 5]]
+    assert m2.tolist() == [[2, 4, 0, 6]]
+    assert neg.tolist() == [[True, False, False, True]]
+    assert tag.tolist() == [[0, 1, 0, 1]]          # an m1 tie keeps x's tag
     # edge accumulators are views into the decoder's arrays: never written
-    assert (x.m1[0], x.m2[0], bool(x.s_vc[0])) == (1, 3, False)
-    assert (y.m1[0], y.m2[0], bool(y.s_vc[0])) == (2, 2, True)
+    after = [f for acc in (x, y) for f in _lanes(acc)]
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
 
 def test_acc_merge_identity_element():
-    x = _value_acc(7, 9, True)
-    z = acc_merge(x, value_identity(127))
-    assert (z.m1[0], z.m2[0], bool(z.s_vc[0]), z.tag[0]) == (7, 9, True, 0)
+    x = _packed_acc([7, 0, 127, 3], [9, 0, 127, 3], [True, False, True, False], tag=2)
+    want = _lanes(x)
+    for got in (_lanes(acc_merge(x, packed_identity())), _lanes(acc_merge(packed_identity(), x))):
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w)
+    assert np.array_equal(_lanes(acc_merge(x, packed_identity()))[3], want[3])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 127), min_size=2, max_size=12))
-def test_acc_merge_matches_two_smallest_scan(mags):
-    vals = np.array(mags)
-    acc = value_identity(127)
-    for j, m in enumerate(vals):
-        acc = acc_merge(acc, value_edge_acc(np.array([m]), np.array([False]), j, 127))
-    m1, m2, arg = two_smallest(vals)
-    assert acc.m1[0] == m1
-    assert acc.m2[0] == m2
-    if m1 < 127 and m1 != m2:
-        assert acc.tag[0] == arg       # unique minimum pins the tag
-    else:
-        assert acc.m1[0] == acc.m2[0]  # ties make outputs tag-independent
+@given(st.lists(lanes_sm, min_size=2, max_size=12))
+def test_acc_merge_matches_two_smallest_scan(rows):
+    vals = np.array(rows)                          # (w, 4) signed lane values
+    acc = packed_identity()
+    for j, v in enumerate(vals):
+        acc = acc_merge(acc, packed_edge_acc(pack_u8(np.abs(v).astype(np.uint8)),
+                                             pack_u8(np.where(v < 0, 0xFF, 0).astype(np.uint8)),
+                                             j))
+    m1, m2, neg, tag = _lanes(acc)
+    for lane in range(4):
+        r1, r2, arg = two_smallest(np.abs(vals[:, lane]))
+        assert (m1[lane], m2[lane]) == (r1, r2)
+        assert neg[lane] == ((vals[:, lane] < 0).sum() % 2 == 1)
+        if r1 < 127 and r1 != r2:
+            assert tag[lane] == arg        # unique minimum pins the tag
+        else:
+            assert m1[lane] == m2[lane]    # ties make outputs tag-independent
+
+
+def _random_accs(rng, count, n):
+    """`count` accumulators of n words, each lane a random m1 <= m2 pair."""
+    pairs = np.sort(rng.integers(0, 128, size=(count, 2, n, 4)), axis=1)
+    neg = rng.integers(0, 2, size=(count, n, 4), dtype=bool)
+    return [_packed_acc(pairs[i, 0], pairs[i, 1], neg[i], tag=i) for i in range(count)]
 
 
 def test_acc_merge_m1_le_m2_preserved():
-    rng = np.random.default_rng(47)
-    for _ in range(200):
-        a = _value_acc(*sorted(rng.integers(0, 128, 2)), bool(rng.integers(2)))
-        b = _value_acc(*sorted(rng.integers(0, 128, 2)), bool(rng.integers(2)))
-        z = acc_merge(a, b)
-        assert z.m1[0] <= z.m2[0]
+    a, b = _random_accs(np.random.default_rng(47), 2, 200)
+    m1, m2, _, _ = _lanes(acc_merge(a, b))
+    assert (m1 <= m2).all()
 
 
 def test_acc_merge_associative_commutative_values():
-    rng = np.random.default_rng(53)
-    for _ in range(500):
-        accs = [_value_acc(*sorted(rng.integers(0, 128, 2)), bool(rng.integers(2)))
-                for _ in range(3)]
-        ab_c = acc_merge(acc_merge(accs[0], accs[1]), accs[2])
-        a_bc = acc_merge(accs[0], acc_merge(accs[1], accs[2]))
-        ba_c = acc_merge(acc_merge(accs[1], accs[0]), accs[2])
-        for lhs, rhs in ((ab_c, a_bc), (ab_c, ba_c)):
-            assert lhs.m1[0] == rhs.m1[0]
-            assert lhs.m2[0] == rhs.m2[0]
-            assert lhs.s_vc[0] == rhs.s_vc[0]
-            # tags may differ only on m1 ties, where outputs coincide
-            if lhs.tag[0] != rhs.tag[0]:
-                assert lhs.m1[0] == lhs.m2[0]
+    accs = _random_accs(np.random.default_rng(53), 3, 500)
+    ab_c = _lanes(acc_merge(acc_merge(accs[0], accs[1]), accs[2]))
+    for other in (acc_merge(accs[0], acc_merge(accs[1], accs[2])),
+                  acc_merge(acc_merge(accs[1], accs[0]), accs[2])):
+        rhs = _lanes(other)
+        for lhs_f, rhs_f in zip(ab_c[:3], rhs[:3]):
+            assert np.array_equal(lhs_f, rhs_f)
+        # tags may differ only on m1 ties, where outputs coincide
+        differ = ab_c[3] != rhs[3]
+        assert np.array_equal(ab_c[0][differ], ab_c[1][differ])
 
 
 def test_tree_reduce_example():
-    partials = []
-    for m1 in (5, 2, 9, 2):
-        partials.append(_value_acc(m1, 127, False))
-    out = tree_reduce(partials)
-    assert all(o.m1[0] == 2 for o in out)
-    assert all(o.m2[0] == 2 for o in out)
+    out = tree_reduce([_packed_acc(m1, 127, False) for m1 in (5, 2, 9, 2)])
+    for o in out:
+        m1, m2, _, _ = _lanes(o)
+        assert (m1 == 2).all() and (m2 == 2).all()
 
 
 def test_tree_reduce_identical_partials_unchanged():
     # merge fixed points: partials equal to the identity, or with m1 == m2
     # and positive signs, pass through the butterfly unchanged
-    out = tree_reduce([value_identity(127), value_identity(127)])
-    for o in out:
-        assert (int(o.m1), int(o.m2), bool(o.s_vc)) == (127, 127, False)
-    out = tree_reduce([_value_acc(4, 4, False), _value_acc(4, 4, False)])
-    for o in out:
-        assert (o.m1[0], o.m2[0], bool(o.s_vc[0])) == (4, 4, False)
+    for o in tree_reduce([packed_identity(), packed_identity()]):
+        m1, m2, neg, _ = _lanes(o)
+        assert (m1 == 127).all() and (m2 == 127).all() and not neg.any()
+    for o in tree_reduce([_packed_acc(4, 4, False), _packed_acc(4, 4, False)]):
+        m1, m2, neg, _ = _lanes(o)
+        assert (m1 == 4).all() and (m2 == 4).all() and not neg.any()
     # disjoint-partition algebra: two partitions each holding a 4 pool to
     # (m1, m2) = (4, 4), per the merge post-condition
-    out = tree_reduce([_value_acc(4, 6, False), _value_acc(4, 6, False)])
-    for o in out:
-        assert (o.m1[0], o.m2[0]) == (4, 4)
+    for o in tree_reduce([_packed_acc(4, 6, False), _packed_acc(4, 6, False)]):
+        m1, m2, _, _ = _lanes(o)
+        assert (m1 == 4).all() and (m2 == 4).all()
 
 
 def test_tree_reduce_rejects_non_power_of_two():
     with pytest.raises(ValueError):
-        tree_reduce([_value_acc(1, 2, False)] * 3)
+        tree_reduce([_packed_acc(1, 2, False)] * 3)
 
 
 @pytest.mark.parametrize("alpha", [2, 4, 8, 16])
 def test_tree_reduce_equals_sequential_fold(alpha):
-    rng = np.random.default_rng(59)
-    for _ in range(200):
-        partials = [
-            _value_acc(*sorted(rng.integers(0, 128, 2)), bool(rng.integers(2)))
-            for _ in range(alpha)
-        ]
-        fold = partials[0]
-        for p in partials[1:]:
-            fold = acc_merge(fold, p)
-        out = tree_reduce(partials)
-        for o in out:
-            assert o.m1[0] == fold.m1[0]
-            assert o.m2[0] == fold.m2[0]
-            assert o.s_vc[0] == fold.s_vc[0]
+    partials = _random_accs(np.random.default_rng(59), alpha, 200)
+    fold = partials[0]
+    for p in partials[1:]:
+        fold = acc_merge(fold, p)
+    for o in tree_reduce(partials):
+        assert np.array_equal(o.m1, fold.m1)
+        assert np.array_equal(o.m2, fold.m2)
+        assert np.array_equal(o.s_vc, fold.s_vc)
 
 
-def test_packed_accumulator_matches_value_accumulator():
-    """The SWAR merge and the scalar merge implement the same algebra."""
+def test_packed_accumulator_matches_partition_oracle():
+    """The in-order fold of packed edges gives every lane's two smallest
+    magnitudes, the first argmin and the sign parity."""
     rng = np.random.default_rng(61)
-    n = 1000
-    mags = rng.integers(0, 128, size=(2, n, 4)).astype(np.uint8)
-    signs = rng.integers(0, 2, size=(2, n, 4)).astype(bool)
-    packed = []
-    values = []
-    for i in range(2):
-        m = pack_u8(mags[i])
-        s = pack_u8(np.where(signs[i], 0xFF, 0).astype(np.uint8))
-        packed.append(packed_edge_acc(m, s, i))
-        values.append(value_edge_acc(mags[i].astype(np.int32), signs[i], i, 127))
-    zp = acc_merge(packed[0], packed[1])
-    zv = acc_merge(values[0], values[1])
-    assert np.array_equal(unpack_u8(zp.m1).astype(np.int32), zv.m1)
-    assert np.array_equal(unpack_u8(zp.m2).astype(np.int32), zv.m2)
-    assert np.array_equal(unpack_u8(zp.s_vc) != 0, zv.s_vc)
-    assert np.array_equal(unpack_u8(zp.tag).astype(np.int64), zv.tag)
+    w, n = 7, 1000
+    mags = rng.integers(0, 128, size=(w, n, 4))
+    signs = rng.integers(0, 2, size=(w, n, 4), dtype=bool)
+    acc = packed_identity()
+    for j in range(w):
+        acc = acc_merge(acc, packed_edge_acc(pack_u8(mags[j].astype(np.uint8)),
+                                             pack_u8(np.where(signs[j], 0xFF, 0).astype(np.uint8)),
+                                             j))
+    m1, m2, neg, tag = _lanes(acc)
+    part = np.partition(mags, 1, axis=0)
+    assert np.array_equal(m1, part[0])
+    assert np.array_equal(m2, part[1])
+    assert np.array_equal(neg, np.bitwise_xor.reduce(signs, axis=0))
+    # the fold's strict < keeps the first argmin; a lane whose every
+    # magnitude saturates keeps the identity's tag, with m1 == m2
+    below = m1 < 127
+    assert np.array_equal(tag[below], np.argmin(mags, axis=0)[below])
 
 
 def test_packed_identity_properties():
@@ -259,7 +271,8 @@ def test_packed_identity_properties():
 
 
 def test_apply_lut_scales_each_lane():
-    lut = np.floor(0.75 * np.arange(256)).astype(np.uint32)
+    lut = beta_lut(0.75)                       # floor(0.75 * m), int32
+    assert lut.dtype == np.int32 and lut[255] == 191
     w = pack_u8(np.array([0, 1, 100, 127], dtype=np.uint8))
     out = unpack_u8(apply_lut_u8(w, lut))
     assert out.tolist() == [0, 0, 75, 95]
