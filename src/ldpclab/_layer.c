@@ -1,15 +1,18 @@
 /* One layered min-sum iteration over a batch of codewords, the parity bits of
  * a range of base rows over a batch of hard decisions (the syndrome and the
- * encoder), and the per-iteration readout of the posteriors, compiled at
- * first use by ldpclab.native. The iteration is bit-exact with the numpy
- * engine (ScalarWorkspace.layer), the row parities with codec's numpy roll
- * loop, the readout with the numpy lines of decoder._run_schedule.
+ * encoder), the per-iteration readout of the posteriors, and the channel
+ * stage from standard normals to decoder blocks, compiled at first use by
+ * ldpclab.native. The iteration is bit-exact with the numpy engine
+ * (ScalarWorkspace.layer), the row parities with codec's numpy roll loop,
+ * the readout with the numpy lines of decoder._run_schedule, the channel
+ * pass with channel's quantize(demap_llr(bpsk_awgn(...))).
  *
  * Layout, all C-contiguous: posteriors lv (batch, n_blocks, z), messages
- * msg (batch, n_edges, z). Edge e of base row r lies in
- * [row_start[r], row_start[r + 1]) and couples block cols[e] at circulant
- * shift shifts[e] (already reduced mod z): position k of the row reads
- * lv[cols[e]][(k + shift) mod z], two contiguous runs.
+ * msg (batch, n_edges, z), both int8 or both f32. int8 values stay bytes in
+ * memory; only the extrinsic and the fold run in int16 scratch. Edge e of
+ * base row r lies in [row_start[r], row_start[r + 1]) and couples block
+ * cols[e] at circulant shift shifts[e] (already reduced mod z): position k
+ * of the row reads lv[cols[e]][(k + shift) mod z], two contiguous runs.
  *
  * Per row and codeword: gather each edge's extrinsic, fold (m1, m2, sign,
  * argmin tag) elementwise over z in edge order, scale by beta, then write
@@ -19,12 +22,14 @@
  * `slices` threads (split()): the calling thread and slices - 1 pthreads
  * claim codewords one at a time from a shared counter, and the calling
  * thread joins the others before it returns, so no thread outlives a call.
- * All threads' scratch comes from one malloc in the calling thread; where a
- * thread cannot be created the others take its codewords. The result is the
+ * All threads' scratch comes from one allocation in the calling thread, each
+ * thread's part starting on its own 64-byte line; where a thread cannot be
+ * created the others take its codewords. The result is the
  * same for every slice count.
  *
  * Build with -pthread, without -ffast-math and with -ffp-contract=off: a
- * fused multiply-add would round differently from numpy.
+ * fused multiply-add, or a division turned into a multiplication, would
+ * round differently from numpy.
  */
 
 #include <math.h>
@@ -69,7 +74,10 @@ static int split(slice_fn fn, const void *args, int64_t batch, int64_t slices,
     slices = slices < 1 ? 1 : slices;
     size_t head = (sizeof(struct slice) * slices + 63) & ~(size_t)63;
     size_t stride = (scratch_bytes + 63) & ~(size_t)63;
-    char *block = malloc(head + stride * slices);
+    /* aligned, or a thread's int16 scratch could start mid-line: with half of
+     * its 32-byte vectors split across two lines a BG1 Z=384 int8 layer pass
+     * took 6% longer */
+    char *block = aligned_alloc(64, head + stride * slices);
     if (!block)
         return -1;
     struct slice *s = (struct slice *)block;
@@ -95,7 +103,7 @@ static int split(slice_fn fn, const void *args, int64_t batch, int64_t slices,
     return status;
 }
 
-static inline int32_t sat_i32(int32_t v)
+static inline int16_t sat_i8(int16_t v)
 {
     return v > INT8_SAT ? INT8_SAT : (v < -INT8_SAT ? -INT8_SAT : v);
 }
@@ -117,11 +125,12 @@ struct layer_args {
     float beta;
 };
 
-/* int8 arithmetic widened to int32: the extrinsic raw = L_v - msg stays
- * unclamped, sat(raw) enters the check node, the posterior becomes
- * sat(raw + out) and the message stores sat(raw + out) - raw. beta_lut[m]
- * is floor(beta * m) for m in 0..127. */
-static int layer_i32(const void *args, int64_t b0, int64_t b1, void *scratch)
+/* int8 posteriors and messages, with the extrinsic and the fold in int16:
+ * the extrinsic raw = L_v - msg (|raw| <= 254) stays unclamped, sat(raw)
+ * enters the check node, the posterior becomes sat(raw + out) and the message
+ * stores sat(raw + out) - raw, which lies within +/-127 like every stored
+ * value. beta_lut[m] is floor(beta * m) for m in 0..127. */
+static int layer_i8(const void *args, int64_t b0, int64_t b1, void *scratch)
 {
     const struct layer_args *p = args;
     int64_t z = p->z, n_edges = p->row_start[p->rows];
@@ -129,23 +138,23 @@ static int layer_i32(const void *args, int64_t b0, int64_t b1, void *scratch)
     const int32_t *beta_lut = p->beta_lut;
     /* per row: the extrinsics of up to w_max edges, then the fold's m1, m2,
      * sign parity and argmin tag at every position */
-    int32_t *x = scratch;
-    int32_t *m1 = x + p->w_max * z, *m2 = m1 + z, *sg = m2 + z, *tag = sg + z;
+    int16_t *x = scratch;
+    int16_t *m1 = x + p->w_max * z, *m2 = m1 + z, *sg = m2 + z, *tag = sg + z;
 
     for (int64_t b = b0; b < b1; b++) {
-        int32_t *lvb = (int32_t *)p->lv + b * p->n_blocks * z;
-        int32_t *msgb = (int32_t *)p->msg + b * n_edges * z;
+        int8_t *lvb = (int8_t *)p->lv + b * p->n_blocks * z;
+        int8_t *msgb = (int8_t *)p->msg + b * n_edges * z;
         for (int64_t r = 0; r < p->rows; r++) {
             int64_t e0 = row_start[r], w = row_start[r + 1] - e0;
             for (int64_t j = 0; j < w; j++) {
-                const int32_t *src = lvb + cols[e0 + j] * z;
-                const int32_t *m = msgb + (e0 + j) * z;
-                int32_t *xj = x + j * z;
+                const int8_t *src = lvb + cols[e0 + j] * z;
+                const int8_t *m = msgb + (e0 + j) * z;
+                int16_t *xj = x + j * z;
                 int64_t s = shifts[e0 + j];
                 for (int64_t k = 0; k < z - s; k++)
-                    xj[k] = src[k + s] - m[k];
+                    xj[k] = (int16_t)(src[k + s] - m[k]);
                 for (int64_t k = z - s; k < z; k++)
-                    xj[k] = src[k + s - z] - m[k];
+                    xj[k] = (int16_t)(src[k + s - z] - m[k]);
             }
             for (int64_t k = 0; k < z; k++) {
                 m1[k] = INT8_SAT;
@@ -153,13 +162,13 @@ static int layer_i32(const void *args, int64_t b0, int64_t b1, void *scratch)
                 sg[k] = 0;
                 tag[k] = -1;
             }
-            for (int32_t j = 0; j < w; j++) {
-                const int32_t *xj = x + j * z;
+            for (int16_t j = 0; j < w; j++) {
+                const int16_t *xj = x + j * z;
                 for (int64_t k = 0; k < z; k++) {
-                    int32_t v = sat_i32(xj[k]);
-                    int32_t a = v < 0 ? -v : v;
-                    int32_t win = a < m1[k];
-                    int32_t loser = win ? m1[k] : a;
+                    int16_t v = sat_i8(xj[k]);
+                    int16_t a = v < 0 ? -v : v;
+                    int16_t win = a < m1[k];
+                    int16_t loser = win ? m1[k] : a;
                     m2[k] = loser < m2[k] ? loser : m2[k];
                     m1[k] = win ? a : m1[k];
                     tag[k] = win ? j : tag[k];
@@ -167,26 +176,26 @@ static int layer_i32(const void *args, int64_t b0, int64_t b1, void *scratch)
                 }
             }
             for (int64_t k = 0; k < z; k++) {
-                m1[k] = beta_lut[m1[k]];
-                m2[k] = beta_lut[m2[k]];
+                m1[k] = (int16_t)beta_lut[m1[k]];
+                m2[k] = (int16_t)beta_lut[m2[k]];
             }
-            for (int32_t j = 0; j < w; j++) {
-                int32_t *dst = lvb + cols[e0 + j] * z;
-                int32_t *m = msgb + (e0 + j) * z;
-                int32_t *xj = x + j * z;
+            for (int16_t j = 0; j < w; j++) {
+                int8_t *dst = lvb + cols[e0 + j] * z;
+                int8_t *m = msgb + (e0 + j) * z;
+                int16_t *xj = x + j * z;
                 int64_t s = shifts[e0 + j];
                 for (int64_t k = 0; k < z; k++) {
-                    int32_t raw = xj[k];
-                    int32_t mag = tag[k] == j ? m2[k] : m1[k];
-                    int32_t out = (sg[k] ^ (sat_i32(raw) < 0)) ? -mag : mag;
-                    int32_t upd = sat_i32(raw + out);
-                    m[k] = upd - raw;
+                    int16_t raw = xj[k];
+                    int16_t mag = tag[k] == j ? m2[k] : m1[k];
+                    int16_t out = (sg[k] ^ (raw < 0)) ? -mag : mag;
+                    int16_t upd = sat_i8(raw + out);
+                    m[k] = (int8_t)(upd - raw);
                     xj[k] = upd;
                 }
                 for (int64_t k = 0; k < z - s; k++)
-                    dst[k + s] = xj[k];
+                    dst[k + s] = (int8_t)xj[k];
                 for (int64_t k = z - s; k < z; k++)
-                    dst[k + s - z] = xj[k];
+                    dst[k + s - z] = (int8_t)xj[k];
             }
         }
     }
@@ -265,17 +274,18 @@ static int layer_f32(const void *args, int64_t b0, int64_t b1, void *scratch)
     return 0;
 }
 
-int layer_iteration_i32(int32_t *lv, int32_t *msg, int64_t batch,
-                        int64_t n_blocks, int64_t z, int64_t rows,
-                        const int64_t *row_start, const int64_t *cols,
-                        const int64_t *shifts, const int32_t *beta_lut,
-                        int64_t slices)
+int layer_iteration_i8(int8_t *lv, int8_t *msg, int64_t batch,
+                       int64_t n_blocks, int64_t z, int64_t rows,
+                       const int64_t *row_start, const int64_t *cols,
+                       const int64_t *shifts, const int32_t *beta_lut,
+                       int64_t slices)
 {
     struct layer_args a = {lv, msg, n_blocks, z, rows,
                            max_row_weight(rows, row_start), row_start, cols,
                            shifts, beta_lut, 0.0f};
-    return split(layer_i32, &a, batch, slices,
-                 sizeof(int32_t) * (a.w_max + 4) * z);
+    /* the extrinsics, m1, m2, sign parity and tag, all int16 */
+    return split(layer_i8, &a, batch, slices,
+                 sizeof(int16_t) * (a.w_max + 4) * z);
 }
 
 int layer_iteration_f32(float *lv, float *msg, int64_t batch,
@@ -372,11 +382,11 @@ static double hard_and_margin_f32(const uint32_t *lv, uint8_t *hard, int64_t n)
     return margin.f;
 }
 
-static double hard_and_margin_i32(const int32_t *lv, uint8_t *hard, int64_t n)
+static double hard_and_margin_i8(const int8_t *lv, uint8_t *hard, int64_t n)
 {
-    int32_t m = INT32_MAX;
+    uint8_t m = UINT8_MAX;
     for (int64_t i = 0; i < n; i++) {
-        int32_t a = lv[i] < 0 ? -lv[i] : lv[i];
+        uint8_t a = lv[i] < 0 ? (uint8_t)-lv[i] : (uint8_t)lv[i];
         m = a < m ? a : m;
     }
     for (int64_t i = 0; i < n; i++)
@@ -392,7 +402,7 @@ static int read_posteriors(const void *args, int64_t b0, int64_t b1, void *scrat
         uint8_t *hard = a->par + b * n;
         a->margins[b] = a->is_float
             ? hard_and_margin_f32((const uint32_t *)a->lv + b * n, hard, n)
-            : hard_and_margin_i32((const int32_t *)a->lv + b * n, hard, n);
+            : hard_and_margin_i8((const int8_t *)a->lv + b * n, hard, n);
         int64_t w = 0;
         for (int64_t r = a->r0; r < a->r1; r++)
             w += row_parity(hard, scratch, a->z, r, a->row_start, a->cols, a->shifts);
@@ -401,7 +411,7 @@ static int read_posteriors(const void *args, int64_t b0, int64_t b1, void *scrat
     return 0;
 }
 
-/* One iteration's readout of the posteriors lv (batch, n_blocks, z), int32
+/* One iteration's readout of the posteriors lv (batch, n_blocks, z), int8
  * or (is_float) f32: per codeword the uint8 hard decisions lv < 0 into hard
  * (batch, n_blocks, z), min |lv| into margins and the count of unsatisfied
  * checks over base rows [0, rows) into weights. */
@@ -413,4 +423,70 @@ int readout(const void *lv, int is_float, uint8_t *hard, double *margins,
     struct parity_args a = {NULL, hard, weights, lv, is_float, margins,
                             n_blocks, z, 0, rows, row_start, cols, shifts};
     return split(read_posteriors, &a, batch, slices, z);
+}
+
+struct channel_args {
+    const double *noise;
+    const uint8_t *bits;
+    void *out;
+    int is_float;
+    int64_t n_tx, punctured;
+    double sigma, scale, bound;
+};
+
+/* Per codeword: punctured zeros, then each transmitted bit's LLR in the
+ * float64 order of channel.bpsk_awgn and channel.demap_llr,
+ * ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma * sigma), written as int8
+ * rint(L * scale) clipped to +/-bound, or as f32 clipped to +/-bound in
+ * float64 and rounded once on the store, as channel.quantize. A NaN LLR is
+ * written as 0 and reported as status 2. */
+static int channel_rows(const void *args, int64_t b0, int64_t b1, void *scratch)
+{
+    const struct channel_args *a = args;
+    int64_t n_tx = a->n_tx, punctured = a->punctured, n_c = punctured + n_tx;
+    double sigma = a->sigma, s2 = sigma * sigma, scale = a->scale, bound = a->bound;
+    int has_nan = 0;
+    (void)scratch;
+    for (int64_t b = b0; b < b1; b++) {
+        const double *g = a->noise + b * n_tx;
+        const uint8_t *bits = a->bits + b * n_tx;
+        if (a->is_float) {
+            float *out = (float *)a->out + b * n_c;
+            for (int64_t k = 0; k < punctured; k++)
+                out[k] = 0.0f;
+            out += punctured;
+            for (int64_t k = 0; k < n_tx; k++) {
+                double l = ((0.0 + sigma * g[k]) + (1.0 - 2.0 * bits[k])) * 2.0 / s2;
+                has_nan |= l != l;
+                l = l != l ? 0.0 : l;
+                out[k] = (float)(l > bound ? bound : (l < -bound ? -bound : l));
+            }
+        } else {
+            int8_t *out = (int8_t *)a->out + b * n_c;
+            for (int64_t k = 0; k < punctured; k++)
+                out[k] = 0;
+            out += punctured;
+            for (int64_t k = 0; k < n_tx; k++) {
+                double l = ((0.0 + sigma * g[k]) + (1.0 - 2.0 * bits[k])) * 2.0 / s2;
+                double q = rint(l * scale);
+                has_nan |= q != q;
+                q = q != q ? 0.0 : q;
+                out[k] = (int8_t)(q > bound ? bound : (q < -bound ? -bound : q));
+            }
+        }
+    }
+    return has_nan ? 2 : 0;
+}
+
+/* Decoder-domain blocks (batch, punctured + n_tx), int8 or (is_float) f32,
+ * from standard normals noise (batch, n_tx) and transmitted bits
+ * (batch, n_tx). Returns -1 where the threads cannot be allocated, 2 where
+ * an LLR is NaN, else 0. */
+int channel_blocks(const double *noise, const uint8_t *bits, void *out, int is_float,
+                   int64_t batch, int64_t n_tx, int64_t punctured, double sigma,
+                   double scale, double bound, int64_t slices)
+{
+    struct channel_args a = {noise, bits, out, is_float, n_tx, punctured, sigma,
+                             scale, bound};
+    return split(channel_rows, &a, batch, slices, 0);
 }

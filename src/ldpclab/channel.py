@@ -2,6 +2,11 @@
 
 Sign convention: positive LLR means bit 0 is more likely. BPSK maps bit b to
 symbol 1 - 2b, so the ML demapper is L = 2y / sigma^2.
+
+`transmit` runs the whole stage for a batch: int8 and f32 go from the draw
+to the decoder block in one compiled pass, bit-exact with
+`quantize(demap_llr(bpsk_awgn(...)))`, which stays its oracle and serves f16
+and any host without the kernel.
 """
 
 from __future__ import annotations
@@ -20,6 +25,12 @@ F16_MAX = 65504.0
 # beta=0.75 (2.5e21 against the f32 maximum 3.4e38), and at beta=1 BG1 grows
 # 1.33x per iteration and stays finite through 100 iterations (2.1e33).
 F32_MAX = 2.0 ** 64
+# LLR magnitude standing in for a noiseless channel observation; saturates
+# the int8 domain at the default scale.
+NOISE_FREE_LLR = 16.0
+# Standard normals `transmit` draws per chunk (1 MB of float64): a whole
+# BG1 Z=384 batch of 64 codewords would take 13 MB.
+DRAW_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -37,8 +48,9 @@ class QuantConfig:
     def __post_init__(self):
         if self.mode not in ("int8", "f16", "f32"):
             raise ValueError(f"unknown quantization mode {self.mode!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        # a NaN scale would quantize every LLR to 0, an infinite one to +/-127
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
         if self.mode != "int8" and self.scale != QuantConfig.scale:
             raise ValueError(f"scale applies to int8 only, not {self.mode}")
 
@@ -49,11 +61,15 @@ def bpsk_exact(bits) -> np.ndarray:
     return 1.0 - 2.0 * b
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, not {sigma} (use "
+                         "bpsk_exact for the noise-disabled limit)")
+
+
 def bpsk_awgn(bits, sigma: float, rng) -> np.ndarray:
     """BPSK symbols with N(0, sigma^2) noise, deterministic under the rng."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive (use bpsk_exact for the "
-                         "noise-disabled limit)")
+    _check_sigma(sigma)
     rng = np.random.default_rng(rng)
     symbols = bpsk_exact(bits)
     received = rng.normal(0.0, sigma, size=symbols.shape)
@@ -63,8 +79,7 @@ def bpsk_awgn(bits, sigma: float, rng) -> np.ndarray:
 
 def demap_llr(symbols, sigma: float) -> np.ndarray:
     """Bit LLRs from received BPSK symbols: L = 2y / sigma^2."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     llrs = np.multiply(np.asarray(symbols, dtype=np.float64), 2.0)
     llrs /= sigma * sigma
     return llrs
@@ -98,6 +113,45 @@ def quantize(llrs, cfg: QuantConfig, params: CodeParams) -> np.ndarray:
     return full
 
 
+def transmit(bits, sigma: float | None, rng, quant: QuantConfig,
+             params: CodeParams) -> np.ndarray:
+    """Decoder-domain blocks for transmitted codeword bits (..., n_tx).
+
+    Equal byte for byte to `quantize(demap_llr(bpsk_awgn(bits, sigma, rng),
+    sigma), quant, params)`, and the generator ends in the same state: the
+    compiled pass reads `rng.standard_normal`, the stream `rng.normal(0,
+    sigma)` draws. int8 and f32 uint8 or bool bits take that pass where the
+    kernel loads; f16, other bit dtypes and any host without the kernel run
+    the numpy chain. `sigma=None` disables the noise: every bit arrives as
+    +/-NOISE_FREE_LLR and the generator is not read.
+    """
+    if sigma is None:
+        return quantize(bpsk_exact(bits) * NOISE_FREE_LLR, quant, params)
+    _check_sigma(sigma)
+    rng = np.random.default_rng(rng)
+    bits = np.asarray(bits)
+    # imported here: native imports kernels, which imports this module's bounds
+    from ldpclab import native
+
+    if quant.mode == "f16" or bits.dtype not in (np.uint8, np.bool_) or native.load() is None:
+        return quantize(demap_llr(bpsk_awgn(bits, sigma, rng), sigma), quant, params)
+    if bits.ndim == 0 or bits.shape[-1] != params.n_tx:
+        raise ValueError(f"expected {params.n_tx} bits, got shape {bits.shape}")
+    flat = np.ascontiguousarray(bits.reshape(-1, params.n_tx)).view(np.uint8)
+    int8 = quant.mode == "int8"
+    blocks = np.empty((len(flat), params.n_c), dtype=np.int8 if int8 else np.float32)
+    # the draw, in chunks of whole codewords through one small buffer: the
+    # generator fills element by element, so the stream is the one-call draw's
+    rows = max(1, DRAW_CHUNK // params.n_tx)
+    noise = np.empty((min(rows, len(flat)), params.n_tx))
+    for b0 in range(0, len(flat), rows):
+        part = noise[: len(flat[b0:b0 + rows])]
+        rng.standard_normal(out=part)
+        native.channel_blocks(part, flat[b0:b0 + rows], blocks[b0:b0 + rows], sigma,
+                              quant.scale, INT8_MAX if int8 else F32_MAX)
+    return blocks.reshape(bits.shape[:-1] + (params.n_c,))
+
+
 def ebn0_to_sigma(ebn0_db: float, rate_eff: float) -> float:
     """Noise sigma for a target Eb/N0 over transmitted bits.
 
@@ -106,5 +160,10 @@ def ebn0_to_sigma(ebn0_db: float, rate_eff: float) -> float:
     """
     if rate_eff <= 0:
         raise ValueError("effective rate must be positive")
-    ebn0 = 10.0 ** (ebn0_db / 10.0)
-    return math.sqrt(1.0 / (2.0 * rate_eff * ebn0))
+    try:
+        sigma = math.sqrt(1.0 / (2.0 * rate_eff * 10.0 ** (ebn0_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"Eb/N0 {ebn0_db} dB gives no finite positive sigma")
+    return sigma

@@ -3,16 +3,21 @@
 Two engines produce bit-identical results on identical quantized inputs,
 each behind its own workspace type:
 
-* ScalarWorkspace: a batched scalar engine (int8 widened to int32, f16, or
-  f32) that serves as the reference; its int8 and f32 layered iterations
-  run in the compiled kernel of `ldpclab.native` where the host can build
-  it, bit-exact with the numpy rows here, and
+* ScalarWorkspace: a batched scalar engine (int8, f16, or f32) that serves
+  as the reference; its int8 and f32 layered iterations run in the compiled
+  kernel of `ldpclab.native` where the host can build it, bit-exact with the
+  numpy rows here, and
 * PackedWorkspace: rho=4 codeword lanes per 32-bit word on the
   sign-magnitude SWAR kernels, kept to verify the scalar engine.
 
 The scalar engine reduces a check row to (m1, m2, argmin, sign parity) with
 whole-array numpy over the edge axis, as the compiled kernel does per edge;
 the packed engine folds the row's edges in order through `kernels.acc_merge`.
+
+int8 posteriors and messages are stored as bytes: every stored value lies
+within +/-127. Only the extrinsic L_v - message (|raw| <= 254) needs more, so
+the numpy rows widen each row's gather to int32 and the kernel works in
+int16 scratch; an int8 subtraction would wrap.
 """
 
 from __future__ import annotations
@@ -98,9 +103,9 @@ class DecodeResult:
 def _saturation(dtype):
     """Largest magnitude a decoder value of `dtype` holds.
 
-    The widened int8 engine stays within +/-127, f16 within its largest
-    finite value; f32 is unbounded (inf). The row reduce saturates its
-    magnitudes here.
+    int8 (and the int32 its rows widen to) stays within +/-127, f16 within
+    its largest finite value; f32 is unbounded (inf). The row reduce
+    saturates its magnitudes here.
     """
     if np.issubdtype(dtype, np.integer):
         return dtype.type(INT8_MAX)
@@ -232,7 +237,8 @@ class ScalarWorkspace(DecodeWorkspace):
         dtype = self.l_v.dtype
         integer = np.issubdtype(dtype, np.integer)
         with np.errstate(over="ignore"):               # f16 saturates via clamp
-            raw = self.l_v[:, cols[:, None], idx] - msgs
+            raw = np.subtract(self.l_v[:, cols[:, None], idx], msgs,
+                              dtype=np.int32 if integer else dtype)
             # integers keep the extrinsic unclamped and store what the
             # saturated posterior absorbed on top of it: the next visit
             # subtracts exactly what this one added, so a found codeword stays
@@ -325,7 +331,7 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     batch = arr.shape[0]
     if batch == 0:
         raise ValueError("a batch needs at least one codeword")
-    dtype, bound = {Precision.INT8: (np.int32, INT8_MAX), Precision.F16: (np.float16, F16_MAX),
+    dtype, bound = {Precision.INT8: (np.int8, INT8_MAX), Precision.F16: (np.float16, F16_MAX),
                     Precision.F32: (np.float32, F32_MAX)}[cfg.precision]
     # the largest value `quantize` emits; an f32 posterior past it can
     # overflow to inf and NaN, which the syndrome reads as a hard 0. Integers
@@ -356,16 +362,18 @@ def _scalar_flood(ws: ScalarWorkspace, l_b: np.ndarray, cfg: DecodeConfig) -> No
     first iteration.
     """
     dtype = ws.l_v.dtype
+    integer = np.issubdtype(dtype, np.integer)
     new_msgs = np.empty_like(ws.messages)
     for cols, _, e0, idx in ws.row_gather:
         w = len(cols)
         with np.errstate(over="ignore"):
-            lvc = _clamp(ws.l_v[:, cols[:, None], idx] - ws.messages[:, e0:e0 + w, :], dtype)
+            lvc = _clamp(np.subtract(ws.l_v[:, cols[:, None], idx], ws.messages[:, e0:e0 + w, :],
+                                     dtype=np.int32 if integer else dtype), dtype)
         new_msgs[:, e0:e0 + w] = _minsum(lvc, cfg.beta)
     ws.messages = new_msgs
     # Variable update: L_v = L_b + sum of incoming messages, widened then
     # saturated once per iteration.
-    acc = l_b.astype(np.int64 if np.issubdtype(dtype, np.integer) else np.float64)
+    acc = l_b.astype(np.int64 if integer else np.float64)
     for cols, shifts, e0, _ in ws.row_gather:
         for j, (c, s) in enumerate(zip(cols, shifts)):
             acc[:, c, :] += np.roll(ws.messages[:, e0 + j, :], s, axis=-1)
@@ -409,7 +417,7 @@ def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     for it in range(1, cfg.max_iter + 1):
         step(ws)
         # one read of the posteriors gives the hard decisions, the syndrome
-        # and the margins: compiled for int32 and f32, else these numpy lines
+        # and the margins: compiled for int8 and f32, else these numpy lines
         lv = ws.posteriors()
         if not native.readout(lv, bg, ws.rows_used, hard, weights[it - 1], margins[it - 1]):
             np.less(lv, 0, out=hard.view(bool).reshape(lv.shape))

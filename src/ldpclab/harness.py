@@ -9,9 +9,12 @@ machine-dependent and excluded from the guarantee.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -20,13 +23,52 @@ import numpy as np
 
 from ldpclab import __version__, native
 from ldpclab.basegraph import BaseGraph, code_params
-from ldpclab.channel import QuantConfig, bpsk_awgn, bpsk_exact, demap_llr, ebn0_to_sigma, quantize
+# bpsk_awgn, demap_llr and quantize run inside `transmit`; they stay
+# attributes of this module because perfbench's tracing wraps them here
+from ldpclab.channel import (  # noqa: F401
+    QuantConfig,
+    bpsk_awgn,
+    demap_llr,
+    ebn0_to_sigma,
+    quantize,
+    transmit,
+)
 from ldpclab.codec import CRC_POLYS, crc_attach, encode_batch
 from ldpclab.decoder import DecodeConfig, EarlyStop, decode
 
-# LLR magnitude standing in for a noiseless channel observation; saturates
-# the int8 domain at the default scale.
-NOISE_FREE_LLR = 16.0
+# glibc's malloc options M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the values
+# run_bler_sweep and run_latency_bench fix them at: the heap keeps up to 64 MB
+# of freed memory, and blocks up to 32 MB (glibc's largest allowed) come from it
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_FREED_BYTES = 64 << 20
+_HEAP_BLOCK_BYTES = 32 << 20
+
+
+@functools.cache
+def _keep_batch_memory() -> None:
+    """Keep a batch's freed buffers in this process for the next batch.
+
+    glibc hands a freed heap top back to the kernel once it passes a trim
+    threshold, which it raises only when a block above its mmap threshold is
+    freed. A 64-codeword BG1 Z=384 int8 batch frees about 17 MB, whose
+    largest block is the 7.8 MB message array, so every batch gave its
+    buffers back and faulted them in again: about 2,800 page faults per
+    batch, 13-15% of the sweep's wall time spent in the kernel, an amount
+    that moves with the host's load. Fixed thresholds end that; they hold for the whole process,
+    which then keeps up to 64 MB of freed heap. A no-op off glibc.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_BLOCK_BYTES)
+
+
+def _init_worker(workers: int) -> None:
+    """Initializer of a sweep's pool workers."""
+    native.share_cpus(workers)
+    _keep_batch_memory()
 
 
 @dataclass
@@ -100,12 +142,7 @@ def _run_batch(
     else:
         messages = payload
     tx = encode_batch(messages, bg, bg.z, rows_used)[:, 2 * bg.z:]
-    if sigma is None:
-        llr = bpsk_exact(tx) * NOISE_FREE_LLR
-    else:
-        symbols = bpsk_awgn(tx, sigma, rng)
-        llr = demap_llr(symbols, sigma)
-    blocks = quantize(llr, quant, params)
+    blocks = transmit(tx, sigma, rng, quant, params)
     t0 = time.perf_counter()
     result = decode(blocks, bg, cfg)
     decode_time = time.perf_counter() - t0
@@ -142,7 +179,8 @@ def run_bler_sweep(
 
     Each point runs until `target_block_errors` block errors or
     `max_codewords` codewords. Eb/N0 converts to sigma through the
-    effective rate K/N_tx of the transmitted bits.
+    effective rate K/N_tx of the transmitted bits; every grid point is
+    finite, with a finite positive sigma, or +inf.
     """
     grid = list(ebn0_grid)
     if not grid:
@@ -159,15 +197,16 @@ def run_bler_sweep(
         raise ValueError(f"quantizer mode {quant.mode} does not match "
                          f"decoder precision {cfg.precision.value}")
     rate_eff = params.k / params.n_tx
+    sigmas = [None if g == math.inf else ebn0_to_sigma(g, rate_eff) for g in grid]
 
     points: list[SweepPoint] = []
     # each worker's kernel calls take CPUs // workers threads: with all CPUs
     # each, the workers' threads would contend for the same cores
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=native.share_cpus,
+    _keep_batch_memory()
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                 initargs=(workers,)) if workers > 1 else None)
     try:
-        for p_idx, ebn0 in enumerate(grid):
-            sigma = None if math.isinf(ebn0) else ebn0_to_sigma(ebn0, rate_eff)
+        for p_idx, (ebn0, sigma) in enumerate(zip(grid, sigmas)):
             tallies: list[dict] = []
             total_cw = total_blk = 0
             launched = 0          # codewords in the batches launched so far
@@ -289,12 +328,12 @@ def run_latency_bench(
     params = code_params(bg, z, rows_used)
     bench_cfg = replace(cfg, early_stop=EarlyStop.NONE, max_iter=iterations)
     quant = QuantConfig(mode=cfg.precision.value)
+    _keep_batch_memory()
     rng = np.random.default_rng((seed, 0))
     msgs = rng.integers(0, 2, size=(batch, params.k), dtype=np.uint8)
     tx = encode_batch(msgs, bg, z, rows_used)[:, 2 * z:]
     sigma = ebn0_to_sigma(ebn0_db, params.k / params.n_tx)
-    llr = demap_llr(bpsk_awgn(tx, sigma, rng), sigma)
-    blocks = quantize(llr, quant, params)
+    blocks = transmit(tx, sigma, rng, quant, params)
 
     times = []
     for rep in range(warmup + repetitions):

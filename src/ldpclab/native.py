@@ -1,13 +1,16 @@
-"""The compiled layered-iteration kernel: built on first use, cached, loaded.
+"""The compiled kernels of `_layer.c`: built on first use, cached, loaded.
 
 `_layer.c` runs one full layered min-sum iteration of the scalar engine in
-int8 (widened to int32) or f32, bit-exact with the numpy rows of
-`ScalarWorkspace.layer`, which stay its oracle and its fallback. It also
-computes the parity bits of a range of base rows over a batch of hard
-decisions, for the syndrome and the encoder, with `codec`'s numpy roll loop
-as oracle and fallback, and reads an iteration's hard decisions, margins and
-syndrome counts out of int32 or f32 posteriors, with the numpy lines of
-`decoder._run_schedule` as oracle and fallback.
+int8 (int8 posteriors and messages, int16 scratch) or f32, bit-exact with the
+numpy rows of `ScalarWorkspace.layer`, which stay its oracle and its
+fallback. It also computes the parity bits of a range of base rows over a
+batch of hard decisions, for the syndrome and the encoder, with `codec`'s
+numpy roll loop as oracle and fallback; reads an iteration's hard decisions,
+margins and syndrome counts out of int8 or f32 posteriors, with the numpy
+lines of `decoder._run_schedule` as oracle and fallback; and turns standard
+normals and transmitted bits into int8 or f32 decoder blocks in one pass,
+with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and
+fallback.
 
 Every call shares its batch among `slice_count` threads, which claim
 codewords one at a time, so a thread on a slower core takes fewer. The
@@ -20,7 +23,8 @@ The library is compiled with the host's gcc into a per-user cache directory
 that lasts across processes, under a name keyed by the source, the compile
 command and the host CPU's flags, so a `-march=native` build is never loaded
 on another CPU. Where it cannot be built or loaded, `run_iteration`,
-`row_parities` and `readout` report so and the caller takes the numpy path.
+`row_parities`, `readout` and `channel_blocks` report so and the caller takes
+the numpy path.
 """
 
 from __future__ import annotations
@@ -147,19 +151,28 @@ def load() -> ctypes.CDLL | None:
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     tables = [i64] * 4 + [ptr] * 3
-    for fn, scale in ((lib.layer_iteration_i32, ptr), (lib.layer_iteration_f32, ctypes.c_float)):
+    for fn, scale in ((lib.layer_iteration_i8, ptr), (lib.layer_iteration_f32, ctypes.c_float)):
         fn.argtypes = [ptr] * 2 + tables + [scale, i64]
     lib.row_parities.argtypes = [ptr] * 3 + [i64] * 5 + [ptr] * 3 + [i64]
     lib.readout.argtypes = [ptr, ctypes.c_int] + [ptr] * 3 + tables + [i64]
-    for fn in (lib.layer_iteration_i32, lib.layer_iteration_f32, lib.row_parities, lib.readout):
+    lib.channel_blocks.argtypes = ([ptr] * 3 + [ctypes.c_int] + [i64] * 3
+                                   + [ctypes.c_double] * 3 + [i64])
+    for fn in (lib.layer_iteration_i8, lib.layer_iteration_f32, lib.row_parities, lib.readout,
+               lib.channel_blocks):
         fn.restype = ctypes.c_int
     return lib
 
 
-def _call(fn, *args) -> None:
-    """Run a kernel entry point; its one failure is the slices' allocation."""
-    if fn(*args):
+def _call(fn, *args) -> int:
+    """Run a kernel entry point; raise if the slices' allocation failed.
+
+    Returns the entry point's other status bits (a NaN LLR for
+    `channel_blocks`), 0 for the rest.
+    """
+    status = fn(*args)
+    if status < 0:
         raise MemoryError(f"{fn.__name__} could not allocate its threads' scratch")
+    return status
 
 
 def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
@@ -185,15 +198,15 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
                   beta: float) -> bool:
     """One layered iteration over rows 0..rows_used-1 of `bg`, in place.
 
-    `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int32 (int8
-    arithmetic) or both float32. The base graph's own entry arrays are the
-    kernel's tables. Returns False, touching nothing, where the kernel does
-    not apply or is unavailable.
+    `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8 or both
+    float32. The base graph's own entry arrays are the kernel's tables.
+    Returns False, touching nothing, where the kernel does not apply or is
+    unavailable.
     """
-    if l_v.dtype == np.int32:
+    if l_v.dtype == np.int8:
         # the beta rule for the int8 magnitudes m = 0..127, as the numpy rows
         lut = kernels.beta_lut(beta)[:128]
-        name, scale = "layer_iteration_i32", lut.ctypes.data
+        name, scale = "layer_iteration_i8", lut.ctypes.data
     elif l_v.dtype == np.float32:
         name, scale = "layer_iteration_f32", float(np.float32(beta))
     else:
@@ -249,14 +262,14 @@ def readout(l_v: np.ndarray, bg, rows_used: int, hard: np.ndarray, weights: np.n
             margins: np.ndarray) -> bool:
     """One iteration's readout of the posteriors `l_v`, into the given arrays.
 
-    `l_v` is C-contiguous (B, n_blocks, Z) int32 or float32. Writes the uint8
+    `l_v` is C-contiguous (B, n_blocks, Z) int8 or float32. Writes the uint8
     hard decisions `l_v < 0` into `hard` (B, n_blocks * Z), min |L_v| into
     the float64 `margins` (B,) and the unsatisfied checks over the used rows
     into the int64 `weights` (B,), as the numpy lines of
     `decoder._run_schedule` compute them. Returns False, touching nothing,
     where the kernel does not apply or is unavailable.
     """
-    if l_v.dtype not in (np.int32, np.float32) or l_v.ndim != 3 or not l_v.flags.c_contiguous:
+    if l_v.dtype not in (np.int8, np.float32) or l_v.ndim != 3 or not l_v.flags.c_contiguous:
         return False
     lib = load()
     if lib is None:
@@ -273,4 +286,37 @@ def readout(l_v: np.ndarray, bg, rows_used: int, hard: np.ndarray, weights: np.n
           margins.ctypes.data, weights.ctypes.data, batch, n_blocks, z, rows_used,
           row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data,
           slice_count(batch, batch * int(row_start[rows_used]) * z))
+    return True
+
+
+def channel_blocks(noise: np.ndarray, bits: np.ndarray, out: np.ndarray, sigma: float,
+                   scale: float, bound: float) -> bool:
+    """Decoder blocks from standard normals and transmitted bits, in one pass.
+
+    `noise` is C-contiguous float64 and `bits` C-contiguous uint8, both
+    (B, n_tx). Each transmitted bit's LLR is
+    ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma * sigma) in float64, as
+    `channel.bpsk_awgn` and `channel.demap_llr` compute it from the same
+    draw. Into an int8 `out` it goes as rint(L * scale) clipped to +/-bound,
+    into a float32 one clipped to +/-bound in float64 and rounded once, as
+    `channel.quantize`; the positions of each C-contiguous (B, n_c) row of
+    `out` before its last n_tx are set to zero. Returns False, touching
+    nothing, where the kernel is unavailable. A NaN LLR raises ValueError,
+    as in `quantize`.
+    """
+    if (noise.dtype != np.float64 or bits.dtype != np.uint8 or noise.ndim != 2
+            or noise.shape != bits.shape or not noise.flags.c_contiguous
+            or not bits.flags.c_contiguous):
+        raise ValueError("noise and bits must be C-contiguous (B, n_tx) float64 and uint8")
+    batch, n_tx = noise.shape
+    if (out.dtype not in (np.int8, np.float32) or out.ndim != 2 or len(out) != batch
+            or out.shape[1] < n_tx or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous (B, n_c >= n_tx) int8 or float32 array")
+    lib = load()
+    if lib is None:
+        return False
+    if _call(lib.channel_blocks, noise.ctypes.data, bits.ctypes.data, out.ctypes.data,
+             int(out.dtype == np.float32), batch, n_tx, out.shape[1] - n_tx, sigma, scale,
+             bound, slice_count(batch, out.size)):
+        raise ValueError("LLRs must not be NaN")
     return True

@@ -12,6 +12,7 @@ from ldpclab.channel import (
     demap_llr,
     ebn0_to_sigma,
     quantize,
+    transmit,
 )
 from tests.conftest import get_graph
 
@@ -24,6 +25,20 @@ def test_bpsk_awgn_rejects_nonpositive_sigma():
     for sigma in (0.0, -1.0):
         with pytest.raises(ValueError):
             bpsk_awgn([0, 1], sigma, 0)
+
+
+def test_channel_rejects_a_sigma_that_is_not_finite_and_positive(params_bg2_z2):
+    # a NaN sigma passed `sigma <= 0` and gave NaN symbols; an infinite one
+    # gave infinite noise
+    bits = np.zeros((1, 100), dtype=np.uint8)
+    for sigma in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            bpsk_awgn(bits, sigma, 0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            demap_llr(np.ones(4), sigma)
+        for mode in ("int8", "f16", "f32"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                transmit(bits, sigma, 0, QuantConfig(mode), params_bg2_z2)
 
 
 def test_bpsk_awgn_deterministic_under_seed():
@@ -138,10 +153,25 @@ def test_quant_config_validation():
         QuantConfig("int8", scale=0.0)
 
 
+def test_quant_config_rejects_a_scale_that_is_not_finite():
+    # scale=nan passed `scale <= 0` and quantized every LLR to 0 (all
+    # erasures); scale=inf gave hard +/-127
+    for scale in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuantConfig("int8", scale=scale)
+
+
 def test_ebn0_to_sigma_known_point():
     # rate 1/2 at 0 dB: sigma^2 = 1/(2 * 0.5 * 1) = 1
     assert ebn0_to_sigma(0.0, 0.5) == pytest.approx(1.0)
     assert ebn0_to_sigma(3.0, 0.5) == pytest.approx(1.0 / np.sqrt(10 ** 0.3))
+
+
+def test_ebn0_to_sigma_rejects_points_without_a_finite_positive_sigma():
+    # -inf divided by zero, +inf gave sigma 0, 4000 dB overflowed the power
+    for ebn0 in (np.nan, -np.inf, np.inf, -7000.0, 4000.0):
+        with pytest.raises(ValueError, match="finite positive sigma"):
+            ebn0_to_sigma(ebn0, 0.5)
 
 
 def test_channel_stage_keeps_its_draw_and_leaves_inputs_alone(params_bg2_z2):

@@ -180,7 +180,9 @@ def test_message_conservation_per_layer(bg2_z16, precision):
         w = len(cols)
         lv_rows = ws.l_v[:, cols[:, None], idx]
         stored = ws.messages[:, e0:e0 + w, :]
-        lvc = lv_rows - stored
+        # int8 storage: widen, or a difference past +/-127 would wrap unseen
+        lvc = np.subtract(lv_rows, stored,
+                          dtype=np.int32 if precision is Precision.INT8 else stored.dtype)
         recomputed = np.moveaxis(
             check_node_minsum(np.moveaxis(lvc, 1, -1), beta=cfg.beta), -1, 1
         )
@@ -198,21 +200,27 @@ def test_int8_message_conservation_under_saturation(bg2_z16):
     """At the default scale 8 the posteriors saturate at high SNR; the stored
     message is what the saturated posterior absorbed on top of the row's
     unclamped extrinsic, so subtracting it gives that extrinsic back exactly.
+    Both sides are widened to int32: in the int8 workspace dtype an extrinsic
+    past +/-127 would wrap on both sides alike and hide a mismatch.
     """
     _, blocks = make_noisy_blocks(bg2_z16, 42, 8.0, 4, seed=5)
     cfg = DecodeConfig(precision=Precision.INT8)
     ws = init_workspace(blocks, bg2_z16, cfg)
-    saturated = mismatches = 0
+    saturated = wide = mismatches = 0
     for _ in range(3):
         for r in range(ws.rows_used):
             cols, _, e0, idx = ws.row_gather[r]
             w = len(cols)
-            raw = ws.l_v[:, cols[:, None], idx] - ws.messages[:, e0:e0 + w, :]
+            raw = np.subtract(ws.l_v[:, cols[:, None], idx], ws.messages[:, e0:e0 + w, :],
+                              dtype=np.int32)
             ws.layer(r, cfg)
             lv_rows = ws.l_v[:, cols[:, None], idx]
             saturated += int((np.abs(lv_rows) == 127).sum())
-            mismatches += int((lv_rows - ws.messages[:, e0:e0 + w, :] != raw).sum())
+            wide += int((np.abs(raw) > 127).sum())
+            mismatches += int((np.subtract(lv_rows, ws.messages[:, e0:e0 + w, :],
+                                           dtype=np.int32) != raw).sum())
     assert saturated > 0              # the regime under test is reached
+    assert wide > 0                   # extrinsics an int8 subtraction would wrap
     assert mismatches == 0
 
 

@@ -1,9 +1,15 @@
 import io
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ldpclab import harness
 from ldpclab.channel import QuantConfig
 from ldpclab.decoder import DecodeConfig, Precision
 from ldpclab.harness import (
@@ -110,6 +116,53 @@ def test_sweep_rejects_nonsense_batch_workers_and_samples(bg2_z16, knob):
     with pytest.raises(ValueError, match="batch and workers|keep_failures"):
         run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [1.0],
                        target_block_errors=1, max_codewords=4, **knob)
+
+
+@pytest.mark.parametrize("grid", [[-math.inf], [math.nan], [1.0, math.nan], [-7000.0]])
+def test_sweep_rejects_grid_points_without_a_finite_sigma(bg2_z16, monkeypatch, grid):
+    # -inf ran as the noise-free point and reported 0 block errors; NaN
+    # failed late, in quantize
+    monkeypatch.setattr(harness, "_run_batch", None)      # before any batch runs
+    with pytest.raises(ValueError, match="finite positive sigma"):
+        run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), grid,
+                       target_block_errors=1, max_codewords=4)
+
+
+def test_sweep_and_latency_bench_go_through_transmit(bg2_z16, monkeypatch):
+    calls = []
+    fused = harness.transmit
+    monkeypatch.setattr(harness, "transmit", lambda *a: calls.append(a[1]) or fused(*a))
+    run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [2.0, math.inf],
+                   target_block_errors=1, max_codewords=4, batch=4)
+    run_latency_bench(bg2_z16, 16, _small_cfg(), repetitions=1, warmup=0, iterations=2)
+    assert len(calls) == 3 and calls[1] is None and calls[0] > 0 and calls[2] > 0
+
+
+# A fresh process, so that the heap's history is the sweeps' own: glibc moves
+# its thresholds with the blocks a process has freed so far.
+_SWEEP_FAULTS = """
+import resource
+from ldpclab import DecodeConfig, load_basegraph
+from ldpclab.harness import run_bler_sweep
+bg = load_basegraph("BG1", 384)
+for max_iter, grid in [(1, [1.5])] + [(20, [1.5, 2.5])] * 3:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_bler_sweep(bg, 384, 46, DecodeConfig(precision="int8", max_iter=max_iter), grid,
+                   target_block_errors=65, max_codewords=64, batch=64)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc options")
+def test_sweep_batches_reuse_their_buffers():
+    # Without fixed malloc thresholds glibc gave each 64-codeword BG1 Z=384
+    # int8 batch's buffers back to the kernel and faulted them in again for
+    # the next batch: about 2,800 page faults per batch.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _SWEEP_FAULTS], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    warm_up, *sweeps = map(int, done.stdout.split())
+    assert max(sweeps) < 100, (warm_up, sweeps)
 
 
 def test_wilson_interval_values():

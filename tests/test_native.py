@@ -1,4 +1,4 @@
-"""The compiled layer kernel against its numpy oracle, and the kernel's loader."""
+"""The compiled kernels against their numpy oracles, and the kernels' loader."""
 
 import os
 import shutil
@@ -8,7 +8,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ldpclab import codec, decoder, harness, native
+from ldpclab import channel, codec, decoder, harness, native
+from ldpclab.basegraph import code_params
+from ldpclab.channel import (
+    F32_MAX,
+    INT8_MAX,
+    NOISE_FREE_LLR,
+    QuantConfig,
+    bpsk_awgn,
+    bpsk_exact,
+    demap_llr,
+    quantize,
+    transmit,
+)
 from ldpclab.decoder import (
     DecodeConfig,
     EarlyStop,
@@ -72,6 +84,30 @@ def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, pr
             assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), where
             assert np.array_equal(_bits(fast.messages), _bits(oracle.messages)), where
     assert ran and all(ran)               # every pass above ran the kernel
+
+
+@pytest.mark.parametrize("code", CODES, ids=lambda c: f"{c[0]}-Z{c[1]}")
+def test_saturating_snrs_reach_the_int16_extrinsic_range(code):
+    """The 8 and 10 dB int8 inputs of the test above drive the extrinsic
+    L_v - message past +/-127: the kernel holds it in int16 scratch, and an
+    int8 subtraction would wrap it."""
+    bg_id, z, rows = code
+    bg = get_graph(bg_id, z)
+    cfg = DecodeConfig()
+    for i, ebn0 in enumerate(SNRS_DB):
+        if ebn0 < 8.0:
+            continue
+        _, blocks = make_noisy_blocks(bg, rows, ebn0, 3 if z < 384 else 2, seed=20 + i)
+        ws = init_workspace(blocks, bg, cfg)
+        widest = 0
+        for _ in range(8):
+            for r in range(rows):
+                cols, _, e0, idx = ws.row_gather[r]
+                raw = np.subtract(ws.l_v[:, cols[:, None], idx],
+                                  ws.messages[:, e0:e0 + len(cols)], dtype=np.int32)
+                widest = max(widest, int(np.abs(raw).max()))
+                ws.layer(r, cfg)
+        assert INT8_MAX < widest <= 2 * INT8_MAX, ebn0
 
 
 def _decode_digest(blocks, bg, cfg, fn=decode):
@@ -399,3 +435,103 @@ def test_packed_and_flooding_decode_as_without_the_kernel(kernel, monkeypatch):
     monkeypatch.setattr(native, "load", lambda: None)
     for (fn, cfg, _), blocks, got in zip(cases, inputs, fast):
         assert _same(got, _decode_digest(blocks, bg, cfg, fn)), (fn.__name__, cfg)
+
+
+def _numpy_channel(bits, sigma, rng, quant, params):
+    """The channel oracle: draw, demap and quantize in numpy."""
+    return quantize(demap_llr(bpsk_awgn(bits, sigma, rng), sigma), quant, params)
+
+
+def _same_blocks(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# 1e-170: sigma**2 underflows and every LLR is +/-inf; 1e-10: f32 clips at
+# F32_MAX; 0.05: every int8 value clips at 127; 40: LLRs near zero
+SIGMAS = [1e-170, 1e-10, 0.05, 0.55, 0.7, 0.79, 3.0, 40.0]
+
+
+@pytest.mark.parametrize("bg_id, z, rows, batch", [("BG1", 384, 46, 3), ("BG2", 52, 42, 5),
+                                                   ("BG2", 16, 42, 1)])
+@pytest.mark.parametrize("quant", [QuantConfig("int8"), QuantConfig("int8", scale=2.5),
+                                   QuantConfig("f32")], ids=["int8", "int8-2.5", "f32"])
+@pytest.mark.parametrize("chunk_rows", [None, 1, 2], ids=["whole", "chunk1", "chunk2"])
+def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, bg_id, z, rows, batch, quant,
+                                         chunk_rows):
+    """The compiled channel pass writes the numpy chain's blocks byte for byte
+    and leaves the generator where the numpy draw leaves it, drawn in one
+    chunk or in chunks of one or two codewords."""
+    bg = get_graph(bg_id, z)
+    params = code_params(bg, z, rows)
+    if chunk_rows is not None:
+        monkeypatch.setattr(channel, "DRAW_CHUNK", (chunk_rows + 1) * params.n_tx - 1)
+    chunks = -(-batch // (chunk_rows or batch))
+    msgs = np.random.default_rng(z + batch).integers(0, 2, (batch, params.k), dtype=np.uint8)
+    bits = codec.encode_batch(msgs, bg, z, rows)[:, 2 * z:]      # a strided view
+    passes = []
+    fused = native.channel_blocks
+    monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(1) or fused(*a))
+    bound = INT8_MAX if quant.mode == "int8" else F32_MAX
+    clipped = 0
+    for sigma in SIGMAS:
+        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        with np.errstate(divide="ignore"):
+            got = transmit(bits, sigma, fast, quant, params)
+            want = _numpy_channel(bits, sigma, slow, quant, params)
+        assert _same_blocks(got, want), sigma
+        assert fast.bit_generator.state == slow.bit_generator.state, sigma
+        assert not got[:, : 2 * z].any()
+        clipped += int((np.abs(got) == bound).sum())
+    assert len(passes) == chunks * len(SIGMAS) and clipped
+
+
+def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
+    """f16, bits of another dtype, the noise-free limit and a host without the
+    kernel all give the blocks the numpy path gives; the noise-free limit
+    reads no draw."""
+    bg = get_graph("BG2", 52)
+    params = code_params(bg, 52, 42)
+    msgs = np.random.default_rng(3).integers(0, 2, (3, params.k), dtype=np.uint8)
+    bits = codec.encode_batch(msgs, bg, 52, 42)[:, 2 * 52:]
+    cases = [(b, q) for b in (bits, bits.astype(bool), bits.astype(np.int64), bits[1])
+             for q in (QuantConfig("int8"), QuantConfig("f16"), QuantConfig("f32"))]
+
+    def check():
+        for b, quant in cases:
+            fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+            got = transmit(b, 0.7, fast, quant, params)
+            assert _same_blocks(got, _numpy_channel(b, 0.7, slow, quant, params)), quant
+            assert fast.bit_generator.state == slow.bit_generator.state
+            rng = np.random.default_rng(5)
+            quiet = transmit(b, None, rng, quant, params)
+            assert _same_blocks(quiet, quantize(bpsk_exact(b) * NOISE_FREE_LLR, quant, params))
+            assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    check()
+    monkeypatch.setattr(native, "load", lambda: None)
+    noise, out = np.zeros(bits.shape), np.ones((3, params.n_c), dtype=np.int8)
+    assert not native.channel_blocks(noise, np.ascontiguousarray(bits), out, 0.7, 8.0, 127)
+    assert (out == 1).all()
+    check()
+
+
+def test_transmit_rejects_what_the_numpy_chain_rejects(kernel):
+    bg = get_graph("BG2", 16)
+    params = code_params(bg, 16, 42)
+    bits = np.zeros((2, params.n_tx), dtype=np.uint8)
+    for quant in (QuantConfig("int8"), QuantConfig("f32")):
+        # sigma * g overflows to inf, and inf / (sigma * sigma = inf) is NaN
+        for fn in (transmit, _numpy_channel):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="NaN"):
+                fn(bits, 1e308, np.random.default_rng(1), quant, params)
+        with pytest.raises(ValueError, match="expected"):
+            transmit(bits[:, 1:], 0.7, 1, quant, params)
+    noise, out = np.zeros(bits.shape), np.empty((2, params.n_c), dtype=np.int8)
+    for bad in ((noise.astype(np.float32), bits, out), (noise, bits.astype(np.int8), out),
+                (noise[:, ::2], bits[:, ::2], out), (noise[0], bits[0], out),
+                (noise, bits[:1], out), (noise, bits, out.astype(np.int32)),
+                (noise, bits, out[:1]), (noise, bits, out[:, : params.n_tx - 1]),
+                (noise, bits, np.asfortranarray(out))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            native.channel_blocks(*bad, 0.7, 8.0, 127)
