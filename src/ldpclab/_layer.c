@@ -1,11 +1,12 @@
-/* One layered min-sum iteration over a batch of codewords, the parity bits of
- * a range of base rows over a batch of hard decisions (the syndrome and the
- * encoder), the per-iteration readout of the posteriors, and the channel
+/* One layered min-sum iteration over a batch of codewords, each codeword's
+ * pass ending with what decoding reads of it (hard decisions, min |L_v|, the
+ * count of unsatisfied checks), the parity bits of a range of base rows over
+ * a batch of hard decisions (the syndrome and the encoder), and the channel
  * stage from standard normals to decoder blocks, compiled at first use by
  * ldpclab.native. The iteration is bit-exact with the numpy engine
- * (ScalarWorkspace.layer), the row parities with codec's numpy roll loop,
- * the readout with the numpy lines of decoder._run_schedule, the channel
- * pass with channel's quantize(demap_llr(bpsk_awgn(...))).
+ * (ScalarWorkspace.layer), what it reads out with the numpy lines of
+ * decoder._run_schedule, the row parities with codec's numpy roll loop, the
+ * channel pass with channel's quantize(demap_llr(bpsk_awgn(...))).
  *
  * Layout, all C-contiguous: posteriors lv (batch, n_blocks, z), messages
  * msg (batch, n_edges, z), both int8 or both f32. int8 values stay bytes in
@@ -16,7 +17,9 @@
  *
  * Per row and codeword: gather each edge's extrinsic, fold (m1, m2, sign,
  * argmin tag) elementwise over z in edge order, scale by beta, then write
- * messages and posteriors back through the same two runs.
+ * messages and posteriors back through the same two runs. After its last
+ * row a codeword's posteriors are read out while they are still in cache:
+ * hard decisions, min |L_v| and the count of unsatisfied checks.
  *
  * Codewords never interact, so every entry point shares its batch among
  * `slices` threads (split()): the calling thread and slices - 1 pthreads
@@ -117,13 +120,83 @@ static int64_t max_row_weight(int64_t rows, const int64_t *row_start)
     return w_max;
 }
 
+/* Row r's parity bits over one codeword's hard bits into acc (z bytes): the
+ * check at position k is the XOR over the row's edges of
+ * bits[cols[e]][(k + shift) mod z], gathered through the same two runs as the
+ * layer iterations. Returns the count of ones. */
+static int64_t row_parity(const uint8_t *restrict bits, uint8_t *restrict acc,
+                          int64_t z, int64_t r, const int64_t *row_start,
+                          const int64_t *cols, const int64_t *shifts)
+{
+    for (int64_t k = 0; k < z; k++)
+        acc[k] = 0;
+    for (int64_t e = row_start[r]; e < row_start[r + 1]; e++) {
+        const uint8_t *src = bits + cols[e] * z;
+        int64_t s = shifts[e];
+        for (int64_t k = 0; k < z - s; k++)
+            acc[k] ^= src[k + s];
+        for (int64_t k = z - s; k < z; k++)
+            acc[k] ^= src[k + s - z];
+    }
+    int64_t ones = 0;
+    for (int64_t k = 0; k < z; k++)
+        ones += acc[k];
+    return ones;
+}
+
+/* One codeword's hard decisions lv < 0 and min |lv| over n posteriors. An
+ * f32 posterior is read as its bit pattern, so both loops vectorize: for
+ * finite values |v| orders as the bits below the sign, and v < 0 is a set
+ * sign on a nonzero magnitude (-0.0 is not negative). A NaN would order
+ * above +inf, where numpy's min returns it: the two differ only once an f32
+ * posterior has overflowed, which unbounded growth at beta = 1 with early
+ * stop off reaches after some hundreds of iterations. */
+static double hard_and_margin_f32(const uint32_t *lv, uint8_t *hard, int64_t n)
+{
+    uint32_t m = 0x7f800000u;                  /* +inf */
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t a = lv[i] & 0x7fffffffu;
+        m = a < m ? a : m;
+    }
+    for (int64_t i = 0; i < n; i++)
+        hard[i] = (lv[i] >> 31) & ((lv[i] & 0x7fffffffu) != 0);
+    union { uint32_t u; float f; } margin = {m};
+    return margin.f;
+}
+
+static double hard_and_margin_i8(const int8_t *lv, uint8_t *hard, int64_t n)
+{
+    uint8_t m = UINT8_MAX;
+    for (int64_t i = 0; i < n; i++) {
+        uint8_t a = lv[i] < 0 ? (uint8_t)-lv[i] : (uint8_t)lv[i];
+        m = a < m ? a : m;
+    }
+    for (int64_t i = 0; i < n; i++)
+        hard[i] = lv[i] < 0;
+    return m;
+}
+
 struct layer_args {
     void *lv, *msg;
+    uint8_t *hard;
+    double *margins;
+    int64_t *weights;
     int64_t n_blocks, z, rows, w_max;
     const int64_t *row_start, *cols, *shifts;
     const int32_t *beta_lut;
     float beta;
 };
+
+/* Codeword b's count of unsatisfied checks over the used rows, from its hard
+ * decisions; acc is z bytes of the slice's scratch. */
+static int64_t unsatisfied(const struct layer_args *p, int64_t b, uint8_t *acc)
+{
+    const uint8_t *hard = p->hard + b * p->n_blocks * p->z;
+    int64_t w = 0;
+    for (int64_t r = 0; r < p->rows; r++)
+        w += row_parity(hard, acc, p->z, r, p->row_start, p->cols, p->shifts);
+    return w;
+}
 
 /* int8 posteriors and messages, with the extrinsic and the fold in int16:
  * the extrinsic raw = L_v - msg (|raw| <= 254) stays unclamped, sat(raw)
@@ -198,6 +271,11 @@ static int layer_i8(const void *args, int64_t b0, int64_t b1, void *scratch)
                     dst[k + s - z] = (int8_t)xj[k];
             }
         }
+        if (p->hard) {
+            int64_t n = p->n_blocks * z;
+            p->margins[b] = hard_and_margin_i8(lvb, p->hard + b * n, n);
+            p->weights[b] = unsatisfied(p, b, scratch);
+        }
     }
     return 0;
 }
@@ -270,67 +348,50 @@ static int layer_f32(const void *args, int64_t b0, int64_t b1, void *scratch)
                     dst[k + s - z] = xj[k];
             }
         }
+        if (p->hard) {
+            int64_t n = p->n_blocks * z;
+            const uint32_t *bits = (const uint32_t *)lvb;
+            p->margins[b] = hard_and_margin_f32(bits, p->hard + b * n, n);
+            p->weights[b] = unsatisfied(p, b, scratch);
+        }
     }
     return 0;
 }
 
-int layer_iteration_i8(int8_t *lv, int8_t *msg, int64_t batch,
-                       int64_t n_blocks, int64_t z, int64_t rows,
-                       const int64_t *row_start, const int64_t *cols,
-                       const int64_t *shifts, const int32_t *beta_lut,
-                       int64_t slices)
+/* One iteration over the batch in place. Where hard is not NULL, each
+ * codeword's pass ends by reading it out: the uint8 hard decisions lv < 0
+ * into hard (batch, n_blocks, z), min |lv| into margins and the count of
+ * unsatisfied checks over the used rows into weights. */
+int layer_iteration_i8(int8_t *lv, int8_t *msg, uint8_t *hard, double *margins,
+                       int64_t *weights, int64_t batch, int64_t n_blocks, int64_t z,
+                       int64_t rows, const int64_t *row_start, const int64_t *cols,
+                       const int64_t *shifts, const int32_t *beta_lut, int64_t slices)
 {
-    struct layer_args a = {lv, msg, n_blocks, z, rows,
+    struct layer_args a = {lv, msg, hard, margins, weights, n_blocks, z, rows,
                            max_row_weight(rows, row_start), row_start, cols,
                            shifts, beta_lut, 0.0f};
-    /* the extrinsics, m1, m2, sign parity and tag, all int16 */
+    /* the extrinsics, m1, m2, sign parity and tag, all int16; the z-byte
+     * parity row of the unsatisfied-check count reuses the extrinsics */
     return split(layer_i8, &a, batch, slices,
                  sizeof(int16_t) * (a.w_max + 4) * z);
 }
 
-int layer_iteration_f32(float *lv, float *msg, int64_t batch,
-                        int64_t n_blocks, int64_t z, int64_t rows,
-                        const int64_t *row_start, const int64_t *cols,
+int layer_iteration_f32(float *lv, float *msg, uint8_t *hard, double *margins,
+                        int64_t *weights, int64_t batch, int64_t n_blocks, int64_t z,
+                        int64_t rows, const int64_t *row_start, const int64_t *cols,
                         const int64_t *shifts, float beta, int64_t slices)
 {
-    struct layer_args a = {lv, msg, n_blocks, z, rows,
+    struct layer_args a = {lv, msg, hard, margins, weights, n_blocks, z, rows,
                            max_row_weight(rows, row_start), row_start, cols,
                            shifts, NULL, beta};
     /* the extrinsics, m1 and m2 as floats; sign parity and tag as int32 */
     return split(layer_f32, &a, batch, slices, 4 * (a.w_max + 4) * z);
 }
 
-/* Row r's parity bits over one codeword's hard bits into acc (z bytes): the
- * check at position k is the XOR over the row's edges of
- * bits[cols[e]][(k + shift) mod z], gathered through the same two runs as the
- * layer iterations. Returns the count of ones. */
-static int64_t row_parity(const uint8_t *restrict bits, uint8_t *restrict acc,
-                          int64_t z, int64_t r, const int64_t *row_start,
-                          const int64_t *cols, const int64_t *shifts)
-{
-    for (int64_t k = 0; k < z; k++)
-        acc[k] = 0;
-    for (int64_t e = row_start[r]; e < row_start[r + 1]; e++) {
-        const uint8_t *src = bits + cols[e] * z;
-        int64_t s = shifts[e];
-        for (int64_t k = 0; k < z - s; k++)
-            acc[k] ^= src[k + s];
-        for (int64_t k = z - s; k < z; k++)
-            acc[k] ^= src[k + s - z];
-    }
-    int64_t ones = 0;
-    for (int64_t k = 0; k < z; k++)
-        ones += acc[k];
-    return ones;
-}
-
 struct parity_args {
     const uint8_t *bits;
     uint8_t *par;
     int64_t *weights;
-    const void *lv;
-    int is_float;
-    double *margins;
     int64_t n_blocks, z, r0, r1;
     const int64_t *row_start, *cols, *shifts;
 };
@@ -358,71 +419,9 @@ int row_parities(const uint8_t *bits, uint8_t *par, int64_t *weights,
                  int64_t r1, const int64_t *row_start, const int64_t *cols,
                  const int64_t *shifts, int64_t slices)
 {
-    struct parity_args a = {bits, par, weights, NULL, 0, NULL, n_blocks, z,
-                            r0, r1, row_start, cols, shifts};
+    struct parity_args a = {bits, par, weights, n_blocks, z, r0, r1, row_start, cols,
+                            shifts};
     return split(parities, &a, batch, slices, 0);
-}
-
-/* One codeword's hard decisions lv < 0 and min |lv| over n posteriors. An
- * f32 posterior is read as its bit pattern, so both loops vectorize: for
- * finite values |v| orders as the bits below the sign, and v < 0 is a set
- * sign on a nonzero magnitude (-0.0 is not negative). A NaN would order
- * above +inf, where numpy's min returns it; init_workspace bounds the LLRs
- * so that the posteriors stay finite. */
-static double hard_and_margin_f32(const uint32_t *lv, uint8_t *hard, int64_t n)
-{
-    uint32_t m = 0x7f800000u;                  /* +inf */
-    for (int64_t i = 0; i < n; i++) {
-        uint32_t a = lv[i] & 0x7fffffffu;
-        m = a < m ? a : m;
-    }
-    for (int64_t i = 0; i < n; i++)
-        hard[i] = (lv[i] >> 31) & ((lv[i] & 0x7fffffffu) != 0);
-    union { uint32_t u; float f; } margin = {m};
-    return margin.f;
-}
-
-static double hard_and_margin_i8(const int8_t *lv, uint8_t *hard, int64_t n)
-{
-    uint8_t m = UINT8_MAX;
-    for (int64_t i = 0; i < n; i++) {
-        uint8_t a = lv[i] < 0 ? (uint8_t)-lv[i] : (uint8_t)lv[i];
-        m = a < m ? a : m;
-    }
-    for (int64_t i = 0; i < n; i++)
-        hard[i] = lv[i] < 0;
-    return m;
-}
-
-static int read_posteriors(const void *args, int64_t b0, int64_t b1, void *scratch)
-{
-    const struct parity_args *a = args;
-    int64_t n = a->n_blocks * a->z;
-    for (int64_t b = b0; b < b1; b++) {
-        uint8_t *hard = a->par + b * n;
-        a->margins[b] = a->is_float
-            ? hard_and_margin_f32((const uint32_t *)a->lv + b * n, hard, n)
-            : hard_and_margin_i8((const int8_t *)a->lv + b * n, hard, n);
-        int64_t w = 0;
-        for (int64_t r = a->r0; r < a->r1; r++)
-            w += row_parity(hard, scratch, a->z, r, a->row_start, a->cols, a->shifts);
-        a->weights[b] = w;
-    }
-    return 0;
-}
-
-/* One iteration's readout of the posteriors lv (batch, n_blocks, z), int8
- * or (is_float) f32: per codeword the uint8 hard decisions lv < 0 into hard
- * (batch, n_blocks, z), min |lv| into margins and the count of unsatisfied
- * checks over base rows [0, rows) into weights. */
-int readout(const void *lv, int is_float, uint8_t *hard, double *margins,
-            int64_t *weights, int64_t batch, int64_t n_blocks, int64_t z,
-            int64_t rows, const int64_t *row_start, const int64_t *cols,
-            const int64_t *shifts, int64_t slices)
-{
-    struct parity_args a = {NULL, hard, weights, lv, is_float, margins,
-                            n_blocks, z, 0, rows, row_start, cols, shifts};
-    return split(read_posteriors, &a, batch, slices, z);
 }
 
 struct channel_args {

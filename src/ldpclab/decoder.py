@@ -384,22 +384,28 @@ def _scalar_flood(ws: ScalarWorkspace, l_b: np.ndarray, cfg: DecodeConfig) -> No
 # Public decoding entry points
 
 
-def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
+def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig,
+                      readout=None) -> bool:
     """One full layered pass: rows in ascending order, each feeding the next.
 
     A scalar int8 or f32 workspace runs the compiled kernel where the host
-    can build it; f16, the packed engine and any host without the kernel run
-    the numpy rows, its bit-exact oracle.
+    can build it, which fills `readout` (see `native.run_iteration`), and
+    returns True; f16, the packed engine and any host without the kernel run
+    the numpy rows, its bit-exact oracle, and return False.
     """
-    if not (isinstance(ws, ScalarWorkspace)
-            and native.run_iteration(ws.l_v, ws.messages, ws.bg, ws.rows_used, cfg.beta)):
-        for r in range(ws.rows_used):
-            ws.layer(r, cfg)
-    return ws
+    if isinstance(ws, ScalarWorkspace) and native.run_iteration(
+            ws.l_v, ws.messages, ws.bg, ws.rows_used, cfg.beta, readout):
+        return True
+    for r in range(ws.rows_used):
+        ws.layer(r, cfg)
+    return False
 
 
 def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     """Run `step` until every codeword has settled; settled outputs freeze.
+
+    `step(ws, readout)` runs one iteration; where it returns True it has
+    filled `readout`, the iteration's (hard, weights, margins), itself.
 
     A codeword settles at the first iteration whose hard decision satisfies
     the syndrome (and the CRC in crc mode); the rest settle at max_iter with
@@ -415,11 +421,10 @@ def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     margins = np.zeros((cfg.max_iter, batch), dtype=np.float64)
     hard = np.empty((batch, (bg.k_b + ws.rows_used) * bg.z), dtype=np.uint8)
     for it in range(1, cfg.max_iter + 1):
-        step(ws)
         # one read of the posteriors gives the hard decisions, the syndrome
-        # and the margins: compiled for int8 and f32, else these numpy lines
-        lv = ws.posteriors()
-        if not native.readout(lv, bg, ws.rows_used, hard, weights[it - 1], margins[it - 1]):
+        # and the margins: in the compiled pass, else in these numpy lines
+        if not step(ws, (hard, weights[it - 1], margins[it - 1])):
+            lv = ws.posteriors()
             np.less(lv, 0, out=hard.view(bool).reshape(lv.shape))
             weights[it - 1] = _syndrome_weights(hard, bg, ws.rows_used)
             margins[it - 1] = np.abs(lv).min(axis=(1, 2))
@@ -453,7 +458,7 @@ def decode(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
     every iteration's syndrome weight and min |L_v| per codeword.
     """
     ws = init_workspace(llrs, bg, cfg)
-    return _run_schedule(ws, bg, cfg, lambda ws: layered_iteration(ws, bg, cfg))
+    return _run_schedule(ws, bg, cfg, lambda ws, out: layered_iteration(ws, bg, cfg, out))
 
 
 def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
@@ -462,4 +467,4 @@ def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
         raise ValueError("flooding decoding runs on the scalar path (rho < 4)")
     ws = init_workspace(llrs, bg, cfg)
     l_b = ws.l_v.copy()
-    return _run_schedule(ws, bg, cfg, lambda ws: _scalar_flood(ws, l_b, cfg))
+    return _run_schedule(ws, bg, cfg, lambda ws, _: _scalar_flood(ws, l_b, cfg))

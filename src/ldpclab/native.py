@@ -3,14 +3,13 @@
 `_layer.c` runs one full layered min-sum iteration of the scalar engine in
 int8 (int8 posteriors and messages, int16 scratch) or f32, bit-exact with the
 numpy rows of `ScalarWorkspace.layer`, which stay its oracle and its
-fallback. It also computes the parity bits of a range of base rows over a
-batch of hard decisions, for the syndrome and the encoder, with `codec`'s
-numpy roll loop as oracle and fallback; reads an iteration's hard decisions,
-margins and syndrome counts out of int8 or f32 posteriors, with the numpy
-lines of `decoder._run_schedule` as oracle and fallback; and turns standard
-normals and transmitted bits into int8 or f32 decoder blocks in one pass,
-with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and
-fallback.
+fallback. Each codeword's pass can end with its readout: hard decisions,
+margin and syndrome count, with the numpy lines of `decoder._run_schedule`
+as oracle and fallback. It also computes the parity bits of a range of base
+rows over a batch of hard decisions, for the syndrome and the encoder, with
+`codec`'s numpy roll loop as oracle and fallback; and turns standard normals
+and transmitted bits into int8 or f32 decoder blocks in one pass, with
+`channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and fallback.
 
 Every call shares its batch among `slice_count` threads, which claim
 codewords one at a time, so a thread on a slower core takes fewer. The
@@ -23,8 +22,8 @@ The library is compiled with the host's gcc into a per-user cache directory
 that lasts across processes, under a name keyed by the source, the compile
 command and the host CPU's flags, so a `-march=native` build is never loaded
 on another CPU. Where it cannot be built or loaded, `run_iteration`,
-`row_parities`, `readout` and `channel_blocks` report so and the caller takes
-the numpy path.
+`row_parities` and `channel_blocks` report so and the caller takes the numpy
+path.
 """
 
 from __future__ import annotations
@@ -152,12 +151,11 @@ def load() -> ctypes.CDLL | None:
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     tables = [i64] * 4 + [ptr] * 3
     for fn, scale in ((lib.layer_iteration_i8, ptr), (lib.layer_iteration_f32, ctypes.c_float)):
-        fn.argtypes = [ptr] * 2 + tables + [scale, i64]
+        fn.argtypes = [ptr] * 5 + tables + [scale, i64]
     lib.row_parities.argtypes = [ptr] * 3 + [i64] * 5 + [ptr] * 3 + [i64]
-    lib.readout.argtypes = [ptr, ctypes.c_int] + [ptr] * 3 + tables + [i64]
     lib.channel_blocks.argtypes = ([ptr] * 3 + [ctypes.c_int] + [i64] * 3
                                    + [ctypes.c_double] * 3 + [i64])
-    for fn in (lib.layer_iteration_i8, lib.layer_iteration_f32, lib.row_parities, lib.readout,
+    for fn in (lib.layer_iteration_i8, lib.layer_iteration_f32, lib.row_parities,
                lib.channel_blocks):
         fn.restype = ctypes.c_int
     return lib
@@ -195,13 +193,17 @@ def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
 
 
 def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
-                  beta: float) -> bool:
+                  beta: float, readout=None) -> bool:
     """One layered iteration over rows 0..rows_used-1 of `bg`, in place.
 
     `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8 or both
     float32. The base graph's own entry arrays are the kernel's tables.
-    Returns False, touching nothing, where the kernel does not apply or is
-    unavailable.
+    `readout`, if given, is (hard, weights, margins): each codeword's pass
+    ends by writing its uint8 hard decisions `l_v < 0` into `hard`
+    (B, n_blocks * Z), its unsatisfied checks over the used rows into the
+    int64 `weights` (B,) and min |L_v| into the float64 `margins` (B,), as
+    the numpy lines of `decoder._run_schedule` compute them. Returns False,
+    touching nothing, where the kernel does not apply or is unavailable.
     """
     if l_v.dtype == np.int8:
         # the beta rule for the int8 magnitudes m = 0..127, as the numpy rows
@@ -221,9 +223,18 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
     tables = _graph_tables(bg, rows_used, n_blocks, z)
     if tables is None or messages.shape != (batch, tables[0][rows_used], z):
         raise ValueError("workspace arrays do not match the base graph")
+    out = (None, None, None)
+    if readout is not None:
+        hard, weights, margins = readout
+        if (hard.dtype != np.uint8 or hard.shape != (batch, n_blocks * z)
+                or weights.dtype != np.int64 or margins.dtype != np.float64
+                or weights.shape != (batch,) or margins.shape != (batch,)
+                or not all(a.flags.c_contiguous for a in readout)):
+            raise ValueError("readout arrays do not match the posteriors and the base graph")
+        out = (hard.ctypes.data, margins.ctypes.data, weights.ctypes.data)
     row_start, cols, shifts = tables
-    _call(getattr(lib, name), l_v.ctypes.data, messages.ctypes.data, batch, n_blocks, z,
-          rows_used, row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, scale,
+    _call(getattr(lib, name), l_v.ctypes.data, messages.ctypes.data, *out, batch, n_blocks,
+          z, rows_used, row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, scale,
           slice_count(batch, batch * messages.shape[1] * z))
     return True
 
@@ -256,37 +267,6 @@ def row_parities(bits: np.ndarray, bg, rows_used: int, r0: int,
           len(bits), n_blocks, bg.z, r0, r1, row_start.ctypes.data, cols.ctypes.data,
           shifts.ctypes.data, slice_count(len(bits), len(bits) * edges * bg.z))
     return parities, weights
-
-
-def readout(l_v: np.ndarray, bg, rows_used: int, hard: np.ndarray, weights: np.ndarray,
-            margins: np.ndarray) -> bool:
-    """One iteration's readout of the posteriors `l_v`, into the given arrays.
-
-    `l_v` is C-contiguous (B, n_blocks, Z) int8 or float32. Writes the uint8
-    hard decisions `l_v < 0` into `hard` (B, n_blocks * Z), min |L_v| into
-    the float64 `margins` (B,) and the unsatisfied checks over the used rows
-    into the int64 `weights` (B,), as the numpy lines of
-    `decoder._run_schedule` compute them. Returns False, touching nothing,
-    where the kernel does not apply or is unavailable.
-    """
-    if l_v.dtype not in (np.int8, np.float32) or l_v.ndim != 3 or not l_v.flags.c_contiguous:
-        return False
-    lib = load()
-    if lib is None:
-        return False
-    batch, n_blocks, z = l_v.shape
-    tables = _graph_tables(bg, rows_used, n_blocks, z)
-    if (tables is None or hard.dtype != np.uint8 or hard.shape != (batch, n_blocks * z)
-            or weights.dtype != np.int64 or margins.dtype != np.float64
-            or weights.shape != (batch,) or margins.shape != (batch,)
-            or not all(a.flags.c_contiguous for a in (hard, weights, margins))):
-        raise ValueError("readout arrays do not match the posteriors and the base graph")
-    row_start, cols, shifts = tables
-    _call(lib.readout, l_v.ctypes.data, int(l_v.dtype == np.float32), hard.ctypes.data,
-          margins.ctypes.data, weights.ctypes.data, batch, n_blocks, z, rows_used,
-          row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data,
-          slice_count(batch, batch * int(row_start[rows_used]) * z))
-    return True
 
 
 def channel_blocks(noise: np.ndarray, bits: np.ndarray, out: np.ndarray, sigma: float,

@@ -21,6 +21,17 @@ def test_bpsk_exact_symbols():
     assert np.array_equal(bpsk_exact([0, 1, 1, 0]), [1.0, -1.0, -1.0, 1.0])
 
 
+def test_bpsk_rejects_bits_other_than_0_and_1():
+    # they became oversized symbols silently: [0, 1, 2, 255] gave [1, -1, -3, -509]
+    for bad in ([0, 1, 2, 255], [2, -1], np.array([0, 2], dtype=np.uint8), [0.5], [np.nan]):
+        with pytest.raises(ValueError, match="0 and 1"):
+            bpsk_exact(bad)
+        with pytest.raises(ValueError, match="0 and 1"):
+            bpsk_awgn(bad, 0.5, 1)
+    for good in ([True, False], np.array([1, 0], dtype=np.int64), [1.0, 0.0]):
+        assert np.array_equal(bpsk_exact(good), [-1.0, 1.0])
+
+
 def test_bpsk_awgn_rejects_nonpositive_sigma():
     for sigma in (0.0, -1.0):
         with pytest.raises(ValueError):

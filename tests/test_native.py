@@ -209,17 +209,21 @@ def test_run_iteration_rejects_arrays_of_another_graph(kernel):
     for other, rows in ((get_graph("BG2", 52), 42), (get_graph("BG1", 16), 42), (bg, 41)):
         with pytest.raises(ValueError, match="do not match"):
             native.run_iteration(ws.l_v, ws.messages, other, rows, 0.75)
-        with pytest.raises(ValueError, match="do not match"):
-            _compiled_readout(ws.l_v, other, rows)
-    hard, weights, margins = _compiled_readout(ws.l_v, bg, 42)
+    hard, weights, margins = readout = _readout_arrays(ws.l_v)
+    lv, msgs = ws.l_v.copy(), ws.messages.copy()
     for args in ((hard[:, 1:], weights, margins), (hard.view(bool), weights, margins),
                  (hard, weights[:1], margins), (hard, weights, margins.astype(np.float32)),
-                 (hard, margins, weights), (hard, weights, np.zeros((2, 2))[:, 0])):
+                 (hard, margins, weights), (hard, weights, np.zeros((2, 2))[:, 0]),
+                 (hard.repeat(2, axis=1)[:, ::2], weights, margins)):
         with pytest.raises(ValueError, match="do not match"):
-            native.readout(ws.l_v, bg, 42, *args)
-    # f16 and strided posteriors take the numpy lines
-    assert not native.readout(ws.l_v.astype(np.float16), bg, 42, hard, weights, margins)
-    assert not native.readout(ws.l_v[::-1], bg, 42, hard, weights, margins)
+            native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, args)
+    # the arrays are checked before the pass: it ran on nothing
+    assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
+    # f16 and strided posteriors take the numpy rows and lines
+    for a, m in ((ws.l_v.astype(np.float16), ws.messages.astype(np.float16)),
+                 (ws.l_v[::-1], ws.messages[::-1])):
+        assert not native.run_iteration(a, m, bg, 42, 0.75, readout)
+    assert (hard == 7).all() and (weights == 7).all() and (margins == 7).all()
 
 
 # dense H up to BG1 Z=384 with four rows: 1536 x 9984 bytes
@@ -308,11 +312,10 @@ def _numpy_readout(lv, bg, rows):
     return hard, codec._syndrome_weights_numpy(hard, bg, rows), np.abs(lv).min(axis=(1, 2))
 
 
-def _compiled_readout(lv, bg, rows):
-    hard = np.empty((len(lv), lv[0].size), dtype=np.uint8)
-    weights, margins = np.empty(len(lv), dtype=np.int64), np.empty(len(lv))
-    assert native.readout(lv, bg, rows, hard, weights, margins)
-    return hard, weights, margins
+def _readout_arrays(lv):
+    """(hard, weights, margins) for the posteriors `lv`, filled with 7s."""
+    return (np.full((len(lv), lv[0].size), 7, dtype=np.uint8),
+            np.full(len(lv), 7, dtype=np.int64), np.full(len(lv), 7.0))
 
 
 @pytest.mark.parametrize("batch, slices", [(5, 1), (5, 2), (5, 3), (1, 1), (1, 3)])
@@ -320,7 +323,8 @@ def _compiled_readout(lv, bg, rows):
 def test_slices_match_the_numpy_oracles(kernel, monkeypatch, batch, slices, precision):
     """Every entry point, run on a forced thread count (three threads sharing
     five codewords, and more threads than codewords, included), equals its
-    numpy oracle after every iteration."""
+    numpy oracle after every iteration: the pass, the readout that ends it
+    and the row parities."""
     bg, rows = get_graph("BG2", 52), 42
     asked = []
     monkeypatch.setattr(native, "slice_count", lambda b, work: asked.append(b) or slices)
@@ -328,15 +332,16 @@ def test_slices_match_the_numpy_oracles(kernel, monkeypatch, batch, slices, prec
     _, blocks = make_noisy_blocks(bg, rows, 2.0, batch, seed=60 + batch, mode=precision)
     fast = init_workspace(blocks, bg, cfg)
     oracle = init_workspace(blocks, bg, cfg)
+    readout = _readout_arrays(fast.l_v)
     for it in range(8):
-        layered_iteration(fast, bg, cfg)
+        assert layered_iteration(fast, bg, cfg, readout)
         for r in range(rows):
             oracle.layer(r, cfg)
         assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), it
         assert np.array_equal(_bits(fast.messages), _bits(oracle.messages)), it
-        got, want = _compiled_readout(fast.l_v, bg, rows), _numpy_readout(oracle.l_v, bg, rows)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), it
-    blocks_bits = got[0].reshape(batch, -1, bg.z)
+        want = _numpy_readout(oracle.l_v, bg, rows)
+        assert all(np.array_equal(g, w) for g, w in zip(readout, want, strict=True)), it
+    blocks_bits = readout[0].reshape(batch, -1, bg.z)
     for r0, r1 in ((0, 4), (3, 4), (4, rows), (0, rows)):
         got = native.row_parities(blocks_bits, bg, rows, r0, r1)
         want = codec._row_parities_numpy(blocks_bits, bg, r0, r1)
@@ -416,22 +421,24 @@ def test_no_thread_outlives_a_call(kernel, monkeypatch):
 
 
 def test_packed_and_flooding_decode_as_without_the_kernel(kernel, monkeypatch):
-    """Flooding's int32 and f32 posteriors take the compiled readout, the
-    packed engine's unpacked lanes (a strided view) the numpy lines; both
-    decode as they do without the kernel."""
+    """The packed engine and flooding read every iteration out through the
+    numpy lines, which a compiled scalar decode never runs; all decode as
+    they do without the kernel."""
     bg = get_graph("BG2", 52)
     cases = [(decode, DecodeConfig(rho=4, max_iter=8), "int8"),
              (decode_flooding, DecodeConfig(max_iter=8), "int8"),
-             (decode_flooding, DecodeConfig(precision="f32", max_iter=8), "f32")]
+             (decode_flooding, DecodeConfig(precision="f32", max_iter=8), "f32"),
+             (decode, DecodeConfig(max_iter=8), "int8")]
     inputs = [make_noisy_blocks(bg, 42, 2.0, 5, seed=80, mode=mode)[1] for *_, mode in cases]
-    calls = []
-    readout = native.readout
-    monkeypatch.setattr(native, "readout", lambda *a: calls.append(readout(*a)) or calls[-1])
+    reads = []
+    syndrome = decoder._syndrome_weights
+    monkeypatch.setattr(decoder, "_syndrome_weights", lambda *a: reads.append(1) or syndrome(*a))
     fast = []
     for (fn, cfg, _), blocks in zip(cases, inputs):
-        calls.clear()
+        reads.clear()
         fast.append(_decode_digest(blocks, bg, cfg, fn))
-        assert calls and set(calls) == {fn is decode_flooding}, (fn.__name__, cfg)
+        compiled = fn is decode and cfg.rho == 1
+        assert len(reads) == (0 if compiled else len(fast[-1][3])), (fn.__name__, cfg)
     monkeypatch.setattr(native, "load", lambda: None)
     for (fn, cfg, _), blocks, got in zip(cases, inputs, fast):
         assert _same(got, _decode_digest(blocks, bg, cfg, fn)), (fn.__name__, cfg)
@@ -486,33 +493,61 @@ def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, bg_id, z, rows, ba
 
 
 def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
-    """f16, bits of another dtype, the noise-free limit and a host without the
-    kernel all give the blocks the numpy path gives; the noise-free limit
-    reads no draw."""
+    """Bits of every dtype, f16, the noise-free limit and a host without the
+    kernel all give the blocks the numpy path gives; uint8, bool and int64
+    bits all take the compiled pass where it applies, and the noise-free
+    limit reads no draw."""
     bg = get_graph("BG2", 52)
     params = code_params(bg, 52, 42)
     msgs = np.random.default_rng(3).integers(0, 2, (3, params.k), dtype=np.uint8)
     bits = codec.encode_batch(msgs, bg, 52, 42)[:, 2 * 52:]
     cases = [(b, q) for b in (bits, bits.astype(bool), bits.astype(np.int64), bits[1])
              for q in (QuantConfig("int8"), QuantConfig("f16"), QuantConfig("f32"))]
+    passes = []
+    fused = native.channel_blocks
+    monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(1) or fused(*a))
 
-    def check():
+    def check(compiled):
         for b, quant in cases:
+            passes.clear()
             fast, slow = np.random.default_rng(5), np.random.default_rng(5)
             got = transmit(b, 0.7, fast, quant, params)
             assert _same_blocks(got, _numpy_channel(b, 0.7, slow, quant, params)), quant
             assert fast.bit_generator.state == slow.bit_generator.state
+            assert len(passes) == (compiled and quant.mode != "f16"), (b.dtype, quant)
             rng = np.random.default_rng(5)
             quiet = transmit(b, None, rng, quant, params)
             assert _same_blocks(quiet, quantize(bpsk_exact(b) * NOISE_FREE_LLR, quant, params))
             assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
-    check()
+    check(True)
     monkeypatch.setattr(native, "load", lambda: None)
     noise, out = np.zeros(bits.shape), np.ones((3, params.n_c), dtype=np.int8)
-    assert not native.channel_blocks(noise, np.ascontiguousarray(bits), out, 0.7, 8.0, 127)
+    assert not fused(noise, np.ascontiguousarray(bits), out, 0.7, 8.0, 127)
     assert (out == 1).all()
-    check()
+    check(False)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+def test_transmit_rejects_bits_other_than_0_and_1(request, monkeypatch, compiled):
+    """A 2 and a 255 in a uint8 block went through as LLRs -68 and -127, on
+    the compiled path, the numpy path and with sigma=None alike."""
+    if compiled:
+        request.getfixturevalue("kernel")
+    else:
+        monkeypatch.setattr(native, "load", lambda: None)
+    bg = get_graph("BG2", 16)
+    params = code_params(bg, 16, 42)
+    for dtype, bad in ((np.uint8, 2), (np.uint8, 255), (np.int64, 2), (np.int64, -1)):
+        bits = np.zeros((2, params.n_tx), dtype=dtype)
+        bits[1, 5] = bad
+        for sigma in (None, 0.7):
+            for quant in (QuantConfig("int8"), QuantConfig("f32")):
+                rng = np.random.default_rng(1)
+                with pytest.raises(ValueError, match="0 and 1"):
+                    transmit(bits, sigma, rng, quant, params)
+                # rejected before the draw
+                assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
 def test_transmit_rejects_what_the_numpy_chain_rejects(kernel):
