@@ -19,7 +19,10 @@
  * argmin tag) elementwise over z in edge order, scale by beta, then write
  * messages and posteriors back through the same two runs. After its last
  * row a codeword's posteriors are read out while they are still in cache:
- * hard decisions, min |L_v| and the count of unsatisfied checks.
+ * hard decisions, min |L_v| and the count of unsatisfied checks. A pass given
+ * the sorted indices of the codewords still live runs those alone and leaves
+ * the rest, posteriors, messages and readout, as they were: decoding retires
+ * a codeword this way once it has settled.
  *
  * Codewords never interact, so every entry point shares its batch among
  * `slices` threads (split()): the calling thread and slices - 1 pthreads
@@ -42,7 +45,8 @@
 
 #define INT8_SAT 127
 
-/* The work on codewords [b0, b1) of the call described by args. */
+/* The work on codewords [b0, b1) of the call described by args (for a layer
+ * pass, slots [b0, b1) of its live list). */
 typedef int (*slice_fn)(const void *args, int64_t b0, int64_t b1, void *scratch);
 
 struct slice {
@@ -178,6 +182,7 @@ static double hard_and_margin_i8(const int8_t *lv, uint8_t *hard, int64_t n)
 
 struct layer_args {
     void *lv, *msg;
+    const int64_t *live;
     uint8_t *hard;
     double *margins;
     int64_t *weights;
@@ -214,7 +219,8 @@ static int layer_i8(const void *args, int64_t b0, int64_t b1, void *scratch)
     int16_t *x = scratch;
     int16_t *m1 = x + p->w_max * z, *m2 = m1 + z, *sg = m2 + z, *tag = sg + z;
 
-    for (int64_t b = b0; b < b1; b++) {
+    for (int64_t i = b0; i < b1; i++) {
+        int64_t b = p->live ? p->live[i] : i;
         int8_t *lvb = (int8_t *)p->lv + b * p->n_blocks * z;
         int8_t *msgb = (int8_t *)p->msg + b * n_edges * z;
         for (int64_t r = 0; r < p->rows; r++) {
@@ -292,7 +298,8 @@ static int layer_f32(const void *args, int64_t b0, int64_t b1, void *scratch)
     float *m1 = x + p->w_max * z, *m2 = m1 + z;
     int32_t *sg = (int32_t *)(m2 + z), *tag = sg + z;
 
-    for (int64_t b = b0; b < b1; b++) {
+    for (int64_t i = b0; i < b1; i++) {
+        int64_t b = p->live ? p->live[i] : i;
         float *lvb = (float *)p->lv + b * p->n_blocks * z;
         float *msgb = (float *)p->msg + b * n_edges * z;
         for (int64_t r = 0; r < p->rows; r++) {
@@ -358,34 +365,36 @@ static int layer_f32(const void *args, int64_t b0, int64_t b1, void *scratch)
     return 0;
 }
 
-/* One iteration over the batch in place. Where hard is not NULL, each
- * codeword's pass ends by reading it out: the uint8 hard decisions lv < 0
- * into hard (batch, n_blocks, z), min |lv| into margins and the count of
- * unsatisfied checks over the used rows into weights. */
-int layer_iteration_i8(int8_t *lv, int8_t *msg, uint8_t *hard, double *margins,
-                       int64_t *weights, int64_t batch, int64_t n_blocks, int64_t z,
-                       int64_t rows, const int64_t *row_start, const int64_t *cols,
+/* One iteration in place over the codewords live[0..n_live) of the batch,
+ * sorted and distinct, or over codewords 0..n_live where live is NULL; the
+ * others are not touched. Where hard is not NULL, each codeword's pass ends by
+ * reading it out: the uint8 hard decisions lv < 0 into its row of hard
+ * (batch, n_blocks, z), min |lv| into margins and the count of unsatisfied
+ * checks over the used rows into weights, each at the codeword's own index. */
+int layer_iteration_i8(int8_t *lv, int8_t *msg, const int64_t *live, uint8_t *hard,
+                       double *margins, int64_t *weights, int64_t n_live, int64_t n_blocks,
+                       int64_t z, int64_t rows, const int64_t *row_start, const int64_t *cols,
                        const int64_t *shifts, const int32_t *beta_lut, int64_t slices)
 {
-    struct layer_args a = {lv, msg, hard, margins, weights, n_blocks, z, rows,
+    struct layer_args a = {lv, msg, live, hard, margins, weights, n_blocks, z, rows,
                            max_row_weight(rows, row_start), row_start, cols,
                            shifts, beta_lut, 0.0f};
     /* the extrinsics, m1, m2, sign parity and tag, all int16; the z-byte
      * parity row of the unsatisfied-check count reuses the extrinsics */
-    return split(layer_i8, &a, batch, slices,
+    return split(layer_i8, &a, n_live, slices,
                  sizeof(int16_t) * (a.w_max + 4) * z);
 }
 
-int layer_iteration_f32(float *lv, float *msg, uint8_t *hard, double *margins,
-                        int64_t *weights, int64_t batch, int64_t n_blocks, int64_t z,
-                        int64_t rows, const int64_t *row_start, const int64_t *cols,
+int layer_iteration_f32(float *lv, float *msg, const int64_t *live, uint8_t *hard,
+                        double *margins, int64_t *weights, int64_t n_live, int64_t n_blocks,
+                        int64_t z, int64_t rows, const int64_t *row_start, const int64_t *cols,
                         const int64_t *shifts, float beta, int64_t slices)
 {
-    struct layer_args a = {lv, msg, hard, margins, weights, n_blocks, z, rows,
+    struct layer_args a = {lv, msg, live, hard, margins, weights, n_blocks, z, rows,
                            max_row_weight(rows, row_start), row_start, cols,
                            shifts, NULL, beta};
     /* the extrinsics, m1 and m2 as floats; sign parity and tag as int32 */
-    return split(layer_f32, &a, batch, slices, 4 * (a.w_max + 4) * z);
+    return split(layer_f32, &a, n_live, slices, 4 * (a.w_max + 4) * z);
 }
 
 struct parity_args {

@@ -82,13 +82,17 @@ class DecodeConfig:
 
 @dataclass
 class DecodeResult:
-    """Per-codeword outcome; the traces have one row per iteration run."""
+    """Per-codeword outcome; the traces have one row per iteration run.
+
+    A codeword's trace column past its settle iteration repeats the settle
+    iteration's value: a settled codeword is no longer decoded.
+    """
 
     bits: np.ndarray              # (B, K) hard decisions on information bits
     iterations: np.ndarray        # (B,) iteration each codeword settled at
     success: np.ndarray           # (B,) zero syndrome (and CRC in crc mode)
-    syndrome_trace: np.ndarray    # (iterations run, B) unsatisfied checks
-    margin_trace: np.ndarray      # (iterations run, B) min |L_v|
+    syndrome_trace: np.ndarray    # (iterations run, B) unsatisfied checks, held after settling
+    margin_trace: np.ndarray      # (iterations run, B) min |L_v|, held after settling
 
     @property
     def syndrome_weight(self) -> np.ndarray:
@@ -385,16 +389,18 @@ def _scalar_flood(ws: ScalarWorkspace, l_b: np.ndarray, cfg: DecodeConfig) -> No
 
 
 def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig,
-                      readout=None) -> bool:
+                      readout=None, live=None) -> bool:
     """One full layered pass: rows in ascending order, each feeding the next.
 
     A scalar int8 or f32 workspace runs the compiled kernel where the host
-    can build it, which fills `readout` (see `native.run_iteration`), and
-    returns True; f16, the packed engine and any host without the kernel run
-    the numpy rows, its bit-exact oracle, and return False.
+    can build it, over the codewords `live` (sorted int64 indices; None for
+    all of them) alone, fills their rows of `readout` (see
+    `native.run_iteration`) and returns True; f16, the packed engine and any
+    host without the kernel run the numpy rows, its bit-exact oracle, over
+    every codeword and return False.
     """
     if isinstance(ws, ScalarWorkspace) and native.run_iteration(
-            ws.l_v, ws.messages, ws.bg, ws.rows_used, cfg.beta, readout):
+            ws.l_v, ws.messages, ws.bg, ws.rows_used, cfg.beta, readout, live):
         return True
     for r in range(ws.rows_used):
         ws.layer(r, cfg)
@@ -404,14 +410,18 @@ def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig,
 def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     """Run `step` until every codeword has settled; settled outputs freeze.
 
-    `step(ws, readout)` runs one iteration; where it returns True it has
-    filled `readout`, the iteration's (hard, weights, margins), itself.
+    `step(ws, readout, live)` runs one iteration; where it returns True it
+    has filled the rows `live` (sorted indices of the codewords not yet
+    settled; None while none has) of `readout`, the iteration's
+    (hard, weights, margins), itself, and may have left the settled
+    codewords untouched.
 
     A codeword settles at the first iteration whose hard decision satisfies
     the syndrome (and the CRC in crc mode); the rest settle at max_iter with
     that iteration's hard bits. With early stop off the success test runs
     once, at max_iter. Every iteration's syndrome weights and margins go
-    into the result's traces.
+    into the result's traces; after a codeword settles, its rows repeat
+    those of its settle iteration, whether or not the step still ran it.
     """
     batch = ws.lanes
     bits = np.zeros((batch, bg.k_b * bg.z), dtype=np.uint8)
@@ -421,25 +431,29 @@ def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     margins = np.zeros((cfg.max_iter, batch), dtype=np.float64)
     hard = np.empty((batch, (bg.k_b + ws.rows_used) * bg.z), dtype=np.uint8)
     for it in range(1, cfg.max_iter + 1):
+        live = np.flatnonzero(~success) if success.any() else None
         # one read of the posteriors gives the hard decisions, the syndrome
         # and the margins: in the compiled pass, else in these numpy lines
-        if not step(ws, (hard, weights[it - 1], margins[it - 1])):
+        if not step(ws, (hard, weights[it - 1], margins[it - 1]), live):
             lv = ws.posteriors()
             np.less(lv, 0, out=hard.view(bool).reshape(lv.shape))
             weights[it - 1] = _syndrome_weights(hard, bg, ws.rows_used)
             margins[it - 1] = np.abs(lv).min(axis=(1, 2))
+        if live is not None:
+            # the settled hold their settle row, however the step treated them
+            weights[it - 1, success] = weights[it - 2, success]
+            margins[it - 1, success] = margins[it - 2, success]
         last = it == cfg.max_iter
         if cfg.early_stop is EarlyStop.NONE and not last:
             continue
-        live = ~success
         # a zero-margin posterior is an undecided bit (erasure fixed point):
         # the all-zero hard decision it implies is not a found codeword
-        found = live & (weights[it - 1] == 0) & (margins[it - 1] > 0)
+        found = ~success & (weights[it - 1] == 0) & (margins[it - 1] > 0)
         if found.any() or last:
             info = hard[:, : bg.k_b * bg.z]
             if cfg.early_stop is EarlyStop.CRC and found.any():
                 found[found] = crc_check(info[found], cfg.crc_kind)
-            settle = live if last else found
+            settle = ~success if last else found
             bits[settle] = info[settle]
             iterations[settle] = it
             success |= found
@@ -454,11 +468,14 @@ def decode(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
     `llrs` has shape (n_c,) or (B, n_c) for any B. Packed int8 (rho=4)
     carries four codewords per word inside the decoder and returns the same
     per-codeword results, traces included, as the scalar engine. Early
-    termination is checked after every full iteration. The result records
-    every iteration's syndrome weight and min |L_v| per codeword.
+    termination is checked after every full iteration, and a settled
+    codeword is retired from the compiled pass. The result records every
+    iteration's syndrome weight and min |L_v| per codeword, held at the
+    settle iteration's values once the codeword has settled.
     """
     ws = init_workspace(llrs, bg, cfg)
-    return _run_schedule(ws, bg, cfg, lambda ws, out: layered_iteration(ws, bg, cfg, out))
+    return _run_schedule(ws, bg, cfg,
+                         lambda ws, out, live: layered_iteration(ws, bg, cfg, out, live))
 
 
 def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
@@ -467,4 +484,4 @@ def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
         raise ValueError("flooding decoding runs on the scalar path (rho < 4)")
     ws = init_workspace(llrs, bg, cfg)
     l_b = ws.l_v.copy()
-    return _run_schedule(ws, bg, cfg, lambda ws, _: _scalar_flood(ws, l_b, cfg))
+    return _run_schedule(ws, bg, cfg, lambda ws, *_: _scalar_flood(ws, l_b, cfg))

@@ -5,11 +5,13 @@ int8 (int8 posteriors and messages, int16 scratch) or f32, bit-exact with the
 numpy rows of `ScalarWorkspace.layer`, which stay its oracle and its
 fallback. Each codeword's pass can end with its readout: hard decisions,
 margin and syndrome count, with the numpy lines of `decoder._run_schedule`
-as oracle and fallback. It also computes the parity bits of a range of base
-rows over a batch of hard decisions, for the syndrome and the encoder, with
-`codec`'s numpy roll loop as oracle and fallback; and turns standard normals
-and transmitted bits into int8 or f32 decoder blocks in one pass, with
-`channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and fallback.
+as oracle and fallback. A pass can be limited to the codewords still live,
+so decoding spends no more work on a codeword once it has settled. It also
+computes the parity bits of a range of base rows over a batch of hard
+decisions, for the syndrome and the encoder, with `codec`'s numpy roll loop
+as oracle and fallback; and turns standard normals and transmitted bits into
+int8 or f32 decoder blocks in one pass, with `channel`'s
+`quantize(demap_llr(bpsk_awgn(...)))` as oracle and fallback.
 
 Every call shares its batch among `slice_count` threads, which claim
 codewords one at a time, so a thread on a slower core takes fewer. The
@@ -151,7 +153,7 @@ def load() -> ctypes.CDLL | None:
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     tables = [i64] * 4 + [ptr] * 3
     for fn, scale in ((lib.layer_iteration_i8, ptr), (lib.layer_iteration_f32, ctypes.c_float)):
-        fn.argtypes = [ptr] * 5 + tables + [scale, i64]
+        fn.argtypes = [ptr] * 6 + tables + [scale, i64]
     lib.row_parities.argtypes = [ptr] * 3 + [i64] * 5 + [ptr] * 3 + [i64]
     lib.channel_blocks.argtypes = ([ptr] * 3 + [ctypes.c_int] + [i64] * 3
                                    + [ctypes.c_double] * 3 + [i64])
@@ -193,17 +195,20 @@ def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
 
 
 def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
-                  beta: float, readout=None) -> bool:
+                  beta: float, readout=None, live=None) -> bool:
     """One layered iteration over rows 0..rows_used-1 of `bg`, in place.
 
     `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8 or both
     float32. The base graph's own entry arrays are the kernel's tables.
-    `readout`, if given, is (hard, weights, margins): each codeword's pass
-    ends by writing its uint8 hard decisions `l_v < 0` into `hard`
-    (B, n_blocks * Z), its unsatisfied checks over the used rows into the
-    int64 `weights` (B,) and min |L_v| into the float64 `margins` (B,), as
-    the numpy lines of `decoder._run_schedule` compute them. Returns False,
-    touching nothing, where the kernel does not apply or is unavailable.
+    `live`, if given, is a C-contiguous int64 array of codeword indices,
+    strictly increasing within [0, B): the pass runs those codewords alone
+    and leaves the others, and their readout, untouched. `readout`, if given,
+    is (hard, weights, margins): each codeword's pass ends by writing its
+    uint8 hard decisions `l_v < 0` into `hard` (B, n_blocks * Z), its
+    unsatisfied checks over the used rows into the int64 `weights` (B,) and
+    min |L_v| into the float64 `margins` (B,), as the numpy lines of
+    `decoder._run_schedule` compute them. Returns False, touching nothing,
+    where the kernel does not apply or is unavailable.
     """
     if l_v.dtype == np.int8:
         # the beta rule for the int8 magnitudes m = 0..127, as the numpy rows
@@ -232,10 +237,21 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
                 or not all(a.flags.c_contiguous for a in readout)):
             raise ValueError("readout arrays do not match the posteriors and the base graph")
         out = (hard.ctypes.data, margins.ctypes.data, weights.ctypes.data)
+    n_live = batch
+    if live is not None:
+        # the kernel indexes with it unchecked: a repeated index would let
+        # two threads update one codeword at once
+        if (live.dtype != np.int64 or live.ndim != 1 or not live.flags.c_contiguous
+                or not 0 < len(live) <= batch or live[0] < 0 or live[-1] >= batch
+                or (np.diff(live) <= 0).any()):
+            raise ValueError(f"live must be strictly increasing C-contiguous int64 "
+                             f"codeword indices within [0, {batch})")
+        n_live = len(live)
     row_start, cols, shifts = tables
-    _call(getattr(lib, name), l_v.ctypes.data, messages.ctypes.data, *out, batch, n_blocks,
-          z, rows_used, row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, scale,
-          slice_count(batch, batch * messages.shape[1] * z))
+    _call(getattr(lib, name), l_v.ctypes.data, messages.ctypes.data,
+          None if live is None else live.ctypes.data, *out, n_live, n_blocks, z, rows_used,
+          row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, scale,
+          slice_count(n_live, n_live * messages.shape[1] * z))
     return True
 
 

@@ -1,5 +1,6 @@
 """The compiled kernels against their numpy oracles, and the kernels' loader."""
 
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -23,6 +24,7 @@ from ldpclab.channel import (
 )
 from ldpclab.decoder import (
     DecodeConfig,
+    DecodeResult,
     EarlyStop,
     ScalarWorkspace,
     decode,
@@ -226,6 +228,26 @@ def test_run_iteration_rejects_arrays_of_another_graph(kernel):
     assert (hard == 7).all() and (weights == 7).all() and (margins == 7).all()
 
 
+def test_run_iteration_rejects_a_bad_live_list(kernel):
+    """The kernel indexes with `live` unchecked, and a repeated index would
+    let two threads update one codeword at once: every malformed list raises
+    before the pass."""
+    bg = get_graph("BG2", 16)
+    _, blocks = make_noisy_blocks(bg, 42, 2.0, 4, seed=2)
+    ws = init_workspace(blocks, bg, DecodeConfig())
+    readout = _readout_arrays(ws.l_v)
+    lv, msgs = ws.l_v.copy(), ws.messages.copy()
+    bad = [np.array([0, 2, 2]), np.array([2, 1]), np.array([-1, 2]), np.array([1, 4]),
+           np.array([0, 1], dtype=np.int32), np.array([[0, 1]]), np.array([], dtype=np.int64),
+           np.arange(4)[::2], np.arange(5)]
+    for live in bad:
+        for out in (None, readout):
+            with pytest.raises(ValueError, match="live must be"):
+                native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, out, live)
+    assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
+    assert all((a == 7).all() for a in readout)
+
+
 # dense H up to BG1 Z=384 with four rows: 1536 x 9984 bytes
 DENSE_LIMIT = 2 * 10**7
 
@@ -349,6 +371,88 @@ def test_slices_match_the_numpy_oracles(kernel, monkeypatch, batch, slices, prec
     assert asked and set(asked) == {batch}
 
 
+def _copy(ws):
+    return dataclasses.replace(ws, l_v=ws.l_v.copy(), messages=ws.messages.copy())
+
+
+@pytest.mark.parametrize("slices", [1, 2])
+@pytest.mark.parametrize("precision", ["int8", "f32"])
+def test_a_live_pass_runs_the_live_codewords_alone(kernel, monkeypatch, slices, precision):
+    """A pass over a `live` subset leaves the other codewords' posteriors,
+    messages and readout rows byte for byte as they were, and gives the live
+    ones what a pass over the whole batch gives them, their readout equal to
+    the numpy lines."""
+    bg, rows, batch = get_graph("BG2", 52), 42, 6
+    asked = []
+    monkeypatch.setattr(native, "slice_count", lambda b, work: asked.append(b) or slices)
+    cfg = DecodeConfig(precision=precision)
+    _, blocks = make_noisy_blocks(bg, rows, 1.5, batch, seed=61, mode=precision)
+    ws = init_workspace(blocks, bg, cfg)
+    subsets = [[0, 1, 2, 3, 4, 5], [1, 2, 4], [0, 5], [3], [2, 3, 4, 5], [0, 2, 4]]
+    for it, subset in enumerate(subsets):
+        live = np.array(subset, dtype=np.int64)
+        retired = np.setdiff1d(np.arange(batch), live)
+        before, full = _copy(ws), _copy(ws)
+        want = _readout_arrays(full.l_v)
+        assert layered_iteration(full, bg, cfg, want)
+        readout = _readout_arrays(ws.l_v)
+        asked.clear()
+        assert layered_iteration(ws, bg, cfg, readout, live)
+        assert asked == [len(live)]
+        for a, b in ((ws.l_v, before.l_v), (ws.messages, before.messages)):
+            assert a[retired].tobytes() == b[retired].tobytes(), it
+        for a, b in ((ws.l_v, full.l_v), (ws.messages, full.messages)):
+            assert a[live].tobytes() == b[live].tobytes(), it
+        assert all((a[retired] == 7).all() for a in readout), it
+        lines = _numpy_readout(full.l_v, bg, rows)
+        for got, full_got, line in zip(readout, want, lines, strict=True):
+            assert np.array_equal(got[live], full_got[live]), it
+            assert np.array_equal(got[live], line[live]), it
+
+
+def _assert_traces_hold_after_settling(res):
+    """Each codeword's trace rows past its settle iteration repeat it."""
+    cols = np.arange(len(res.iterations))
+    after = np.arange(len(res.syndrome_trace))[:, None] >= res.iterations
+    for trace in (res.syndrome_trace, res.margin_trace):
+        held = trace[res.iterations - 1, cols]
+        assert np.array_equal(np.where(after, held, trace), trace)
+
+
+def _crc_blocks(bg, rows, ebn0, count, seed, mode):
+    """make_noisy_blocks with each message's last bits its CRC."""
+    params = code_params(bg, bg.z, rows)
+    rng = np.random.default_rng(seed)
+    msgs = codec.crc_attach(rng.integers(0, 2, (count, params.k - 24), dtype=np.uint8))
+    tx = codec.encode_batch(msgs, bg, bg.z, rows)[:, 2 * bg.z:]
+    sigma = channel.ebn0_to_sigma(ebn0, params.k / params.n_tx)
+    return transmit(tx, sigma, rng, QuantConfig(mode), params)
+
+
+@pytest.mark.parametrize("early", ["syndrome", "crc"])
+@pytest.mark.parametrize("precision", ["int8", "f32"])
+def test_retired_codewords_decode_as_without_the_kernel(kernel, monkeypatch, precision, early):
+    """Batches whose codewords settle at different iterations retire the
+    settled ones from the compiled pass and decode as the numpy rows do,
+    which keep iterating them: bits, iterations, success and traces alike,
+    each codeword's trace rows past its settle iteration repeating it."""
+    bg = get_graph("BG2", 52)
+    cfg = DecodeConfig(precision=precision, early_stop=early, max_iter=10)
+    inputs = [_crc_blocks(bg, 42, ebn0, 8, seed=90 + i, mode=precision)
+              for i, ebn0 in enumerate((1.0, 1.5, 2.5))]
+    lives = []
+    run = native.run_iteration
+    monkeypatch.setattr(native, "run_iteration", lambda *a: lives.append(a[-1]) or run(*a))
+    fast = [_decode_digest(blocks, bg, cfg) for blocks in inputs]
+    assert any(live is not None and len(live) < 8 for live in lives)
+    assert any(len(set(iters[ok])) > 1 for _, iters, ok, *_ in fast)
+    for digest in fast:
+        _assert_traces_hold_after_settling(DecodeResult(*digest))
+    monkeypatch.setattr(native, "load", lambda: None)
+    for blocks, got in zip(inputs, fast, strict=True):
+        assert _same(got, _decode_digest(blocks, bg, cfg))
+
+
 @pytest.mark.parametrize("precision", ["int8", "f32"])
 def test_decode_is_the_same_in_every_slice_count(kernel, monkeypatch, precision):
     bg = get_graph("BG2", 52)
@@ -439,6 +543,7 @@ def test_packed_and_flooding_decode_as_without_the_kernel(kernel, monkeypatch):
         fast.append(_decode_digest(blocks, bg, cfg, fn))
         compiled = fn is decode and cfg.rho == 1
         assert len(reads) == (0 if compiled else len(fast[-1][3])), (fn.__name__, cfg)
+        _assert_traces_hold_after_settling(DecodeResult(*fast[-1]))
     monkeypatch.setattr(native, "load", lambda: None)
     for (fn, cfg, _), blocks, got in zip(cases, inputs, fast):
         assert _same(got, _decode_digest(blocks, bg, cfg, fn)), (fn.__name__, cfg)
