@@ -20,11 +20,15 @@ from ldpclab.basegraph import CodeParams
 
 INT8_MAX = 127
 F16_MAX = 65504.0
-# f32 LLRs clamp here. Posteriors grow from the channel values: with early
-# stop off, clean BG1/BG2 codewords at +/-2**64 settle below 134 times that at
-# beta=0.75 (2.5e21 against the f32 maximum 3.4e38), and at beta=1 BG1 grows
-# 1.33x per iteration and stays finite through 100 iterations (2.1e33).
+# f32 LLRs clamp here, and the decoder saturates its f32 values here, as
+# every domain does at its bound. The sums a layer forms before it saturates
+# them stay within three times the bound, far inside the f32 range (3.4e38).
 F32_MAX = 2.0 ** 64
+# Each decoder domain, by quantization mode: its dtype and the largest
+# magnitude its values hold. `quantize` and `transmit` clamp the channel
+# values at the bound, and the decoder saturates every value it stores there.
+DOMAINS = {"int8": (np.int8, INT8_MAX), "f16": (np.float16, F16_MAX),
+           "f32": (np.float32, F32_MAX)}
 # LLR magnitude standing in for a noiseless channel observation; saturates
 # the int8 domain at the default scale.
 NOISE_FREE_LLR = 16.0
@@ -46,7 +50,7 @@ class QuantConfig:
     scale: float = 8.0
 
     def __post_init__(self):
-        if self.mode not in ("int8", "f16", "f32"):
+        if self.mode not in DOMAINS:
             raise ValueError(f"unknown quantization mode {self.mode!r}")
         # a NaN scale would quantize every LLR to 0, an infinite one to +/-127
         if not (math.isfinite(self.scale) and self.scale > 0):
@@ -112,12 +116,12 @@ def quantize(llrs, cfg: QuantConfig, params: CodeParams) -> np.ndarray:
     if np.isnan(arr).any():
         raise ValueError("LLRs must not be NaN")
     shape = arr.shape[:-1] + (params.n_c,)
+    dtype, bound = DOMAINS[cfg.mode]
     if cfg.mode == "int8":
         full = np.zeros(shape, dtype=np.float64)
         np.multiply(arr, cfg.scale, out=full[..., 2 * params.z:])
         np.rint(full, out=full)
-        return np.clip(full, -INT8_MAX, INT8_MAX, out=full).astype(np.int8)
-    bound, dtype = (F16_MAX, np.float16) if cfg.mode == "f16" else (F32_MAX, np.float32)
+        return np.clip(full, -bound, bound, out=full).astype(dtype)
     full = np.zeros(shape, dtype=dtype)
     # clipped in float64, rounded once on the store, as astype rounds
     np.clip(arr, -bound, bound, out=full[..., 2 * params.z:])
@@ -150,8 +154,8 @@ def transmit(bits, sigma: float | None, rng, quant: QuantConfig,
     if bits.ndim == 0 or bits.shape[-1] != params.n_tx:
         raise ValueError(f"expected {params.n_tx} bits, got shape {bits.shape}")
     flat = np.ascontiguousarray(bits.reshape(-1, params.n_tx))
-    int8 = quant.mode == "int8"
-    blocks = np.empty((len(flat), params.n_c), dtype=np.int8 if int8 else np.float32)
+    dtype, bound = DOMAINS[quant.mode]
+    blocks = np.empty((len(flat), params.n_c), dtype=dtype)
     # the draw, in chunks of whole codewords through one small buffer: the
     # generator fills element by element, so the stream is the one-call draw's
     rows = max(1, DRAW_CHUNK // params.n_tx)
@@ -160,7 +164,7 @@ def transmit(bits, sigma: float | None, rng, quant: QuantConfig,
         part = noise[: len(flat[b0:b0 + rows])]
         rng.standard_normal(out=part)
         native.channel_blocks(part, flat[b0:b0 + rows], blocks[b0:b0 + rows], sigma,
-                              quant.scale, INT8_MAX if int8 else F32_MAX)
+                              quant.scale, bound)
     return blocks.reshape(bits.shape[:-1] + (params.n_c,))
 
 

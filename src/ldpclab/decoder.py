@@ -14,10 +14,16 @@ The scalar engine reduces a check row to (m1, m2, argmin, sign parity) with
 whole-array numpy over the edge axis, as the compiled kernel does per edge;
 the packed engine folds the row's edges in order through `kernels.acc_merge`.
 
-int8 posteriors and messages are stored as bytes: every stored value lies
-within +/-127. Only the extrinsic L_v - message (|raw| <= 254) needs more, so
-the numpy rows widen each row's gather to int32 and the kernel works in
-int16 scratch; an int8 subtraction would wrap.
+Every domain saturates at its channel bound (`channel.DOMAINS`): +/-127 for
+int8, the largest finite half for f16, +/-2**64 for f32. A layer feeds the
+saturated extrinsic sat(L_v - message) to the check node and writes the
+posterior sat(raw + out); where that posterior saturates, the message stores
+what it absorbed on top of the extrinsic, sat(raw + out) - raw, so the next
+visit subtracts exactly what this one added and a codeword once found is
+kept. Only the extrinsic (|raw| up to twice the bound) needs more than the
+domain: the numpy rows widen it to int32 for int8 and to f32 for f16, and
+the kernel works in int16 scratch for int8; int8 posteriors and messages
+stay bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from ldpclab import kernels, native
 from ldpclab.basegraph import BaseGraph
-from ldpclab.channel import F16_MAX, F32_MAX, INT8_MAX
+from ldpclab.channel import DOMAINS, INT8_MAX
 from ldpclab.codec import CRC_POLYS, _syndrome_weights, crc_check
 
 
@@ -104,22 +110,15 @@ class DecodeResult:
 # Check-node core
 
 
-def _saturation(dtype):
-    """Largest magnitude a decoder value of `dtype` holds.
-
-    int8 (and the int32 its rows widen to) stays within +/-127, f16 within
-    its largest finite value; f32 is unbounded (inf). The row reduce
-    saturates its magnitudes here.
-    """
-    if np.issubdtype(dtype, np.integer):
-        return dtype.type(INT8_MAX)
-    return np.float16(F16_MAX) if dtype == np.float16 else dtype.type(np.inf)
+_BOUNDS = {np.dtype(dtype): bound for dtype, bound in DOMAINS.values()}
 
 
-def _clamp(x: np.ndarray, dtype) -> np.ndarray:
-    """Saturate the fresh array `x` in place to the range of `dtype`."""
-    sat = _saturation(dtype)
-    return x if np.isinf(sat) else np.clip(x, -sat, sat, out=x)
+def _bound(dtype):
+    """Largest magnitude a decoder value of `dtype` holds: its domain's
+    channel bound. Every integer is int8's (`check_node_minsum` widens to
+    int32); float64, which only `check_node_minsum` sees, is unbounded."""
+    bound = INT8_MAX if np.issubdtype(dtype, np.integer) else _BOUNDS.get(dtype, np.inf)
+    return dtype.type(bound)
 
 
 def _minsum(lvc: np.ndarray, beta: float) -> np.ndarray:
@@ -130,7 +129,7 @@ def _minsum(lvc: np.ndarray, beta: float) -> np.ndarray:
     argmin; where every edge saturates, m1 == m2 and the tag does not matter.
     """
     dtype = lvc.dtype
-    mags = np.minimum(np.abs(lvc), _saturation(dtype))
+    mags = np.minimum(np.abs(lvc), _bound(dtype))
     signs = lvc < 0
     part = np.partition(mags, 1, axis=1)
     m1, m2 = part[:, :1], part[:, 1:2]
@@ -152,7 +151,10 @@ def check_node_minsum(inputs, beta: float = 0.75) -> np.ndarray:
     otherwise, with the product of the other edges' signs. Integer inputs
     use the fixed-point rule floor(beta * magnitude) and must lie within
     +/-127, as the decoder's; float inputs scale in their own dtype and must
-    not be NaN. beta lies in (0, 1], as in `DecodeConfig`.
+    not be NaN. Magnitudes saturate at the bound of their decoder domain
+    (`channel.DOMAINS`: 127 for integers, the largest finite half for f16,
+    2**64 for f32); float64 is unbounded. beta lies in (0, 1], as in
+    `DecodeConfig`.
     """
     arr = np.asarray(inputs)
     w = arr.shape[-1]
@@ -235,26 +237,29 @@ class ScalarWorkspace(DecodeWorkspace):
     def posteriors(self) -> np.ndarray:
         return self.l_v
 
+    def extrinsic(self, cols, e0: int, idx) -> tuple[np.ndarray, np.ndarray]:
+        """A row's extrinsic raw = L_v - message, in int32 for int8 and f32
+        for the floats, where it neither wraps nor overflows, and raw
+        saturated at the bound in the workspace dtype."""
+        dtype = self.l_v.dtype
+        raw = np.subtract(self.l_v[:, cols[:, None], idx], self.messages[:, e0:e0 + len(cols)],
+                          dtype=np.int32 if dtype == np.int8 else np.float32)
+        bound = _bound(dtype)
+        return raw, np.clip(raw, -bound, bound).astype(dtype)
+
     def layer(self, r: int, cfg: DecodeConfig) -> None:
         cols, _, e0, idx = self.row_gather[r]
-        msgs = self.messages[:, e0:e0 + len(cols), :]
-        dtype = self.l_v.dtype
-        integer = np.issubdtype(dtype, np.integer)
-        with np.errstate(over="ignore"):               # f16 saturates via clamp
-            raw = np.subtract(self.l_v[:, cols[:, None], idx], msgs,
-                              dtype=np.int32 if integer else dtype)
-            # integers keep the extrinsic unclamped and store what the
-            # saturated posterior absorbed on top of it: the next visit
-            # subtracts exactly what this one added, so a found codeword stays
-            lvc = _clamp(raw.copy() if integer else raw, dtype)
-            out = _minsum(lvc, cfg.beta)
-            if integer:
-                upd = _clamp(np.add(out, raw, out=out), dtype)
-                np.subtract(upd, raw, out=msgs)
-            else:
-                upd = _clamp(lvc + out, dtype)
-                msgs[...] = out
-            self.l_v[:, cols[:, None], idx] = upd
+        raw, lvc = self.extrinsic(cols, e0, idx)
+        bound = _bound(lvc.dtype)
+        out = _minsum(lvc, cfg.beta)
+        # out adds onto the unsaturated extrinsic: raw, or lvc where raw fits
+        # the bound, which is raw itself for int8 and f32 and f16's rounding
+        ext = np.where(np.abs(raw) <= bound, lvc, raw)
+        total = ext + out
+        upd = np.clip(total, -bound, bound)
+        # a saturated posterior's message is what it absorbed on top of ext
+        self.messages[:, e0:e0 + len(cols)] = np.where(upd == total, out, upd - ext)
+        self.l_v[:, cols[:, None], idx] = upd
 
 
 @dataclass
@@ -335,10 +340,8 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     batch = arr.shape[0]
     if batch == 0:
         raise ValueError("a batch needs at least one codeword")
-    dtype, bound = {Precision.INT8: (np.int8, INT8_MAX), Precision.F16: (np.float16, F16_MAX),
-                    Precision.F32: (np.float32, F32_MAX)}[cfg.precision]
-    # the largest value `quantize` emits; an f32 posterior past it can
-    # overflow to inf and NaN, which the syndrome reads as a hard 0. Integers
+    dtype, bound = DOMAINS[cfg.precision.value]
+    # the largest value `quantize` emits, where the decoder saturates. Integers
     # are checked in their own dtype, before the cast could wrap them (2**32 + 5
     # to 5); floats after it, where f16 overflow shows as inf
     integer = cfg.precision is Precision.INT8
@@ -366,22 +369,18 @@ def _scalar_flood(ws: ScalarWorkspace, l_b: np.ndarray, cfg: DecodeConfig) -> No
     first iteration.
     """
     dtype = ws.l_v.dtype
-    integer = np.issubdtype(dtype, np.integer)
     new_msgs = np.empty_like(ws.messages)
     for cols, _, e0, idx in ws.row_gather:
-        w = len(cols)
-        with np.errstate(over="ignore"):
-            lvc = _clamp(np.subtract(ws.l_v[:, cols[:, None], idx], ws.messages[:, e0:e0 + w, :],
-                                     dtype=np.int32 if integer else dtype), dtype)
-        new_msgs[:, e0:e0 + w] = _minsum(lvc, cfg.beta)
+        new_msgs[:, e0:e0 + len(cols)] = _minsum(ws.extrinsic(cols, e0, idx)[1], cfg.beta)
     ws.messages = new_msgs
     # Variable update: L_v = L_b + sum of incoming messages, widened then
     # saturated once per iteration.
-    acc = l_b.astype(np.int64 if integer else np.float64)
+    acc = l_b.astype(np.int64 if dtype == np.int8 else np.float64)
     for cols, shifts, e0, _ in ws.row_gather:
         for j, (c, s) in enumerate(zip(cols, shifts)):
             acc[:, c, :] += np.roll(ws.messages[:, e0 + j, :], s, axis=-1)
-    ws.l_v = _clamp(acc, dtype).astype(dtype)
+    bound = _bound(dtype)
+    ws.l_v = np.clip(acc, -bound, bound).astype(dtype)
 
 
 # ---------------------------------------------------------------------------

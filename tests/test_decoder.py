@@ -5,7 +5,7 @@ import pytest
 
 from ldpclab import native
 from ldpclab.basegraph import code_params
-from ldpclab.channel import F32_MAX, QuantConfig, bpsk_exact, quantize
+from ldpclab.channel import DOMAINS, F32_MAX, QuantConfig, bpsk_exact, quantize
 from ldpclab.codec import crc_attach, encode, encode_batch, puncture
 from ldpclab.decoder import (
     DecodeConfig,
@@ -59,7 +59,7 @@ def test_minsum_matches_sorted_reference():
     # f16 rounds the one product beta * m, as the float64 reference does once
     # it is cast; rows drawn from a few values give ties, zeros and rows whose
     # every magnitude saturates, where only m1 == m2 keeps the tag rule moot
-    for dtype, sat in ((np.float16, 65504.0), (np.int32, 127)):
+    for dtype, sat in ((np.float16, 65504.0), (np.float32, F32_MAX), (np.int32, 127)):
         integer = np.issubdtype(dtype, np.integer)
         pools = ([0, 1, -1, 3, -3], [sat, -sat], [0, 2, -2, sat, -sat])
         for i in range(300):
@@ -72,10 +72,14 @@ def test_minsum_matches_sorted_reference():
             ref = minsum_row_reference(row, 0.75, integer=integer)
             assert got.dtype == dtype
             assert np.array_equal(got, ref.astype(dtype))
-    # f16 +/-inf saturates at the largest finite value
-    row = np.array([np.inf, -np.inf, 2.0, np.inf], dtype=np.float16)
-    ref = minsum_row_reference(np.clip(row, -65504, 65504), 0.75, integer=False)
-    assert np.array_equal(check_node_minsum(row, beta=0.75), ref.astype(np.float16))
+    # +/-inf saturates at the domain's bound: f16's largest finite value,
+    # F32_MAX for f32; float64 is unbounded
+    for dtype, sat in ((np.float16, 65504.0), (np.float32, F32_MAX)):
+        row = np.array([np.inf, -np.inf, 2.0, np.inf], dtype=dtype)
+        ref = minsum_row_reference(np.clip(row, -sat, sat), 0.75, integer=False)
+        assert np.array_equal(check_node_minsum(row, beta=0.75), ref.astype(dtype))
+    row = np.array([np.inf, -np.inf, 2.0, np.inf])
+    assert np.array_equal(check_node_minsum(row, beta=0.75), [-1.5, 1.5, -np.inf, -1.5])
 
 
 def test_exact_degree_two_passes_through():
@@ -509,6 +513,29 @@ def test_f32_decodes_huge_llrs(magnitude):
     assert np.array_equal(res.bits, msgs)
     assert np.isfinite(res.margin_trace).all() and (res.margin_trace > 0).all()
     assert not res.syndrome_trace.any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("precision,max_iter", [("f32", 300), ("f16", 50)])
+def test_saturated_float_posteriors_keep_their_codewords(monkeypatch, precision, max_iter):
+    """At beta=1 with early stop off, the posteriors of two found codewords
+    grow until they saturate at the domain's bound; the messages store what
+    the saturated posteriors absorbed, so both codewords stay decoded. f32
+    once grew past the f32 range to inf and NaN, and f16, which stored the
+    unsaturated message, collapsed to margins of 0; both with bit errors.
+    The compiled pass and the numpy rows give the same outputs."""
+    bg = get_graph("BG1", 16)
+    msgs, blocks = make_noisy_blocks(bg, 46, 4.0, 2, seed=1, mode=precision)
+    cfg = DecodeConfig(precision=precision, beta=1.0, early_stop="none", max_iter=max_iter)
+    results = [decode(blocks, bg, cfg)]
+    monkeypatch.setattr(native, "load", lambda: None)
+    results.append(decode(blocks, bg, cfg))
+    for res in results:
+        assert np.array_equal(res.bits, msgs)
+        assert (res.margin_trace[-1] == DOMAINS[precision][1]).all()
+        assert not res.syndrome_trace[-1].any()
+    for f in ("bits", "iterations", "success", "syndrome_trace", "margin_trace"):
+        assert np.array_equal(getattr(results[0], f), getattr(results[1], f)), f
 
 
 def test_partial_rows_decode(bg2_z16):

@@ -73,16 +73,24 @@ def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, pr
     run = native.run_iteration
     monkeypatch.setattr(native, "run_iteration", lambda *a: ran.append(run(*a)) or ran[-1])
     cfg = DecodeConfig(precision=precision)
-    for i, ebn0 in enumerate(SNRS_DB):
-        _, blocks = make_noisy_blocks(bg, rows, ebn0, 3 if z < 384 else 2,
-                                      seed=20 + i, mode=precision)
+    inputs = [(ebn0, make_noisy_blocks(bg, rows, ebn0, 3 if z < 384 else 2,
+                                       seed=20 + i, mode=precision)[1])
+              for i, ebn0 in enumerate(SNRS_DB)]
+    if precision == "f32":
+        # LLRs past F32_MAX: every transmitted position starts at the bound,
+        # so the saturation and its message store run from the first row
+        llrs = inputs[0][1][:, 2 * z:].astype(np.float64) * 2.0 ** 80
+        inputs.append(("saturated", quantize(llrs, QuantConfig("f32"),
+                                             code_params(bg, z, rows))))
+        assert (np.abs(inputs[-1][1][:, 2 * z:]) == F32_MAX).all()
+    for ebn0, blocks in inputs:
         fast = init_workspace(blocks, bg, cfg)
         oracle = init_workspace(blocks, bg, cfg)
         for it in range(8):
             layered_iteration(fast, bg, cfg)
             for r in range(oracle.rows_used):
                 oracle.layer(r, cfg)
-            where = f"{ebn0} dB iteration {it + 1}"
+            where = f"{ebn0} iteration {it + 1}"
             assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), where
             assert np.array_equal(_bits(fast.messages), _bits(oracle.messages)), where
     assert ran and all(ran)               # every pass above ran the kernel
@@ -110,6 +118,15 @@ def test_saturating_snrs_reach_the_int16_extrinsic_range(code):
                 widest = max(widest, int(np.abs(raw).max()))
                 ws.layer(r, cfg)
         assert INT8_MAX < widest <= 2 * INT8_MAX, ebn0
+
+
+def test_kernel_bounds_are_the_channel_bounds():
+    """_layer.c saturates int8 and f32 at its own constants, which C cannot
+    import: they must be channel's INT8_MAX and F32_MAX."""
+    defines = dict(line.split()[1:3] for line in native.SOURCE.read_text().splitlines()
+                   if line.startswith("#define"))
+    assert int(defines["INT8_SAT"]) == INT8_MAX
+    assert float.fromhex(defines["F32_SAT"].rstrip("f")) == F32_MAX
 
 
 def _decode_digest(blocks, bg, cfg, fn=decode):
