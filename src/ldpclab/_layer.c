@@ -9,15 +9,19 @@
  * channel pass with channel's quantize(demap_llr(bpsk_awgn(...))).
  *
  * Layout, all C-contiguous: posteriors lv (batch, n_blocks, z), messages
- * msg (batch, n_edges, z), both int8 or both f32. int8 values stay bytes in
- * memory; only the extrinsic and the fold run in int16 scratch. Edge e of
- * base row r lies in [row_start[r], row_start[r + 1]) and couples block
- * cols[e] at circulant shift shifts[e] (already reduced mod z): position k
- * of the row reads lv[cols[e]][(k + shift) mod z], two contiguous runs.
+ * msg (batch, n_edges, z), both of one domain: int8, f16 or f32. The layer
+ * pass is written once (LAYER) and instantiated per domain, each with its own
+ * storage, scratch and bound and a few small steps; int8 values stay bytes in
+ * memory, with only the extrinsic and the fold in int16 scratch, and f16
+ * values are computed in f32 and rounded where numpy rounds them. f16 is built
+ * only where the compiler has _Float16 (__FLT16_MAX__). Edge e of base row r
+ * lies in [row_start[r], row_start[r + 1]) and couples block cols[e] at
+ * circulant shift shifts[e] (already reduced mod z): position k of the row
+ * reads lv[cols[e]][(k + shift) mod z], two contiguous runs.
  *
- * Both domains saturate at their channel bound (INT8_SAT and F32_SAT are
- * channel.INT8_MAX and F32_MAX) by one rule: with the extrinsic raw =
- * lv - msg, the check node folds sat(raw), the posterior becomes
+ * Every domain saturates at its channel bound (INT8_SAT, F16_SAT and F32_SAT
+ * are channel.INT8_MAX, F16_MAX and F32_MAX) by one rule: with the extrinsic
+ * raw = lv - msg, the check node folds sat(raw), the posterior becomes
  * sat(raw + out), and the message stores out, or where the posterior
  * saturated what it absorbed, sat(raw + out) - raw.
  *
@@ -50,6 +54,7 @@
 #include <stdlib.h>
 
 #define INT8_SAT 127
+#define F16_SAT 0x1.ffcp15f
 #define F32_SAT 0x1p64f
 
 /* The work on codewords [b0, b1) of the call described by args (for a layer
@@ -122,11 +127,19 @@ static inline int16_t sat_i8(int16_t v)
     return v > INT8_SAT ? INT8_SAT : (v < -INT8_SAT ? -INT8_SAT : v);
 }
 
-static inline float sat_f32(float v)
+static inline float sat_f(float v, float bound)
 {
-    float t = v < F32_SAT ? v : F32_SAT;
-    return t > -F32_SAT ? t : -F32_SAT;
+    float t = v < bound ? v : bound;
+    return t > -bound ? t : -bound;
 }
+
+static inline int16_t abs_i16(int16_t v)
+{
+    return v < 0 ? -v : v;
+}
+
+/* |v| of the fold: fabsf for the floats, so -0.0 gives +0.0, as numpy's abs */
+#define ABS(v) _Generic((v), float: fabsf, int16_t: abs_i16)(v)
 
 static int64_t max_row_weight(int64_t rows, const int64_t *row_start)
 {
@@ -161,36 +174,6 @@ static int64_t row_parity(const uint8_t *restrict bits, uint8_t *restrict acc,
     return ones;
 }
 
-/* One codeword's hard decisions lv < 0 and min |lv| over n posteriors. An
- * f32 posterior is read as its bit pattern, so both loops vectorize: for
- * finite values, and every posterior stays within +/-F32_SAT, |v| orders as
- * the bits below the sign, and v < 0 is a set sign on a nonzero magnitude
- * (-0.0 is not negative). */
-static double hard_and_margin_f32(const uint32_t *lv, uint8_t *hard, int64_t n)
-{
-    uint32_t m = 0x7f800000u;                  /* +inf */
-    for (int64_t i = 0; i < n; i++) {
-        uint32_t a = lv[i] & 0x7fffffffu;
-        m = a < m ? a : m;
-    }
-    for (int64_t i = 0; i < n; i++)
-        hard[i] = (lv[i] >> 31) & ((lv[i] & 0x7fffffffu) != 0);
-    union { uint32_t u; float f; } margin = {m};
-    return margin.f;
-}
-
-static double hard_and_margin_i8(const int8_t *lv, uint8_t *hard, int64_t n)
-{
-    uint8_t m = UINT8_MAX;
-    for (int64_t i = 0; i < n; i++) {
-        uint8_t a = lv[i] < 0 ? (uint8_t)-lv[i] : (uint8_t)lv[i];
-        m = a < m ? a : m;
-    }
-    for (int64_t i = 0; i < n; i++)
-        hard[i] = lv[i] < 0;
-    return m;
-}
-
 struct layer_args {
     void *lv, *msg;
     const int64_t *live;
@@ -214,206 +197,213 @@ static int64_t unsatisfied(const struct layer_args *p, int64_t b, uint8_t *acc)
     return w;
 }
 
-/* int8 posteriors and messages, with the extrinsic and the fold in int16:
- * the extrinsic raw = L_v - msg (|raw| <= 254) stays unclamped, sat(raw)
- * enters the check node, the posterior becomes sat(raw + out) and the message
- * stores sat(raw + out) - raw, which lies within +/-127 like every stored
- * value. beta_lut[m] is floor(beta * m) for m in 0..127. */
-static int layer_i8(const void *args, int64_t b0, int64_t b1, void *scratch)
+/* The floats' update: the posterior sat(sum) and, where it saturated, the
+ * message it absorbed on top of ext. */
+static inline float update_f(float ext, float out, float bound, float *msg)
 {
-    const struct layer_args *p = args;
-    int64_t z = p->z, n_edges = p->row_start[p->rows];
-    const int64_t *row_start = p->row_start, *cols = p->cols, *shifts = p->shifts;
-    const int32_t *beta_lut = p->beta_lut;
-    /* per row: the extrinsics of up to w_max edges, then the fold's m1, m2,
-     * sign parity and argmin tag at every position */
-    int16_t *x = scratch;
-    int16_t *m1 = x + p->w_max * z, *m2 = m1 + z, *sg = m2 + z, *tag = sg + z;
-
-    for (int64_t i = b0; i < b1; i++) {
-        int64_t b = p->live ? p->live[i] : i;
-        int8_t *lvb = (int8_t *)p->lv + b * p->n_blocks * z;
-        int8_t *msgb = (int8_t *)p->msg + b * n_edges * z;
-        for (int64_t r = 0; r < p->rows; r++) {
-            int64_t e0 = row_start[r], w = row_start[r + 1] - e0;
-            for (int64_t j = 0; j < w; j++) {
-                const int8_t *src = lvb + cols[e0 + j] * z;
-                const int8_t *m = msgb + (e0 + j) * z;
-                int16_t *xj = x + j * z;
-                int64_t s = shifts[e0 + j];
-                for (int64_t k = 0; k < z - s; k++)
-                    xj[k] = (int16_t)(src[k + s] - m[k]);
-                for (int64_t k = z - s; k < z; k++)
-                    xj[k] = (int16_t)(src[k + s - z] - m[k]);
-            }
-            for (int64_t k = 0; k < z; k++) {
-                m1[k] = INT8_SAT;
-                m2[k] = INT8_SAT;
-                sg[k] = 0;
-                tag[k] = -1;
-            }
-            for (int16_t j = 0; j < w; j++) {
-                const int16_t *xj = x + j * z;
-                for (int64_t k = 0; k < z; k++) {
-                    int16_t v = sat_i8(xj[k]);
-                    int16_t a = v < 0 ? -v : v;
-                    int16_t win = a < m1[k];
-                    int16_t loser = win ? m1[k] : a;
-                    m2[k] = loser < m2[k] ? loser : m2[k];
-                    m1[k] = win ? a : m1[k];
-                    tag[k] = win ? j : tag[k];
-                    sg[k] ^= v < 0;
-                }
-            }
-            for (int64_t k = 0; k < z; k++) {
-                m1[k] = (int16_t)beta_lut[m1[k]];
-                m2[k] = (int16_t)beta_lut[m2[k]];
-            }
-            for (int16_t j = 0; j < w; j++) {
-                int8_t *dst = lvb + cols[e0 + j] * z;
-                int8_t *m = msgb + (e0 + j) * z;
-                int16_t *xj = x + j * z;
-                int64_t s = shifts[e0 + j];
-                for (int64_t k = 0; k < z; k++) {
-                    int16_t raw = xj[k];
-                    int16_t mag = tag[k] == j ? m2[k] : m1[k];
-                    int16_t out = (sg[k] ^ (raw < 0)) ? -mag : mag;
-                    int16_t upd = sat_i8(raw + out);
-                    m[k] = (int8_t)(upd - raw);
-                    xj[k] = upd;
-                }
-                for (int64_t k = 0; k < z - s; k++)
-                    dst[k + s] = (int8_t)xj[k];
-                for (int64_t k = z - s; k < z; k++)
-                    dst[k + s - z] = (int8_t)xj[k];
-            }
-        }
-        if (p->hard) {
-            int64_t n = p->n_blocks * z;
-            p->margins[b] = hard_and_margin_i8(lvb, p->hard + b * n, n);
-            p->weights[b] = unsatisfied(p, b, scratch);
-        }
-    }
-    return 0;
+    float sum = ext + out, upd = sat_f(sum, bound);
+    *msg = upd == sum ? out : upd - ext;
+    return upd;
 }
 
-/* f32, by int8's rule at F32_SAT; beta scales in f32. |raw| stays within
- * 2 * F32_SAT, so no sum overflows. m1 and m2 start at F32_SAT, so the fold
- * gives the saturated magnitudes' (m1, m2) without a clamp per edge: a clamp
- * there, or fminf/fmaxf, kept gcc from vectorizing the fold. */
-static int layer_f32(const void *args, int64_t b0, int64_t b1, void *scratch)
-{
-    const struct layer_args *p = args;
-    int64_t z = p->z, n_edges = p->row_start[p->rows];
-    const int64_t *row_start = p->row_start, *cols = p->cols, *shifts = p->shifts;
-    float beta = p->beta;
-    float *x = scratch;
-    float *m1 = x + p->w_max * z, *m2 = m1 + z;
-    int32_t *sg = (int32_t *)(m2 + z), *tag = sg + z;
+/* Each domain's steps: fold, what the check node folds of the extrinsic raw;
+ * ext, what the check node's output adds onto; scale, the beta rule on a
+ * magnitude; update, the posterior, with the message into *msg; readout, one
+ * codeword's hard decisions lv < 0 and min |lv| over its n posteriors.
+ *
+ * int8: the extrinsic (|raw| <= 254) stays unclamped in int16, and the
+ * message sat(raw + out) - raw lies within +/-127 like every stored value.
+ * beta_lut[m] is floor(beta * m) for m in 0..127. */
+/* no sat(raw) in the fold: m1 and m2 start at INT8_SAT, so a larger magnitude
+ * never beats m1 nor lowers m2, and saturating would keep the sign */
+static inline int16_t i8_fold(int16_t raw) { return raw; }
+static inline int16_t i8_ext(int16_t raw) { return raw; }
 
-    for (int64_t i = b0; i < b1; i++) {
-        int64_t b = p->live ? p->live[i] : i;
-        float *lvb = (float *)p->lv + b * p->n_blocks * z;
-        float *msgb = (float *)p->msg + b * n_edges * z;
-        for (int64_t r = 0; r < p->rows; r++) {
-            int64_t e0 = row_start[r], w = row_start[r + 1] - e0;
-            for (int64_t j = 0; j < w; j++) {
-                const float *src = lvb + cols[e0 + j] * z;
-                const float *m = msgb + (e0 + j) * z;
-                float *xj = x + j * z;
-                int64_t s = shifts[e0 + j];
-                for (int64_t k = 0; k < z - s; k++)
-                    xj[k] = src[k + s] - m[k];
-                for (int64_t k = z - s; k < z; k++)
-                    xj[k] = src[k + s - z] - m[k];
-            }
-            for (int64_t k = 0; k < z; k++) {
-                m1[k] = F32_SAT;
-                m2[k] = F32_SAT;
-                sg[k] = 0;
-                tag[k] = -1;
-            }
-            for (int32_t j = 0; j < w; j++) {
-                const float *xj = x + j * z;
-                for (int64_t k = 0; k < z; k++) {
-                    float v = xj[k];
-                    float a = fabsf(v);
-                    int32_t win = a < m1[k];
-                    float loser = win ? m1[k] : a;
-                    m2[k] = loser < m2[k] ? loser : m2[k];
-                    m1[k] = win ? a : m1[k];
-                    tag[k] = win ? j : tag[k];
-                    sg[k] ^= v < 0.0f;
-                }
-            }
-            for (int64_t k = 0; k < z; k++) {
-                m1[k] = beta * m1[k];
-                m2[k] = beta * m2[k];
-            }
-            for (int32_t j = 0; j < w; j++) {
-                float *dst = lvb + cols[e0 + j] * z;
-                float *m = msgb + (e0 + j) * z;
-                float *xj = x + j * z;
-                int64_t s = shifts[e0 + j];
-                for (int64_t k = 0; k < z; k++) {
-                    /* both magnitudes loaded, then selected: a load under
-                     * the select compiled to two masked loads, and the pass
-                     * ran 2% slower (BG1 Z=384, 16 codewords, one Sapphire
-                     * Rapids core) */
-                    float v = xj[k], a1 = m1[k], a2 = m2[k];
-                    float mag = tag[k] == j ? a2 : a1;
-                    float out = (sg[k] ^ (v < 0.0f)) ? -mag : mag;
-                    float sum = v + out, upd = sat_f32(sum);
-                    m[k] = upd == sum ? out : upd - v;
-                    xj[k] = upd;
-                }
-                for (int64_t k = 0; k < z - s; k++)
-                    dst[k + s] = xj[k];
-                for (int64_t k = z - s; k < z; k++)
-                    dst[k + s - z] = xj[k];
-            }
-        }
-        if (p->hard) {
-            int64_t n = p->n_blocks * z;
-            const uint32_t *bits = (const uint32_t *)lvb;
-            p->margins[b] = hard_and_margin_f32(bits, p->hard + b * n, n);
-            p->weights[b] = unsatisfied(p, b, scratch);
-        }
-    }
-    return 0;
+static inline int16_t i8_scale(const struct layer_args *p, int16_t m)
+{
+    return (int16_t)p->beta_lut[m];
 }
+
+static inline int16_t i8_update(int16_t ext, int16_t out, int16_t *msg)
+{
+    int16_t upd = sat_i8(ext + out);
+    *msg = upd - ext;
+    return upd;
+}
+
+static double i8_readout(const int8_t *lv, uint8_t *hard, int64_t n)
+{
+    uint8_t m = UINT8_MAX;
+    for (int64_t i = 0; i < n; i++) {
+        uint8_t a = lv[i] < 0 ? (uint8_t)-lv[i] : (uint8_t)lv[i];
+        m = a < m ? a : m;
+    }
+    for (int64_t i = 0; i < n; i++)
+        hard[i] = lv[i] < 0;
+    return m;
+}
+
+/* A float readout reads each posterior as its bit pattern U, so both loops
+ * vectorize: for finite values, and every posterior stays within the bound,
+ * |v| orders as the bits below the sign, and v < 0 is a set sign on a
+ * nonzero magnitude (-0.0 is not negative). */
+#define FLOAT_READOUT(D, V, U, SIGN, INF)                                  \
+    static double D##_readout(const V *lv, uint8_t *hard, int64_t n)       \
+    {                                                                      \
+        const U *bits = (const U *)lv;                                     \
+        U m = INF;                                                         \
+        for (int64_t i = 0; i < n; i++) {                                  \
+            U a = bits[i] & (SIGN - 1);                                    \
+            m = a < m ? a : m;                                             \
+        }                                                                  \
+        for (int64_t i = 0; i < n; i++)                                    \
+            hard[i] = ((bits[i] & SIGN) != 0) & ((bits[i] & (SIGN - 1)) != 0); \
+        union { U u; V f; } margin = {m};                                  \
+        return margin.f;                                                   \
+    }
+
+/* f32: beta scales in f32; |raw| stays within 2 * F32_SAT, so no sum
+ * overflows. The fold, as int8's, needs no clamp, which kept gcc from
+ * vectorizing it. */
+static inline float f32_fold(float raw) { return raw; }
+static inline float f32_ext(float raw) { return raw; }
+static inline float f32_scale(const struct layer_args *p, float m) { return p->beta * m; }
+
+static inline float f32_update(float ext, float out, float *msg)
+{
+    return update_f(ext, out, F32_SAT, msg);
+}
+
+FLOAT_READOUT(f32, float, uint32_t, 0x80000000u, 0x7f800000u)
+
+#ifdef __FLT16_MAX__
+/* f16, stored as _Float16, as the numpy rows compute it: every +, - and x in
+ * f32, each result rounded to f16 where numpy rounds it (the saturated
+ * extrinsic, the beta product, the stored message and posterior). The fold
+ * reads the rounded extrinsic, whose sign is the one numpy sees (-0.0 is not
+ * negative); past the bound it rounds to 65504 or inf, which the fold treats
+ * as the bound. out adds onto that rounding where raw fits the bound, else
+ * onto raw. beta is already rounded to f16. */
+static inline float f16_fold(float raw) { return (_Float16)raw; }
+static inline float f16_ext(float raw) { return fabsf(raw) <= F16_SAT ? (_Float16)raw : raw; }
+static inline float f16_scale(const struct layer_args *p, float m) { return (_Float16)(p->beta * m); }
+
+static inline float f16_update(float ext, float out, float *msg)
+{
+    return update_f(ext, out, F16_SAT, msg);
+}
+
+FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
+#endif
+
+/* The layer pass of domain D over codewords [b0, b1) of the call: storage
+ * type V, scratch type X (the extrinsic, m1 and m2), sign parity and tag type
+ * S, bound SAT, and the steps D##_fold, _ext, _scale, _update and _readout.
+ * Then the entry point layer_iteration_D over a batch (see below). */
+#define LAYER(D, V, X, S, SAT)                                                          \
+    static int layer_##D(const void *args, int64_t b0, int64_t b1, void *scratch)     \
+    {                                                                                 \
+        const struct layer_args *p = args;                                            \
+        int64_t z = p->z, n_edges = p->row_start[p->rows];                            \
+        const int64_t *row_start = p->row_start, *cols = p->cols, *shifts = p->shifts; \
+        /* per row: the extrinsics of up to w_max edges, then the fold's m1, m2,      \
+         * sign parity and argmin tag at every position */                            \
+        X *x = scratch, *m1 = x + p->w_max * z, *m2 = m1 + z;                         \
+        S *sg = (S *)(m2 + z), *tag = sg + z;                                         \
+        for (int64_t i = b0; i < b1; i++) {                                           \
+            int64_t b = p->live ? p->live[i] : i;                                     \
+            V *lvb = (V *)p->lv + b * p->n_blocks * z;                                \
+            V *msgb = (V *)p->msg + b * n_edges * z;                                  \
+            for (int64_t r = 0; r < p->rows; r++) {                                   \
+                int64_t e0 = row_start[r], w = row_start[r + 1] - e0;                 \
+                for (int64_t j = 0; j < w; j++) {                                     \
+                    const V *src = lvb + cols[e0 + j] * z, *m = msgb + (e0 + j) * z;  \
+                    X *xj = x + j * z;                                                \
+                    int64_t s = shifts[e0 + j];                                       \
+                    for (int64_t k = 0; k < z - s; k++)                               \
+                        xj[k] = (X)src[k + s] - (X)m[k];                              \
+                    for (int64_t k = z - s; k < z; k++)                               \
+                        xj[k] = (X)src[k + s - z] - (X)m[k];                          \
+                }                                                                     \
+                for (int64_t k = 0; k < z; k++) {                                     \
+                    m1[k] = m2[k] = SAT;                                              \
+                    sg[k] = 0;                                                        \
+                    tag[k] = -1;                                                      \
+                }                                                                     \
+                for (S j = 0; j < w; j++) {                                           \
+                    const X *xj = x + j * z;                                          \
+                    for (int64_t k = 0; k < z; k++) {                                 \
+                        X v = D##_fold(xj[k]), a = ABS(v);                            \
+                        S win = a < m1[k];                                            \
+                        X loser = win ? m1[k] : a;                                    \
+                        m2[k] = loser < m2[k] ? loser : m2[k];                        \
+                        m1[k] = win ? a : m1[k];                                      \
+                        tag[k] = win ? j : tag[k];                                    \
+                        sg[k] ^= v < 0;                                               \
+                    }                                                                 \
+                }                                                                     \
+                for (int64_t k = 0; k < z; k++) {                                     \
+                    m1[k] = D##_scale(p, m1[k]);                                      \
+                    m2[k] = D##_scale(p, m2[k]);                                      \
+                }                                                                     \
+                for (S j = 0; j < w; j++) {                                           \
+                    V *dst = lvb + cols[e0 + j] * z, *m = msgb + (e0 + j) * z;        \
+                    X *xj = x + j * z;                                                \
+                    int64_t s = shifts[e0 + j];                                       \
+                    for (int64_t k = 0; k < z; k++) {                                 \
+                        /* both magnitudes loaded, then selected: a load under the    \
+                         * select compiled to two masked loads, and the f32 pass ran  \
+                         * 2% slower (BG1 Z=384, 16 codewords, one Sapphire Rapids    \
+                         * core) */                                                   \
+                        X raw = xj[k], a1 = m1[k], a2 = m2[k], msg;                   \
+                        X mag = tag[k] == j ? a2 : a1;                                \
+                        X out = (sg[k] ^ (D##_fold(raw) < 0)) ? -mag : mag;           \
+                        xj[k] = D##_update(D##_ext(raw), out, &msg);                  \
+                        m[k] = (V)msg;                                                \
+                    }                                                                 \
+                    for (int64_t k = 0; k < z - s; k++)                               \
+                        dst[k + s] = (V)xj[k];                                        \
+                    for (int64_t k = z - s; k < z; k++)                               \
+                        dst[k + s - z] = (V)xj[k];                                    \
+                }                                                                     \
+            }                                                                         \
+            if (p->hard) {                                                            \
+                int64_t n = p->n_blocks * z;                                          \
+                p->margins[b] = D##_readout(lvb, p->hard + b * n, n);                 \
+                p->weights[b] = unsatisfied(p, b, scratch);                           \
+            }                                                                         \
+        }                                                                             \
+        return 0;                                                                     \
+    }                                                                                 \
+                                                                                      \
+    int layer_iteration_##D(V *lv, V *msg, const int64_t *live, uint8_t *hard,        \
+                            double *margins, int64_t *weights, int64_t n_live,        \
+                            int64_t n_blocks, int64_t z, int64_t rows,                \
+                            const int64_t *row_start, const int64_t *cols,            \
+                            const int64_t *shifts, const int32_t *beta_lut,           \
+                            float beta, int64_t slices)                               \
+    {                                                                                 \
+        struct layer_args a = {lv, msg, live, hard, margins, weights, n_blocks, z,    \
+                               rows, max_row_weight(rows, row_start), row_start,      \
+                               cols, shifts, beta_lut, beta};                         \
+        /* the extrinsics, m1 and m2, then sign parity and tag; the z-byte parity    \
+         * row of the unsatisfied-check count reuses the extrinsics */                \
+        return split(layer_##D, &a, n_live, slices,                                   \
+                     (sizeof(X) * (a.w_max + 2) + sizeof(S) * 2) * z);                \
+    }
 
 /* One iteration in place over the codewords live[0..n_live) of the batch,
  * sorted and distinct, or over codewords 0..n_live where live is NULL; the
  * others are not touched. Where hard is not NULL, each codeword's pass ends by
  * reading it out: the uint8 hard decisions lv < 0 into its row of hard
  * (batch, n_blocks, z), min |lv| into margins and the count of unsatisfied
- * checks over the used rows into weights, each at the codeword's own index. */
-int layer_iteration_i8(int8_t *lv, int8_t *msg, const int64_t *live, uint8_t *hard,
-                       double *margins, int64_t *weights, int64_t n_live, int64_t n_blocks,
-                       int64_t z, int64_t rows, const int64_t *row_start, const int64_t *cols,
-                       const int64_t *shifts, const int32_t *beta_lut, int64_t slices)
-{
-    struct layer_args a = {lv, msg, live, hard, margins, weights, n_blocks, z, rows,
-                           max_row_weight(rows, row_start), row_start, cols,
-                           shifts, beta_lut, 0.0f};
-    /* the extrinsics, m1, m2, sign parity and tag, all int16; the z-byte
-     * parity row of the unsatisfied-check count reuses the extrinsics */
-    return split(layer_i8, &a, n_live, slices,
-                 sizeof(int16_t) * (a.w_max + 4) * z);
-}
-
-int layer_iteration_f32(float *lv, float *msg, const int64_t *live, uint8_t *hard,
-                        double *margins, int64_t *weights, int64_t n_live, int64_t n_blocks,
-                        int64_t z, int64_t rows, const int64_t *row_start, const int64_t *cols,
-                        const int64_t *shifts, float beta, int64_t slices)
-{
-    struct layer_args a = {lv, msg, live, hard, margins, weights, n_blocks, z, rows,
-                           max_row_weight(rows, row_start), row_start, cols,
-                           shifts, NULL, beta};
-    /* the extrinsics, m1 and m2 as floats; sign parity and tag as int32 */
-    return split(layer_f32, &a, n_live, slices, 4 * (a.w_max + 4) * z);
-}
+ * checks over the used rows into weights, each at the codeword's own index.
+ * int8 scales by beta_lut, the floats by beta. */
+LAYER(i8, int8_t, int16_t, int16_t, INT8_SAT)
+LAYER(f32, float, float, int32_t, F32_SAT)
+#ifdef __FLT16_MAX__
+LAYER(f16, _Float16, float, int32_t, F16_SAT)
+#endif
 
 struct parity_args {
     const uint8_t *bits;
@@ -455,17 +445,32 @@ struct channel_args {
     const double *noise;
     const uint8_t *bits;
     void *out;
-    int is_float;
+    int width;
     int64_t n_tx, punctured;
     double sigma, scale, bound;
 };
 
-/* Per codeword: punctured zeros, then each transmitted bit's LLR in the
- * float64 order of channel.bpsk_awgn and channel.demap_llr,
- * ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma * sigma), written as int8
- * rint(L * scale) clipped to +/-bound, or as f32 clipped to +/-bound in
- * float64 and rounded once on the store, as channel.quantize. A NaN LLR is
- * written as 0 and reported as status 2. */
+/* Codeword b's row of out, values of type T: punctured zeros, then each
+ * transmitted bit's LLR l in the float64 order of channel.bpsk_awgn and
+ * channel.demap_llr, ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma * sigma),
+ * turned into Q, clipped to +/-bound in float64 and rounded once on the
+ * store. A NaN is written as 0 and noted in has_nan. */
+#define CHANNEL_ROW(T, Q)                                                               \
+    {                                                                                 \
+        T *out = (T *)a->out + b * n_c;                                               \
+        for (int64_t k = 0; k < punctured; k++)                                       \
+            out[k] = 0;                                                               \
+        out += punctured;                                                             \
+        for (int64_t k = 0; k < n_tx; k++) {                                          \
+            double l = ((0.0 + sigma * g[k]) + (1.0 - 2.0 * bits[k])) * 2.0 / s2;     \
+            double q = Q;                                                             \
+            has_nan |= q != q;                                                        \
+            q = q != q ? 0.0 : q;                                                     \
+            out[k] = (T)(q > bound ? bound : (q < -bound ? -bound : q));              \
+        }                                                                             \
+    }
+
+/* int8 rint(l * scale), f16 and f32 l itself, as channel.quantize. */
 static int channel_rows(const void *args, int64_t b0, int64_t b1, void *scratch)
 {
     const struct channel_args *a = args;
@@ -476,43 +481,27 @@ static int channel_rows(const void *args, int64_t b0, int64_t b1, void *scratch)
     for (int64_t b = b0; b < b1; b++) {
         const double *g = a->noise + b * n_tx;
         const uint8_t *bits = a->bits + b * n_tx;
-        if (a->is_float) {
-            float *out = (float *)a->out + b * n_c;
-            for (int64_t k = 0; k < punctured; k++)
-                out[k] = 0.0f;
-            out += punctured;
-            for (int64_t k = 0; k < n_tx; k++) {
-                double l = ((0.0 + sigma * g[k]) + (1.0 - 2.0 * bits[k])) * 2.0 / s2;
-                has_nan |= l != l;
-                l = l != l ? 0.0 : l;
-                out[k] = (float)(l > bound ? bound : (l < -bound ? -bound : l));
-            }
-        } else {
-            int8_t *out = (int8_t *)a->out + b * n_c;
-            for (int64_t k = 0; k < punctured; k++)
-                out[k] = 0;
-            out += punctured;
-            for (int64_t k = 0; k < n_tx; k++) {
-                double l = ((0.0 + sigma * g[k]) + (1.0 - 2.0 * bits[k])) * 2.0 / s2;
-                double q = rint(l * scale);
-                has_nan |= q != q;
-                q = q != q ? 0.0 : q;
-                out[k] = (int8_t)(q > bound ? bound : (q < -bound ? -bound : q));
-            }
-        }
+        if (a->width == 1)
+            CHANNEL_ROW(int8_t, rint(l * scale))
+        else if (a->width == 4)
+            CHANNEL_ROW(float, l)
+#ifdef __FLT16_MAX__
+        else if (a->width == 2)
+            CHANNEL_ROW(_Float16, l)
+#endif
     }
     return has_nan ? 2 : 0;
 }
 
-/* Decoder-domain blocks (batch, punctured + n_tx), int8 or (is_float) f32,
- * from standard normals noise (batch, n_tx) and transmitted bits
- * (batch, n_tx). Returns -1 where the threads cannot be allocated, 2 where
- * an LLR is NaN, else 0. */
-int channel_blocks(const double *noise, const uint8_t *bits, void *out, int is_float,
+/* Decoder-domain blocks (batch, punctured + n_tx) of int8, f16 or f32 by the
+ * width of their values (1, 2 or 4 bytes) from standard normals noise
+ * (batch, n_tx) and transmitted bits (batch, n_tx). Returns -1 where the
+ * threads cannot be allocated, 2 where an LLR is NaN, else 0. */
+int channel_blocks(const double *noise, const uint8_t *bits, void *out, int width,
                    int64_t batch, int64_t n_tx, int64_t punctured, double sigma,
                    double scale, double bound, int64_t slices)
 {
-    struct channel_args a = {noise, bits, out, is_float, n_tx, punctured, sigma,
+    struct channel_args a = {noise, bits, out, width, n_tx, punctured, sigma,
                              scale, bound};
     return split(channel_rows, &a, batch, slices, 0);
 }

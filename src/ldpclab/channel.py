@@ -3,10 +3,10 @@
 Sign convention: positive LLR means bit 0 is more likely. BPSK maps bit b to
 symbol 1 - 2b, so the ML demapper is L = 2y / sigma^2.
 
-`transmit` runs the whole stage for a batch: int8 and f32 go from the draw
-to the decoder block in one compiled pass, bit-exact with
-`quantize(demap_llr(bpsk_awgn(...)))`, which stays its oracle and serves f16
-and any host without the kernel.
+`transmit` runs the whole stage for a batch: every domain goes from the
+draw to the decoder block in one compiled pass, bit-exact with
+`quantize(demap_llr(bpsk_awgn(...)))`, which stays its oracle and serves any
+host without the kernel.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def transmit(bits, sigma: float | None, rng, quant: QuantConfig,
     Equal byte for byte to `quantize(demap_llr(bpsk_awgn(bits, sigma, rng),
     sigma), quant, params)`, and the generator ends in the same state: the
     compiled pass reads `rng.standard_normal`, the stream `rng.normal(0,
-    sigma)` draws. int8 and f32 take that pass where the kernel loads; f16
-    and any host without the kernel run the numpy chain. Bits of any dtype
+    sigma)` draws. Every domain takes that pass where the kernel loads (f16
+    where gcc has `_Float16`); elsewhere the numpy chain runs. Bits of any dtype
     other than 0 and 1 raise ValueError before the generator is read.
     `sigma=None` disables the noise: every bit arrives as +/-NOISE_FREE_LLR
     and the generator is not read.
@@ -149,12 +149,12 @@ def transmit(bits, sigma: float | None, rng, quant: QuantConfig,
     # imported here: native imports kernels, which imports this module's bounds
     from ldpclab import native
 
-    if quant.mode == "f16" or native.load() is None:
+    dtype, bound = DOMAINS[quant.mode]
+    if native.layer_entry(dtype) is None:
         return quantize(demap_llr(bpsk_awgn(bits, sigma, rng), sigma), quant, params)
     if bits.ndim == 0 or bits.shape[-1] != params.n_tx:
         raise ValueError(f"expected {params.n_tx} bits, got shape {bits.shape}")
     flat = np.ascontiguousarray(bits.reshape(-1, params.n_tx))
-    dtype, bound = DOMAINS[quant.mode]
     blocks = np.empty((len(flat), params.n_c), dtype=dtype)
     # the draw, in chunks of whole codewords through one small buffer: the
     # generator fills element by element, so the stream is the one-call draw's

@@ -4,9 +4,9 @@ Two engines produce bit-identical results on identical quantized inputs,
 each behind its own workspace type:
 
 * ScalarWorkspace: a batched scalar engine (int8, f16, or f32) that serves
-  as the reference; its int8 and f32 layered iterations run in the compiled
-  kernel of `ldpclab.native` where the host can build it, bit-exact with the
-  numpy rows here, and
+  as the reference; its layered iterations run in the compiled kernel of
+  `ldpclab.native` where the host can build it, bit-exact with the numpy
+  rows here, and
 * PackedWorkspace: rho=4 codeword lanes per 32-bit word on the
   sign-magnitude SWAR kernels, kept to verify the scalar engine.
 
@@ -22,8 +22,8 @@ what it absorbed on top of the extrinsic, sat(raw + out) - raw, so the next
 visit subtracts exactly what this one added and a codeword once found is
 kept. Only the extrinsic (|raw| up to twice the bound) needs more than the
 domain: the numpy rows widen it to int32 for int8 and to f32 for f16, and
-the kernel works in int16 scratch for int8; int8 posteriors and messages
-stay bytes.
+the kernel works in int16 scratch for int8 and in f32 for f16; int8
+posteriors and messages stay bytes.
 """
 
 from __future__ import annotations
@@ -391,12 +391,12 @@ def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig,
                       readout=None, live=None) -> bool:
     """One full layered pass: rows in ascending order, each feeding the next.
 
-    A scalar int8 or f32 workspace runs the compiled kernel where the host
-    can build it, over the codewords `live` (sorted int64 indices; None for
-    all of them) alone, fills their rows of `readout` (see
-    `native.run_iteration`) and returns True; f16, the packed engine and any
-    host without the kernel run the numpy rows, its bit-exact oracle, over
-    every codeword and return False.
+    A scalar workspace runs the compiled kernel where the host can build
+    it, over the codewords `live` (sorted int64 indices; None for all of
+    them) alone, fills their rows of `readout` (see `native.run_iteration`)
+    and returns True; the packed engine and any host without the kernel run
+    the numpy rows, its bit-exact oracle, over every codeword and return
+    False.
     """
     if isinstance(ws, ScalarWorkspace) and native.run_iteration(
             ws.l_v, ws.messages, ws.bg, ws.rows_used, cfg.beta, readout, live):

@@ -1,17 +1,19 @@
 """The compiled kernels of `_layer.c`: built on first use, cached, loaded.
 
 `_layer.c` runs one full layered min-sum iteration of the scalar engine in
-int8 (int8 posteriors and messages, int16 scratch) or f32, bit-exact with the
-numpy rows of `ScalarWorkspace.layer`, which stay its oracle and its
-fallback. Each codeword's pass can end with its readout: hard decisions,
-margin and syndrome count, with the numpy lines of `decoder._run_schedule`
-as oracle and fallback. A pass can be limited to the codewords still live,
-so decoding spends no more work on a codeword once it has settled. It also
-computes the parity bits of a range of base rows over a batch of hard
-decisions, for the syndrome and the encoder, with `codec`'s numpy roll loop
-as oracle and fallback; and turns standard normals and transmitted bits into
-int8 or f32 decoder blocks in one pass, with `channel`'s
-`quantize(demap_llr(bpsk_awgn(...)))` as oracle and fallback.
+each of its domains, int8 (int8 posteriors and messages, int16 scratch), f16
+and f32, from one layer body; it is bit-exact with the numpy rows of
+`ScalarWorkspace.layer`, which stay its oracle and its fallback. f16 is built
+where gcc has `_Float16`; elsewhere it takes the numpy rows. Each codeword's
+pass can end with its readout: hard decisions, margin and syndrome count,
+with the numpy lines of `decoder._run_schedule` as oracle and fallback. A
+pass can be limited to the codewords still live, so decoding spends no more
+work on a codeword once it has settled. It also computes the parity bits of
+a range of base rows over a batch of hard decisions, for the syndrome and
+the encoder, with `codec`'s numpy roll loop as oracle and fallback; and turns
+standard normals and transmitted bits into decoder blocks of any domain in
+one pass, with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle
+and fallback.
 
 Every call shares its batch among `slice_count` threads, which claim
 codewords one at a time, so a thread on a slower core takes fewer. The
@@ -54,6 +56,11 @@ BUILD_TIMEOUT_S = 120
 # B=8 1.38x, B=16 1.62x; BG2 Z=52 B=128 1.37x), not below it (BG1 B=4 0.89x,
 # BG2 Z=52 B=32 0.78x).
 MIN_SLICE_WORK = 1 << 19
+# The layer entry point of each scalar dtype; f16's is built only where gcc
+# has _Float16.
+LAYER_ENTRIES = {np.dtype(np.int8): "layer_iteration_i8",
+                 np.dtype(np.float16): "layer_iteration_f16",
+                 np.dtype(np.float32): "layer_iteration_f32"}
 
 
 # Processes that share this one's CPUs: set in each worker of a sweep's
@@ -150,17 +157,28 @@ def load() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
+    return _bind(lib)
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """`lib` with its entry points' argument and result types set."""
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    tables = [i64] * 4 + [ptr] * 3
-    for fn, scale in ((lib.layer_iteration_i8, ptr), (lib.layer_iteration_f32, ctypes.c_float)):
-        fn.argtypes = [ptr] * 6 + tables + [scale, i64]
+    layers = [getattr(lib, name) for name in LAYER_ENTRIES.values() if hasattr(lib, name)]
+    for fn in layers:
+        fn.argtypes = [ptr] * 6 + [i64] * 4 + [ptr] * 4 + [ctypes.c_float, i64]
     lib.row_parities.argtypes = [ptr] * 3 + [i64] * 5 + [ptr] * 3 + [i64]
     lib.channel_blocks.argtypes = ([ptr] * 3 + [ctypes.c_int] + [i64] * 3
                                    + [ctypes.c_double] * 3 + [i64])
-    for fn in (lib.layer_iteration_i8, lib.layer_iteration_f32, lib.row_parities,
-               lib.channel_blocks):
+    for fn in (*layers, lib.row_parities, lib.channel_blocks):
         fn.restype = ctypes.c_int
     return lib
+
+
+def layer_entry(dtype):
+    """The kernel's layer pass for `dtype`, or None where the kernel is
+    unavailable or has none for it (f16 where gcc has no _Float16)."""
+    name = LAYER_ENTRIES.get(np.dtype(dtype))
+    return getattr(load(), name, None) if name else None
 
 
 def _call(fn, *args) -> int:
@@ -198,31 +216,22 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
                   beta: float, readout=None, live=None) -> bool:
     """One layered iteration over rows 0..rows_used-1 of `bg`, in place.
 
-    `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8 or both
-    float32. The base graph's own entry arrays are the kernel's tables.
-    `live`, if given, is a C-contiguous int64 array of codeword indices,
-    strictly increasing within [0, B): the pass runs those codewords alone
-    and leaves the others, and their readout, untouched. `readout`, if given,
-    is (hard, weights, margins): each codeword's pass ends by writing its
-    uint8 hard decisions `l_v < 0` into `hard` (B, n_blocks * Z), its
-    unsatisfied checks over the used rows into the int64 `weights` (B,) and
-    min |L_v| into the float64 `margins` (B,), as the numpy lines of
-    `decoder._run_schedule` compute them. Returns False, touching nothing,
-    where the kernel does not apply or is unavailable.
+    `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8, both
+    float16 or both float32. The base graph's own entry arrays are the
+    kernel's tables. `live`, if given, is a C-contiguous int64 array of
+    codeword indices, strictly increasing within [0, B): the pass runs those
+    codewords alone and leaves the others, and their readout, untouched.
+    `readout`, if given, is (hard, weights, margins): each codeword's pass
+    ends by writing its uint8 hard decisions `l_v < 0` into `hard`
+    (B, n_blocks * Z), its unsatisfied checks over the used rows into the
+    int64 `weights` (B,) and min |L_v| into the float64 `margins` (B,), as
+    the numpy lines of `decoder._run_schedule` compute them. Returns False,
+    touching nothing, where the arrays are strided or of two dtypes, or the
+    kernel is unavailable for their dtype (see `layer_entry`).
     """
-    if l_v.dtype == np.int8:
-        # the beta rule for the int8 magnitudes m = 0..127, as the numpy rows
-        lut = kernels.beta_lut(beta)[:128]
-        name, scale = "layer_iteration_i8", lut.ctypes.data
-    elif l_v.dtype == np.float32:
-        name, scale = "layer_iteration_f32", float(np.float32(beta))
-    else:
-        return False
-    if (messages.dtype != l_v.dtype or not l_v.flags.c_contiguous
+    layer = layer_entry(l_v.dtype)
+    if (layer is None or messages.dtype != l_v.dtype or not l_v.flags.c_contiguous
             or not messages.flags.c_contiguous):
-        return False
-    lib = load()
-    if lib is None:
         return False
     batch, n_blocks, z = l_v.shape
     tables = _graph_tables(bg, rows_used, n_blocks, z)
@@ -248,10 +257,14 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
                              f"codeword indices within [0, {batch})")
         n_live = len(live)
     row_start, cols, shifts = tables
-    _call(getattr(lib, name), l_v.ctypes.data, messages.ctypes.data,
+    # int8 magnitudes m = 0..127 scale by the beta rule's table, floats by
+    # beta rounded to their dtype, as the numpy rows
+    lut = kernels.beta_lut(beta)[:128]
+    scale = float(l_v.dtype.type(beta)) if l_v.dtype.kind == "f" else 0.0
+    _call(layer, l_v.ctypes.data, messages.ctypes.data,
           None if live is None else live.ctypes.data, *out, n_live, n_blocks, z, rows_used,
-          row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, scale,
-          slice_count(n_live, n_live * messages.shape[1] * z))
+          row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, lut.ctypes.data,
+          scale, slice_count(n_live, n_live * messages.shape[1] * z))
     return True
 
 
@@ -294,25 +307,25 @@ def channel_blocks(noise: np.ndarray, bits: np.ndarray, out: np.ndarray, sigma: 
     ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma * sigma) in float64, as
     `channel.bpsk_awgn` and `channel.demap_llr` compute it from the same
     draw. Into an int8 `out` it goes as rint(L * scale) clipped to +/-bound,
-    into a float32 one clipped to +/-bound in float64 and rounded once, as
-    `channel.quantize`; the positions of each C-contiguous (B, n_c) row of
-    `out` before its last n_tx are set to zero. Returns False, touching
-    nothing, where the kernel is unavailable. A NaN LLR raises ValueError,
-    as in `quantize`.
+    into a float16 or float32 one clipped to +/-bound in float64 and rounded
+    once, as `channel.quantize`; the positions of each C-contiguous (B, n_c)
+    row of `out` before its last n_tx are set to zero. Returns False,
+    touching nothing, where the kernel is unavailable for `out`'s dtype. A
+    NaN LLR raises ValueError, as in `quantize`.
     """
     if (noise.dtype != np.float64 or bits.dtype != np.uint8 or noise.ndim != 2
             or noise.shape != bits.shape or not noise.flags.c_contiguous
             or not bits.flags.c_contiguous):
         raise ValueError("noise and bits must be C-contiguous (B, n_tx) float64 and uint8")
     batch, n_tx = noise.shape
-    if (out.dtype not in (np.int8, np.float32) or out.ndim != 2 or len(out) != batch
+    if (out.dtype not in LAYER_ENTRIES or out.ndim != 2 or len(out) != batch
             or out.shape[1] < n_tx or not out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous (B, n_c >= n_tx) int8 or float32 array")
-    lib = load()
-    if lib is None:
+        raise ValueError("out must be a C-contiguous (B, n_c >= n_tx) int8, f16 or f32 array")
+    # each domain's blocks are built where its layer pass is
+    if layer_entry(out.dtype) is None:
         return False
-    if _call(lib.channel_blocks, noise.ctypes.data, bits.ctypes.data, out.ctypes.data,
-             int(out.dtype == np.float32), batch, n_tx, out.shape[1] - n_tx, sigma, scale,
-             bound, slice_count(batch, out.size)):
+    if _call(load().channel_blocks, noise.ctypes.data, bits.ctypes.data, out.ctypes.data,
+             out.itemsize, batch, n_tx, out.shape[1] - n_tx, sigma, scale, bound,
+             slice_count(batch, out.size)):
         raise ValueError("LLRs must not be NaN")
     return True

@@ -583,8 +583,10 @@ def _digest(res) -> str:
 
 # (Eb/N0 dB, precision, rho, schedule, without the compiled kernel, sha256
 # over bits, iterations, success and both traces) for every path that runs
-# the numpy reduce, so a change to its fold shows. BG2 Z=16, 42 rows, five
-# codewords (seed 11), ten iterations with early stop off.
+# the numpy reduce, so a change to its fold shows; the f16 decodes were
+# recorded on the numpy rows and now run the compiled kernel where it builds.
+# BG2 Z=16, 42 rows, five codewords (seed 11), ten iterations with early
+# stop off.
 PINNED = [
     (1.5, "f16", 1, decode, False,
      "372d047aac54f640b209bcdfabd20fd74a4b7d705a02f115bcace879c0033058"),
@@ -618,7 +620,8 @@ PINNED = [
     ids=lambda c: f"{c[0]}dB-{c[1]}-rho{c[2]}-{c[3].__name__}{'-numpy' if c[4] else ''}")
 def test_numpy_fold_outputs_are_pinned(monkeypatch, case):
     """f16, packed rho=4, flooding, and int8/f32 without the kernel: every
-    path through the numpy reduce decodes to its recorded digest."""
+    path through the numpy reduce decodes to its recorded digest, and f16
+    does so in the kernel too."""
     ebn0, precision, rho, fn, without_kernel, want = case
     if without_kernel:
         monkeypatch.setattr(native, "load", lambda: None)

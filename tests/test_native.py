@@ -1,8 +1,10 @@
 """The compiled kernels against their numpy oracles, and the kernels' loader."""
 
+import ctypes
 import dataclasses
 import os
 import shutil
+import subprocess
 import tempfile
 from types import SimpleNamespace
 
@@ -12,6 +14,8 @@ import pytest
 from ldpclab import channel, codec, decoder, harness, native
 from ldpclab.basegraph import code_params
 from ldpclab.channel import (
+    DOMAINS,
+    F16_MAX,
     F32_MAX,
     INT8_MAX,
     NOISE_FREE_LLR,
@@ -60,12 +64,15 @@ def fresh_loader(monkeypatch, tmp_path):
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
-    """Raw 32-bit patterns, so f32 compares bit for bit (-0.0 included)."""
-    return a.view(np.uint32)
+    """Raw bit patterns, so floats compare bit for bit (-0.0 included)."""
+    return a.view(f"u{a.itemsize}")
+
+
+PRECISIONS = ["int8", "f16", "f32"]
 
 
 @pytest.mark.parametrize("code", CODES, ids=lambda c: f"{c[0]}-Z{c[1]}")
-@pytest.mark.parametrize("precision", ["int8", "f32"])
+@pytest.mark.parametrize("precision", PRECISIONS)
 def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, precision):
     bg_id, z, rows = code
     bg = get_graph(bg_id, z)
@@ -76,13 +83,13 @@ def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, pr
     inputs = [(ebn0, make_noisy_blocks(bg, rows, ebn0, 3 if z < 384 else 2,
                                        seed=20 + i, mode=precision)[1])
               for i, ebn0 in enumerate(SNRS_DB)]
-    if precision == "f32":
-        # LLRs past F32_MAX: every transmitted position starts at the bound,
-        # so the saturation and its message store run from the first row
+    if precision != "int8":
+        # LLRs past the float's bound: every transmitted position starts at
+        # it, so the saturation and its message store run from the first row
         llrs = inputs[0][1][:, 2 * z:].astype(np.float64) * 2.0 ** 80
-        inputs.append(("saturated", quantize(llrs, QuantConfig("f32"),
+        inputs.append(("saturated", quantize(llrs, QuantConfig(precision),
                                              code_params(bg, z, rows))))
-        assert (np.abs(inputs[-1][1][:, 2 * z:]) == F32_MAX).all()
+        assert (np.abs(inputs[-1][1][:, 2 * z:]) == DOMAINS[precision][1]).all()
     for ebn0, blocks in inputs:
         fast = init_workspace(blocks, bg, cfg)
         oracle = init_workspace(blocks, bg, cfg)
@@ -121,11 +128,12 @@ def test_saturating_snrs_reach_the_int16_extrinsic_range(code):
 
 
 def test_kernel_bounds_are_the_channel_bounds():
-    """_layer.c saturates int8 and f32 at its own constants, which C cannot
-    import: they must be channel's INT8_MAX and F32_MAX."""
+    """_layer.c saturates each domain at its own constants, which C cannot
+    import: they must be channel's INT8_MAX, F16_MAX and F32_MAX."""
     defines = dict(line.split()[1:3] for line in native.SOURCE.read_text().splitlines()
                    if line.startswith("#define"))
     assert int(defines["INT8_SAT"]) == INT8_MAX
+    assert float.fromhex(defines["F16_SAT"].rstrip("f")) == F16_MAX
     assert float.fromhex(defines["F32_SAT"].rstrip("f")) == F32_MAX
 
 
@@ -138,7 +146,7 @@ def _same(a, b) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
-@pytest.mark.parametrize("precision", ["int8", "f32"])
+@pytest.mark.parametrize("precision", PRECISIONS)
 def test_decode_equals_decode_without_kernel(kernel, monkeypatch, precision):
     """Decodes with the compiled iteration and syndrome equal decodes with
     neither: the numpy rows and the numpy syndrome roll loop, which are what
@@ -165,9 +173,10 @@ def test_decode_equals_decode_without_kernel(kernel, monkeypatch, precision):
     assert numpy_syndromes
 
 
-@pytest.mark.parametrize("precision", ["int8", "f32"])
+@pytest.mark.parametrize("precision", PRECISIONS)
 def test_compiled_decode_builds_no_row_gather(kernel, monkeypatch, precision):
-    """The gather tables serve the numpy rows alone: the kernel never reads them."""
+    """The gather tables serve the numpy rows alone: the kernel never reads
+    them, in any scalar domain."""
     bg = get_graph("BG2", 52)
     msgs, blocks = make_noisy_blocks(bg, 42, 3.0, 4, seed=5, mode=precision)
 
@@ -177,8 +186,6 @@ def test_compiled_decode_builds_no_row_gather(kernel, monkeypatch, precision):
     monkeypatch.setattr(decoder, "_build_row_gather", unused)
     res = decode(blocks, bg, DecodeConfig(precision=precision))
     assert res.success.all() and np.array_equal(res.bits, msgs)
-    with pytest.raises(AssertionError, match="gather tables"):      # f16 runs numpy rows
-        decode(blocks.astype(np.float16), bg, DecodeConfig(precision="f16"))
 
 
 def test_loader_builds_once_then_reuses_the_cached_file(kernel, fresh_loader, monkeypatch):
@@ -211,6 +218,53 @@ def test_missing_compiler_takes_the_numpy_rows(kernel, request, monkeypatch):
     assert list(cache.iterdir()) == []                # and no build leftovers
 
 
+def _compile(tmp_path, *flags) -> subprocess.CompletedProcess:
+    """native.SOURCE built with native.COMMAND and `flags` into tmp_path."""
+    return subprocess.run([*native.COMMAND, *flags, "-o", str(tmp_path / "layer.so"),
+                           str(native.SOURCE)], capture_output=True, text=True)
+
+
+def test_the_kernel_compiles_without_warnings(kernel, tmp_path):
+    built = _compile(tmp_path, "-Wall", "-Wextra", "-Werror")
+    assert built.returncode == 0, built.stderr
+
+
+def test_a_compiler_without_float16_keeps_int8_and_f32_compiled(kernel, monkeypatch,
+                                                                 tmp_path):
+    """Built as by a gcc without _Float16, the library exports no f16 entry:
+    int8 and f32 still decode and transmit in it, and f16 takes the numpy
+    rows and the numpy channel chain, with the outputs of the full library."""
+    built = _compile(tmp_path, "-U__FLT16_MAX__")
+    assert built.returncode == 0, built.stderr
+    lib = native._bind(ctypes.CDLL(str(tmp_path / "layer.so")))
+    assert not hasattr(lib, "layer_iteration_f16")
+    bg = get_graph("BG2", 52)
+    params = code_params(bg, 52, 42)
+    bits = codec.encode_batch(np.random.default_rng(3).integers(0, 2, (3, params.k),
+                                                                dtype=np.uint8),
+                              bg, 52, 42)[:, 2 * 52:]
+    cases = []
+    for mode in PRECISIONS:
+        blocks = make_noisy_blocks(bg, 42, 2.0, 4, seed=12, mode=mode)[1]
+        cfg = DecodeConfig(precision=mode, max_iter=8)
+        cases.append((mode, blocks, cfg, _decode_digest(blocks, bg, cfg),
+                      transmit(bits, 0.7, np.random.default_rng(5), QuantConfig(mode), params)))
+    monkeypatch.setattr(native, "load", lambda: lib)
+    compiled = []
+    for name in ("run_iteration", "channel_blocks"):
+        fn = getattr(native, name)
+        monkeypatch.setattr(native, name,
+                            lambda *a, fn=fn: compiled.append(fn(*a)) or compiled[-1])
+    for mode, blocks, cfg, digest, tx in cases:
+        compiled.clear()
+        assert _same(_decode_digest(blocks, bg, cfg), digest), mode
+        assert compiled and all(c == (mode != "f16") for c in compiled), mode
+        compiled.clear()
+        got = transmit(bits, 0.7, np.random.default_rng(5), QuantConfig(mode), params)
+        assert _same_blocks(got, tx), mode
+        assert compiled == ([] if mode == "f16" else [True]), mode
+
+
 def test_cache_dir_falls_back_to_a_private_temp_dir(monkeypatch, tmp_path):
     blocked = tmp_path / "not-a-dir"
     blocked.write_text("")
@@ -238,10 +292,12 @@ def test_run_iteration_rejects_arrays_of_another_graph(kernel):
             native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, args)
     # the arrays are checked before the pass: it ran on nothing
     assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
-    # f16 and strided posteriors take the numpy rows and lines
-    for a, m in ((ws.l_v.astype(np.float16), ws.messages.astype(np.float16)),
-                 (ws.l_v[::-1], ws.messages[::-1])):
-        assert not native.run_iteration(a, m, bg, 42, 0.75, readout)
+    # f16 arrays are checked as int8's; only strided ones take the numpy
+    # rows and lines
+    with pytest.raises(ValueError, match="do not match"):
+        native.run_iteration(ws.l_v.astype(np.float16), ws.messages.astype(np.float16),
+                             get_graph("BG2", 52), 42, 0.75)
+    assert not native.run_iteration(ws.l_v[::-1], ws.messages[::-1], bg, 42, 0.75, readout)
     assert (hard == 7).all() and (weights == 7).all() and (margins == 7).all()
 
 
@@ -358,7 +414,7 @@ def _readout_arrays(lv):
 
 
 @pytest.mark.parametrize("batch, slices", [(5, 1), (5, 2), (5, 3), (1, 1), (1, 3)])
-@pytest.mark.parametrize("precision", ["int8", "f32"])
+@pytest.mark.parametrize("precision", PRECISIONS)
 def test_slices_match_the_numpy_oracles(kernel, monkeypatch, batch, slices, precision):
     """Every entry point, run on a forced thread count (three threads sharing
     five codewords, and more threads than codewords, included), equals its
@@ -393,7 +449,7 @@ def _copy(ws):
 
 
 @pytest.mark.parametrize("slices", [1, 2])
-@pytest.mark.parametrize("precision", ["int8", "f32"])
+@pytest.mark.parametrize("precision", PRECISIONS)
 def test_a_live_pass_runs_the_live_codewords_alone(kernel, monkeypatch, slices, precision):
     """A pass over a `live` subset leaves the other codewords' posteriors,
     messages and readout rows byte for byte as they were, and gives the live
@@ -447,7 +503,7 @@ def _crc_blocks(bg, rows, ebn0, count, seed, mode):
 
 
 @pytest.mark.parametrize("early", ["syndrome", "crc"])
-@pytest.mark.parametrize("precision", ["int8", "f32"])
+@pytest.mark.parametrize("precision", PRECISIONS)
 def test_retired_codewords_decode_as_without_the_kernel(kernel, monkeypatch, precision, early):
     """Batches whose codewords settle at different iterations retire the
     settled ones from the compiled pass and decode as the numpy rows do,
@@ -583,7 +639,8 @@ SIGMAS = [1e-170, 1e-10, 0.05, 0.55, 0.7, 0.79, 3.0, 40.0]
 @pytest.mark.parametrize("bg_id, z, rows, batch", [("BG1", 384, 46, 3), ("BG2", 52, 42, 5),
                                                    ("BG2", 16, 42, 1)])
 @pytest.mark.parametrize("quant", [QuantConfig("int8"), QuantConfig("int8", scale=2.5),
-                                   QuantConfig("f32")], ids=["int8", "int8-2.5", "f32"])
+                                   QuantConfig("f16"), QuantConfig("f32")],
+                         ids=["int8", "int8-2.5", "f16", "f32"])
 @pytest.mark.parametrize("chunk_rows", [None, 1, 2], ids=["whole", "chunk1", "chunk2"])
 def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, bg_id, z, rows, batch, quant,
                                          chunk_rows):
@@ -600,7 +657,7 @@ def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, bg_id, z, rows, ba
     passes = []
     fused = native.channel_blocks
     monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(1) or fused(*a))
-    bound = INT8_MAX if quant.mode == "int8" else F32_MAX
+    bound = DOMAINS[quant.mode][1]
     clipped = 0
     for sigma in SIGMAS:
         fast, slow = np.random.default_rng(7), np.random.default_rng(7)
@@ -615,10 +672,10 @@ def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, bg_id, z, rows, ba
 
 
 def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
-    """Bits of every dtype, f16, the noise-free limit and a host without the
+    """Bits of every dtype, the noise-free limit and a host without the
     kernel all give the blocks the numpy path gives; uint8, bool and int64
-    bits all take the compiled pass where it applies, and the noise-free
-    limit reads no draw."""
+    bits all take the compiled pass in every domain where the kernel loads,
+    and the noise-free limit reads no draw."""
     bg = get_graph("BG2", 52)
     params = code_params(bg, 52, 42)
     msgs = np.random.default_rng(3).integers(0, 2, (3, params.k), dtype=np.uint8)
@@ -636,7 +693,7 @@ def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
             got = transmit(b, 0.7, fast, quant, params)
             assert _same_blocks(got, _numpy_channel(b, 0.7, slow, quant, params)), quant
             assert fast.bit_generator.state == slow.bit_generator.state
-            assert len(passes) == (compiled and quant.mode != "f16"), (b.dtype, quant)
+            assert len(passes) == compiled, (b.dtype, quant)
             rng = np.random.default_rng(5)
             quiet = transmit(b, None, rng, quant, params)
             assert _same_blocks(quiet, quantize(bpsk_exact(b) * NOISE_FREE_LLR, quant, params))
