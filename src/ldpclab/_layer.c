@@ -4,9 +4,9 @@
  * a batch of hard decisions (the syndrome and the encoder), and the channel
  * stage from standard normals to decoder blocks, compiled at first use by
  * ldpclab.native. The iteration is bit-exact with the numpy engine
- * (ScalarWorkspace.layer), what it reads out with the numpy lines of
- * decoder._run_schedule, the row parities with codec's numpy roll loop, the
- * channel pass with channel's quantize(demap_llr(bpsk_awgn(...))).
+ * (ScalarWorkspace.layer), what it reads out with decoder._read_out, the row
+ * parities with codec's numpy roll loop, the channel pass with channel's
+ * quantize(demap_llr(bpsk_awgn(...))).
  *
  * Layout, all C-contiguous: posteriors lv (batch, n_blocks, z), messages
  * msg (batch, n_edges, z), both of one domain: int8, f16 or f32. The layer
@@ -29,10 +29,10 @@
  * argmin tag) elementwise over z in edge order, scale by beta, then write
  * messages and posteriors back through the same two runs. After its last
  * row a codeword's posteriors are read out while they are still in cache:
- * hard decisions, min |L_v| and the count of unsatisfied checks. A pass given
- * the sorted indices of the codewords still live runs those alone and leaves
- * the rest, posteriors, messages and readout, as they were: decoding retires
- * a codeword this way once it has settled.
+ * hard decisions, min |L_v| and the count of unsatisfied checks. A pass skips
+ * the codewords its settled mask sets and leaves their posteriors, messages
+ * and readout as they were: decoding retires a codeword this way once it has
+ * settled.
  *
  * Codewords never interact, so every entry point shares its batch among
  * `slices` threads (split()): the calling thread and slices - 1 pthreads
@@ -57,8 +57,7 @@
 #define F16_SAT 0x1.ffcp15f
 #define F32_SAT 0x1p64f
 
-/* The work on codewords [b0, b1) of the call described by args (for a layer
- * pass, slots [b0, b1) of its live list). */
+/* The work on codewords [b0, b1) of the call described by args. */
 typedef int (*slice_fn)(const void *args, int64_t b0, int64_t b1, void *scratch);
 
 struct slice {
@@ -176,7 +175,7 @@ static int64_t row_parity(const uint8_t *restrict bits, uint8_t *restrict acc,
 
 struct layer_args {
     void *lv, *msg;
-    const int64_t *live;
+    const uint8_t *settled;
     uint8_t *hard;
     double *margins;
     int64_t *weights;
@@ -310,8 +309,9 @@ FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
          * sign parity and argmin tag at every position */                            \
         X *x = scratch, *m1 = x + p->w_max * z, *m2 = m1 + z;                         \
         S *sg = (S *)(m2 + z), *tag = sg + z;                                         \
-        for (int64_t i = b0; i < b1; i++) {                                           \
-            int64_t b = p->live ? p->live[i] : i;                                     \
+        for (int64_t b = b0; b < b1; b++) {                                           \
+            if (p->settled[b])                                                        \
+                continue;                                                             \
             V *lvb = (V *)p->lv + b * p->n_blocks * z;                                \
             V *msgb = (V *)p->msg + b * n_edges * z;                                  \
             for (int64_t r = 0; r < p->rows; r++) {                                   \
@@ -367,35 +367,32 @@ FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
                         dst[k + s - z] = (V)xj[k];                                    \
                 }                                                                     \
             }                                                                         \
-            if (p->hard) {                                                            \
-                int64_t n = p->n_blocks * z;                                          \
-                p->margins[b] = D##_readout(lvb, p->hard + b * n, n);                 \
-                p->weights[b] = unsatisfied(p, b, scratch);                           \
-            }                                                                         \
+            int64_t n = p->n_blocks * z;                                              \
+            p->margins[b] = D##_readout(lvb, p->hard + b * n, n);                     \
+            p->weights[b] = unsatisfied(p, b, scratch);                               \
         }                                                                             \
         return 0;                                                                     \
     }                                                                                 \
                                                                                       \
-    int layer_iteration_##D(V *lv, V *msg, const int64_t *live, uint8_t *hard,        \
-                            double *margins, int64_t *weights, int64_t n_live,        \
+    int layer_iteration_##D(V *lv, V *msg, const uint8_t *settled, uint8_t *hard,     \
+                            double *margins, int64_t *weights, int64_t batch,         \
                             int64_t n_blocks, int64_t z, int64_t rows,                \
                             const int64_t *row_start, const int64_t *cols,            \
                             const int64_t *shifts, const int32_t *beta_lut,           \
                             float beta, int64_t slices)                               \
     {                                                                                 \
-        struct layer_args a = {lv, msg, live, hard, margins, weights, n_blocks, z,    \
+        struct layer_args a = {lv, msg, settled, hard, margins, weights, n_blocks, z, \
                                rows, max_row_weight(rows, row_start), row_start,      \
                                cols, shifts, beta_lut, beta};                         \
         /* the extrinsics, m1 and m2, then sign parity and tag; the z-byte parity    \
          * row of the unsatisfied-check count reuses the extrinsics */                \
-        return split(layer_##D, &a, n_live, slices,                                   \
+        return split(layer_##D, &a, batch, slices,                                    \
                      (sizeof(X) * (a.w_max + 2) + sizeof(S) * 2) * z);                \
     }
 
-/* One iteration in place over the codewords live[0..n_live) of the batch,
- * sorted and distinct, or over codewords 0..n_live where live is NULL; the
- * others are not touched. Where hard is not NULL, each codeword's pass ends by
- * reading it out: the uint8 hard decisions lv < 0 into its row of hard
+/* One iteration in place over the codewords b of the batch whose settled[b]
+ * is 0; the others are not touched. Each codeword's pass ends by reading it
+ * out: the uint8 hard decisions lv < 0 into its row of hard
  * (batch, n_blocks, z), min |lv| into margins and the count of unsatisfied
  * checks over the used rows into weights, each at the codeword's own index.
  * int8 scales by beta_lut, the floats by beta. */

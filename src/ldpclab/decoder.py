@@ -387,40 +387,51 @@ def _scalar_flood(ws: ScalarWorkspace, l_b: np.ndarray, cfg: DecodeConfig) -> No
 # Public decoding entry points
 
 
+def _read_out(ws: DecodeWorkspace, bg: BaseGraph, settled: np.ndarray, readout) -> None:
+    """The unsettled codewords' rows of `readout` (hard, weights, margins)
+    from the posteriors: hard decisions L_v < 0, unsatisfied checks over the
+    used rows and min |L_v|; the settled rows are left as they are."""
+    hard, weights, margins = readout
+    lv = ws.posteriors()
+    unsettled = ~settled
+    np.less(lv, 0, out=hard.view(bool).reshape(lv.shape), where=unsettled[:, None, None])
+    np.copyto(weights, _syndrome_weights(hard, bg, ws.rows_used), where=unsettled)
+    np.copyto(margins, np.abs(lv).min(axis=(1, 2)), where=unsettled)
+
+
 def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig,
-                      readout=None, live=None) -> bool:
-    """One full layered pass: rows in ascending order, each feeding the next.
+                      settled: np.ndarray, readout) -> None:
+    """One full layered pass: rows in ascending order, each feeding the next,
+    then the readout of the codewords not yet settled (see `_read_out`).
 
     A scalar workspace runs the compiled kernel where the host can build
-    it, over the codewords `live` (sorted int64 indices; None for all of
-    them) alone, fills their rows of `readout` (see `native.run_iteration`)
-    and returns True; the packed engine and any host without the kernel run
-    the numpy rows, its bit-exact oracle, over every codeword and return
-    False.
+    it, which skips the codewords `settled` marks and reads each other one
+    out at the end of its pass (see `native.run_iteration`); the packed
+    engine and any host without the kernel run the numpy rows, its
+    bit-exact oracle, over every codeword, then `_read_out`.
     """
     if isinstance(ws, ScalarWorkspace) and native.run_iteration(
-            ws.l_v, ws.messages, ws.bg, ws.rows_used, cfg.beta, readout, live):
-        return True
+            ws.l_v, ws.messages, ws.bg, ws.rows_used, cfg.beta, settled, *readout):
+        return
     for r in range(ws.rows_used):
         ws.layer(r, cfg)
-    return False
+    _read_out(ws, bg, settled, readout)
 
 
 def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     """Run `step` until every codeword has settled; settled outputs freeze.
 
-    `step(ws, readout, live)` runs one iteration; where it returns True it
-    has filled the rows `live` (sorted indices of the codewords not yet
-    settled; None while none has) of `readout`, the iteration's
-    (hard, weights, margins), itself, and may have left the settled
-    codewords untouched.
+    `step(ws, settled, readout)` runs one iteration and writes the rows of
+    `readout`, the (hard, weights, margins) of `_read_out`, of the codewords
+    the bool mask `settled` does not set; it may leave the settled codewords
+    themselves untouched.
 
     A codeword settles at the first iteration whose hard decision satisfies
     the syndrome (and the CRC in crc mode); the rest settle at max_iter with
     that iteration's hard bits. With early stop off the success test runs
     once, at max_iter. Every iteration's syndrome weights and margins go
-    into the result's traces; after a codeword settles, its rows repeat
-    those of its settle iteration, whether or not the step still ran it.
+    into the result's traces; a settled codeword's readout row is never
+    written again, so its trace rows repeat those of its settle iteration.
     """
     batch = ws.lanes
     bits = np.zeros((batch, bg.k_b * bg.z), dtype=np.uint8)
@@ -429,19 +440,11 @@ def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     weights = np.zeros((cfg.max_iter, batch), dtype=np.int64)
     margins = np.zeros((cfg.max_iter, batch), dtype=np.float64)
     hard = np.empty((batch, (bg.k_b + ws.rows_used) * bg.z), dtype=np.uint8)
+    weight, margin = np.empty(batch, dtype=np.int64), np.empty(batch, dtype=np.float64)
+    readout = (hard, weight, margin)
     for it in range(1, cfg.max_iter + 1):
-        live = np.flatnonzero(~success) if success.any() else None
-        # one read of the posteriors gives the hard decisions, the syndrome
-        # and the margins: in the compiled pass, else in these numpy lines
-        if not step(ws, (hard, weights[it - 1], margins[it - 1]), live):
-            lv = ws.posteriors()
-            np.less(lv, 0, out=hard.view(bool).reshape(lv.shape))
-            weights[it - 1] = _syndrome_weights(hard, bg, ws.rows_used)
-            margins[it - 1] = np.abs(lv).min(axis=(1, 2))
-        if live is not None:
-            # the settled hold their settle row, however the step treated them
-            weights[it - 1, success] = weights[it - 2, success]
-            margins[it - 1, success] = margins[it - 2, success]
+        step(ws, success, readout)
+        weights[it - 1], margins[it - 1] = weight, margin
         last = it == cfg.max_iter
         if cfg.early_stop is EarlyStop.NONE and not last:
             continue
@@ -473,8 +476,8 @@ def decode(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
     settle iteration's values once the codeword has settled.
     """
     ws = init_workspace(llrs, bg, cfg)
-    return _run_schedule(ws, bg, cfg,
-                         lambda ws, out, live: layered_iteration(ws, bg, cfg, out, live))
+    return _run_schedule(ws, bg, cfg, lambda ws, settled, readout: layered_iteration(
+        ws, bg, cfg, settled, readout))
 
 
 def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
@@ -483,4 +486,9 @@ def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
         raise ValueError("flooding decoding runs on the scalar path (rho < 4)")
     ws = init_workspace(llrs, bg, cfg)
     l_b = ws.l_v.copy()
-    return _run_schedule(ws, bg, cfg, lambda ws, *_: _scalar_flood(ws, l_b, cfg))
+
+    def step(ws, settled, readout):
+        _scalar_flood(ws, l_b, cfg)
+        _read_out(ws, bg, settled, readout)
+
+    return _run_schedule(ws, bg, cfg, step)

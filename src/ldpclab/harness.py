@@ -55,7 +55,12 @@ def _keep_batch_memory() -> None:
     buffers back and faulted them in again: about 2,800 page faults per
     batch, 13-15% of the sweep's wall time spent in the kernel, an amount
     that moves with the host's load. Fixed thresholds end that; they hold for the whole process,
-    which then keeps up to 64 MB of freed heap. A no-op off glibc.
+    which then keeps up to 64 MB of freed heap. The kernel library is loaded
+    here too, before the first batch: loading it allocates heap that lives
+    as long as the process, and allocated amid the first batch's buffers it
+    split their freed heap, so that a later batch could have to grow the heap
+    and fault the new pages in (140-270 in a 20-iteration BG1 Z=384 int8
+    batch, as the heap's starting point varied). A no-op off glibc.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -63,6 +68,7 @@ def _keep_batch_memory() -> None:
     if mallopt is not None:
         mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
         mallopt(_M_MMAP_THRESHOLD, _HEAP_BLOCK_BYTES)
+    native.load()
 
 
 def _init_worker(workers: int) -> None:
@@ -305,6 +311,11 @@ class LatencyStats:
     throughput_cbps: float
 
 
+# Eb/N0 (dB) of run_latency_bench's batch: the decodes run a fixed iteration
+# count whatever the noise, so the point only sets the values they see.
+LATENCY_EBN0_DB = 4.0
+
+
 def run_latency_bench(
     bg: BaseGraph,
     z: int,
@@ -314,13 +325,13 @@ def run_latency_bench(
     rows_used: int | None = None,
     iterations: int = 10,
     warmup: int = 5,
-    ebn0_db: float = 4.0,
     seed: int = 0,
 ) -> LatencyStats:
     """Latency distribution over repeated decodes with early stop disabled.
 
-    Dividing by a fixed iteration count yields per-iteration latency; the
-    first `warmup` repetitions are excluded from the statistics.
+    The batch is drawn once at LATENCY_EBN0_DB. Dividing by a fixed
+    iteration count yields per-iteration latency; the first `warmup`
+    repetitions are excluded from the statistics.
     """
     if batch < 1 or repetitions < 1:
         raise ValueError("batch and repetitions must be positive")
@@ -332,7 +343,7 @@ def run_latency_bench(
     rng = np.random.default_rng((seed, 0))
     msgs = rng.integers(0, 2, size=(batch, params.k), dtype=np.uint8)
     tx = encode_batch(msgs, bg, z, rows_used)[:, 2 * z:]
-    sigma = ebn0_to_sigma(ebn0_db, params.k / params.n_tx)
+    sigma = ebn0_to_sigma(LATENCY_EBN0_DB, params.k / params.n_tx)
     blocks = transmit(tx, sigma, rng, quant, params)
 
     times = []

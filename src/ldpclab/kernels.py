@@ -169,19 +169,6 @@ class PackedAccumulator:
     s_vc: np.ndarray
     tag: np.ndarray
 
-    def merge(self, other: "PackedAccumulator") -> "PackedAccumulator":
-        # Strictly smaller m1 wins; ties keep self (the lower partition).
-        y_wins = vcmplt_u8(other.m1, self.m1)
-        m1 = _select(y_wins, other.m1, self.m1)
-        loser = _select(y_wins, self.m1, other.m1)
-        m2 = ord_vec(loser, ord_vec(self.m2, other.m2)[0])[0]
-        return PackedAccumulator(
-            m1=m1,
-            m2=m2,
-            s_vc=self.s_vc ^ other.s_vc,
-            tag=_select(y_wins, other.tag, self.tag),
-        )
-
 
 def packed_identity() -> PackedAccumulator:
     """Merge identity: saturated magnitudes, positive signs, sentinel tag.
@@ -202,7 +189,13 @@ def acc_merge(x: PackedAccumulator, y: PackedAccumulator) -> PackedAccumulator:
 
     Outputs are new arrays; the inputs are never written.
     """
-    return x.merge(y)
+    # strictly smaller m1 wins; ties keep x
+    y_wins = vcmplt_u8(y.m1, x.m1)
+    m1 = _select(y_wins, y.m1, x.m1)
+    loser = _select(y_wins, x.m1, y.m1)
+    m2 = ord_vec(loser, ord_vec(x.m2, y.m2)[0])[0]
+    return PackedAccumulator(m1=m1, m2=m2, s_vc=x.s_vc ^ y.s_vc,
+                             tag=_select(y_wins, y.tag, x.tag))
 
 
 def tree_reduce(partials: list[PackedAccumulator]) -> list[PackedAccumulator]:

@@ -5,15 +5,14 @@ each of its domains, int8 (int8 posteriors and messages, int16 scratch), f16
 and f32, from one layer body; it is bit-exact with the numpy rows of
 `ScalarWorkspace.layer`, which stay its oracle and its fallback. f16 is built
 where gcc has `_Float16`; elsewhere it takes the numpy rows. Each codeword's
-pass can end with its readout: hard decisions, margin and syndrome count,
-with the numpy lines of `decoder._run_schedule` as oracle and fallback. A
-pass can be limited to the codewords still live, so decoding spends no more
-work on a codeword once it has settled. It also computes the parity bits of
-a range of base rows over a batch of hard decisions, for the syndrome and
-the encoder, with `codec`'s numpy roll loop as oracle and fallback; and turns
-standard normals and transmitted bits into decoder blocks of any domain in
-one pass, with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle
-and fallback.
+pass ends with its readout: hard decisions, margin and syndrome count, with
+`decoder._read_out` as oracle and fallback. A pass skips the codewords a
+mask marks settled, so decoding spends no more work on a codeword once it
+has settled. It also computes the parity bits of a range of base rows over
+a batch of hard decisions, for the syndrome and the encoder, with `codec`'s
+numpy roll loop as oracle and fallback; and turns standard normals and
+transmitted bits into decoder blocks of any domain in one pass, with
+`channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and fallback.
 
 Every call shares its batch among `slice_count` threads, which claim
 codewords one at a time, so a thread on a slower core takes fewer. The
@@ -212,22 +211,21 @@ def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
     return row_start, cols, shifts
 
 
-def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
-                  beta: float, readout=None, live=None) -> bool:
+def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int, beta: float,
+                  settled: np.ndarray, hard: np.ndarray, weights: np.ndarray,
+                  margins: np.ndarray) -> bool:
     """One layered iteration over rows 0..rows_used-1 of `bg`, in place.
 
     `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8, both
     float16 or both float32. The base graph's own entry arrays are the
-    kernel's tables. `live`, if given, is a C-contiguous int64 array of
-    codeword indices, strictly increasing within [0, B): the pass runs those
-    codewords alone and leaves the others, and their readout, untouched.
-    `readout`, if given, is (hard, weights, margins): each codeword's pass
-    ends by writing its uint8 hard decisions `l_v < 0` into `hard`
-    (B, n_blocks * Z), its unsatisfied checks over the used rows into the
-    int64 `weights` (B,) and min |L_v| into the float64 `margins` (B,), as
-    the numpy lines of `decoder._run_schedule` compute them. Returns False,
-    touching nothing, where the arrays are strided or of two dtypes, or the
-    kernel is unavailable for their dtype (see `layer_entry`).
+    kernel's tables. The pass skips the codewords the C-contiguous bool (B,)
+    mask `settled` sets, and leaves them and their readout untouched. Every
+    other codeword's pass ends by writing its uint8 hard decisions `l_v < 0`
+    into its row of `hard` (B, n_blocks * Z), its unsatisfied checks over
+    the used rows into the int64 `weights` (B,) and min |L_v| into the
+    float64 `margins` (B,), as `decoder._read_out` computes them. Returns
+    False, touching nothing, where the arrays are strided or of two dtypes,
+    or the kernel is unavailable for their dtype (see `layer_entry`).
     """
     layer = layer_entry(l_v.dtype)
     if (layer is None or messages.dtype != l_v.dtype or not l_v.flags.c_contiguous
@@ -237,34 +235,24 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int,
     tables = _graph_tables(bg, rows_used, n_blocks, z)
     if tables is None or messages.shape != (batch, tables[0][rows_used], z):
         raise ValueError("workspace arrays do not match the base graph")
-    out = (None, None, None)
-    if readout is not None:
-        hard, weights, margins = readout
-        if (hard.dtype != np.uint8 or hard.shape != (batch, n_blocks * z)
-                or weights.dtype != np.int64 or margins.dtype != np.float64
-                or weights.shape != (batch,) or margins.shape != (batch,)
-                or not all(a.flags.c_contiguous for a in readout)):
-            raise ValueError("readout arrays do not match the posteriors and the base graph")
-        out = (hard.ctypes.data, margins.ctypes.data, weights.ctypes.data)
-    n_live = batch
-    if live is not None:
-        # the kernel indexes with it unchecked: a repeated index would let
-        # two threads update one codeword at once
-        if (live.dtype != np.int64 or live.ndim != 1 or not live.flags.c_contiguous
-                or not 0 < len(live) <= batch or live[0] < 0 or live[-1] >= batch
-                or (np.diff(live) <= 0).any()):
-            raise ValueError(f"live must be strictly increasing C-contiguous int64 "
-                             f"codeword indices within [0, {batch})")
-        n_live = len(live)
+    # the kernel indexes them unchecked, by codeword and position
+    if (settled.dtype != np.bool_ or settled.shape != (batch,)
+            or hard.dtype != np.uint8 or hard.shape != (batch, n_blocks * z)
+            or weights.dtype != np.int64 or margins.dtype != np.float64
+            or weights.shape != (batch,) or margins.shape != (batch,)
+            or not all(a.flags.c_contiguous for a in (settled, hard, weights, margins))):
+        raise ValueError("settled mask or readout arrays do not match the posteriors "
+                         "and the base graph")
+    unsettled = batch - np.count_nonzero(settled)
     row_start, cols, shifts = tables
     # int8 magnitudes m = 0..127 scale by the beta rule's table, floats by
     # beta rounded to their dtype, as the numpy rows
     lut = kernels.beta_lut(beta)[:128]
     scale = float(l_v.dtype.type(beta)) if l_v.dtype.kind == "f" else 0.0
-    _call(layer, l_v.ctypes.data, messages.ctypes.data,
-          None if live is None else live.ctypes.data, *out, n_live, n_blocks, z, rows_used,
-          row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data, lut.ctypes.data,
-          scale, slice_count(n_live, n_live * messages.shape[1] * z))
+    _call(layer, l_v.ctypes.data, messages.ctypes.data, settled.ctypes.data,
+          hard.ctypes.data, margins.ctypes.data, weights.ctypes.data, batch, n_blocks, z,
+          rows_used, row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data,
+          lut.ctypes.data, scale, slice_count(unsettled, unsettled * messages.shape[1] * z))
     return True
 
 

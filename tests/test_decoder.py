@@ -147,6 +147,14 @@ def _noise_free_block(bg, rows_used, msg, mode="int8"):
     return quantize(llr, QuantConfig(mode=mode), params)
 
 
+def _readout(ws):
+    """A settled mask with no codeword settled, and readout arrays, for one
+    `layered_iteration` over `ws`."""
+    return (np.zeros(ws.lanes, dtype=bool),
+            (np.empty((ws.lanes, ws.l_v[0].size), dtype=np.uint8),
+             np.empty(ws.lanes, dtype=np.int64), np.empty(ws.lanes)))
+
+
 def test_first_iteration_sees_channel_llrs(bg2_z16):
     rng = np.random.default_rng(87)
     msg = rng.integers(0, 2, 160, dtype=np.uint8)
@@ -160,7 +168,7 @@ def test_first_iteration_sees_channel_llrs(bg2_z16):
     expected = check_node_minsum(
         np.moveaxis(channel[:, cols[:, None], idx], 1, -1), beta=cfg.beta
     )
-    layered_iteration(ws, bg2_z16, cfg)
+    layered_iteration(ws, bg2_z16, cfg, *_readout(ws))
     got = np.moveaxis(ws.messages[:, e0:e0 + len(cols), :], 1, -1)
     assert np.array_equal(got, expected)
 
@@ -275,7 +283,7 @@ def test_first_layer_messages_coincide_between_schedules(bg2_z16):
     _, blocks = make_noisy_blocks(bg2_z16, 42, 2.0, 2, seed=23, mode="f32")
     cfg = DecodeConfig(precision=Precision.F32)
     ws_l = init_workspace(blocks, bg2_z16, cfg)
-    layered_iteration(ws_l, bg2_z16, cfg)
+    layered_iteration(ws_l, bg2_z16, cfg, *_readout(ws_l))
     ws_f = init_workspace(blocks, bg2_z16, cfg)
     from ldpclab.decoder import _scalar_flood
     _scalar_flood(ws_f, ws_f.l_v.copy(), cfg)
@@ -398,6 +406,34 @@ def test_decode_single_vector(bg2_z16):
     block = _noise_free_block(bg2_z16, 42, msg)
     res = decode(block.ravel(), bg2_z16, DecodeConfig(precision=Precision.INT8))
     assert res.bits.shape == (1, 160)
+
+
+@pytest.mark.parametrize("fn, cfg", [
+    (decode, DecodeConfig(precision="int8", max_iter=12)),
+    (decode, DecodeConfig(precision="f16", max_iter=12)),
+    (decode, DecodeConfig(precision="f32", max_iter=12)),
+    (decode, DecodeConfig(rho=4, max_iter=12)),
+    (decode_flooding, DecodeConfig(max_iter=12)),
+    (decode, DecodeConfig(early_stop="none", max_iter=12)),
+], ids=["int8", "f16", "f32", "packed", "flooding", "no-early-stop"])
+def test_a_codeword_decodes_alone_as_in_its_batch(bg2_z16, fn, cfg):
+    """Codewords never interact: each gets in a batch the bits, iterations,
+    success and syndrome weight it gets alone, and its trace columns are its
+    own traces, whose rows past its own run repeat its settle row. Seven
+    codewords leave the packed engine a padded word."""
+    _, blocks = make_noisy_blocks(bg2_z16, 42, 1.0, 7, seed=17, mode=cfg.precision.value)
+    batch = fn(blocks, bg2_z16, cfg)
+    assert len(set(batch.iterations)) > 1 or cfg.early_stop is EarlyStop.NONE
+    assert not batch.success.all() and batch.success.any()
+    for i, block in enumerate(blocks):
+        alone = fn(block, bg2_z16, cfg)
+        for field in ("bits", "iterations", "success", "syndrome_weight"):
+            assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[i]), (i, field)
+        run = len(alone.syndrome_trace)
+        for got, own in ((batch.syndrome_trace, alone.syndrome_trace),
+                         (batch.margin_trace, alone.margin_trace)):
+            assert np.array_equal(got[:run, i], own[:, 0]), i
+            assert (got[run:, i] == own[-1, 0]).all(), i
 
 
 def test_config_validation():

@@ -71,6 +71,17 @@ def _bits(a: np.ndarray) -> np.ndarray:
 PRECISIONS = ["int8", "f16", "f32"]
 
 
+def _unsettled(ws):
+    """The settled mask of a batch none of whose codewords has settled."""
+    return np.zeros(ws.lanes, dtype=bool)
+
+
+def _readout_arrays(lv):
+    """(hard, weights, margins) for the posteriors `lv`, filled with 7s."""
+    return (np.full((len(lv), lv[0].size), 7, dtype=np.uint8),
+            np.full(len(lv), 7, dtype=np.int64), np.full(len(lv), 7.0))
+
+
 @pytest.mark.parametrize("code", CODES, ids=lambda c: f"{c[0]}-Z{c[1]}")
 @pytest.mark.parametrize("precision", PRECISIONS)
 def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, precision):
@@ -94,7 +105,7 @@ def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, pr
         fast = init_workspace(blocks, bg, cfg)
         oracle = init_workspace(blocks, bg, cfg)
         for it in range(8):
-            layered_iteration(fast, bg, cfg)
+            layered_iteration(fast, bg, cfg, _unsettled(fast), _readout_arrays(fast.l_v))
             for r in range(oracle.rows_used):
                 oracle.layer(r, cfg)
             where = f"{ebn0} iteration {it + 1}"
@@ -211,7 +222,8 @@ def test_missing_compiler_takes_the_numpy_rows(kernel, request, monkeypatch):
     monkeypatch.setenv("PATH", str(cache))            # an empty directory: no gcc
     assert native.load() is None
     ws = init_workspace(blocks, bg, cfg)
-    assert not native.run_iteration(ws.l_v, ws.messages, bg, ws.rows_used, cfg.beta)
+    assert not native.run_iteration(ws.l_v, ws.messages, bg, ws.rows_used, cfg.beta,
+                                    _unsettled(ws), *_readout_arrays(ws.l_v))
     hard = (ws.l_v < 0).view(np.uint8).reshape(ws.lanes, -1)
     assert native.row_parities(hard, bg, ws.rows_used, 0, ws.rows_used) is None
     assert _same(_decode_digest(blocks, bg, cfg), with_kernel)
@@ -279,44 +291,44 @@ def test_run_iteration_rejects_arrays_of_another_graph(kernel):
     bg = get_graph("BG2", 16)
     _, blocks = make_noisy_blocks(bg, 42, 2.0, 2, seed=1)
     ws = init_workspace(blocks, bg, DecodeConfig())
+    settled = _unsettled(ws)
+    hard, weights, margins = readout = _readout_arrays(ws.l_v)
     for other, rows in ((get_graph("BG2", 52), 42), (get_graph("BG1", 16), 42), (bg, 41)):
         with pytest.raises(ValueError, match="do not match"):
-            native.run_iteration(ws.l_v, ws.messages, other, rows, 0.75)
-    hard, weights, margins = readout = _readout_arrays(ws.l_v)
+            native.run_iteration(ws.l_v, ws.messages, other, rows, 0.75, settled, *readout)
     lv, msgs = ws.l_v.copy(), ws.messages.copy()
     for args in ((hard[:, 1:], weights, margins), (hard.view(bool), weights, margins),
                  (hard, weights[:1], margins), (hard, weights, margins.astype(np.float32)),
                  (hard, margins, weights), (hard, weights, np.zeros((2, 2))[:, 0]),
                  (hard.repeat(2, axis=1)[:, ::2], weights, margins)):
         with pytest.raises(ValueError, match="do not match"):
-            native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, args)
+            native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, settled, *args)
     # the arrays are checked before the pass: it ran on nothing
     assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
     # f16 arrays are checked as int8's; only strided ones take the numpy
     # rows and lines
     with pytest.raises(ValueError, match="do not match"):
         native.run_iteration(ws.l_v.astype(np.float16), ws.messages.astype(np.float16),
-                             get_graph("BG2", 52), 42, 0.75)
-    assert not native.run_iteration(ws.l_v[::-1], ws.messages[::-1], bg, 42, 0.75, readout)
+                             get_graph("BG2", 52), 42, 0.75, settled, *readout)
+    assert not native.run_iteration(ws.l_v[::-1], ws.messages[::-1], bg, 42, 0.75, settled,
+                                    *readout)
     assert (hard == 7).all() and (weights == 7).all() and (margins == 7).all()
 
 
-def test_run_iteration_rejects_a_bad_live_list(kernel):
-    """The kernel indexes with `live` unchecked, and a repeated index would
-    let two threads update one codeword at once: every malformed list raises
-    before the pass."""
+def test_run_iteration_rejects_a_bad_settled_mask(kernel):
+    """The kernel reads the settled mask unchecked, one byte per codeword:
+    a mask of another dtype, length or stride raises before the pass."""
     bg = get_graph("BG2", 16)
     _, blocks = make_noisy_blocks(bg, 42, 2.0, 4, seed=2)
     ws = init_workspace(blocks, bg, DecodeConfig())
     readout = _readout_arrays(ws.l_v)
     lv, msgs = ws.l_v.copy(), ws.messages.copy()
-    bad = [np.array([0, 2, 2]), np.array([2, 1]), np.array([-1, 2]), np.array([1, 4]),
-           np.array([0, 1], dtype=np.int32), np.array([[0, 1]]), np.array([], dtype=np.int64),
-           np.arange(4)[::2], np.arange(5)]
-    for live in bad:
-        for out in (None, readout):
-            with pytest.raises(ValueError, match="live must be"):
-                native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, out, live)
+    bad = [np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.int64), np.zeros(3, dtype=bool),
+           np.zeros(5, dtype=bool), np.zeros((4, 1), dtype=bool), np.zeros((1, 4), dtype=bool),
+           np.zeros(8, dtype=bool)[::2], np.zeros((), dtype=bool)]
+    for settled in bad:
+        with pytest.raises(ValueError, match="settled mask or readout arrays do not match"):
+            native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, settled, *readout)
     assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
     assert all((a == 7).all() for a in readout)
 
@@ -407,12 +419,6 @@ def _numpy_readout(lv, bg, rows):
     return hard, codec._syndrome_weights_numpy(hard, bg, rows), np.abs(lv).min(axis=(1, 2))
 
 
-def _readout_arrays(lv):
-    """(hard, weights, margins) for the posteriors `lv`, filled with 7s."""
-    return (np.full((len(lv), lv[0].size), 7, dtype=np.uint8),
-            np.full(len(lv), 7, dtype=np.int64), np.full(len(lv), 7.0))
-
-
 @pytest.mark.parametrize("batch, slices", [(5, 1), (5, 2), (5, 3), (1, 1), (1, 3)])
 @pytest.mark.parametrize("precision", PRECISIONS)
 def test_slices_match_the_numpy_oracles(kernel, monkeypatch, batch, slices, precision):
@@ -428,14 +434,16 @@ def test_slices_match_the_numpy_oracles(kernel, monkeypatch, batch, slices, prec
     fast = init_workspace(blocks, bg, cfg)
     oracle = init_workspace(blocks, bg, cfg)
     readout = _readout_arrays(fast.l_v)
+    asked.clear()
     for it in range(8):
-        assert layered_iteration(fast, bg, cfg, readout)
+        layered_iteration(fast, bg, cfg, _unsettled(fast), readout)
         for r in range(rows):
             oracle.layer(r, cfg)
         assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), it
         assert np.array_equal(_bits(fast.messages), _bits(oracle.messages)), it
         want = _numpy_readout(oracle.l_v, bg, rows)
         assert all(np.array_equal(g, w) for g, w in zip(readout, want, strict=True)), it
+    assert asked == [batch] * 8                   # every pass ran the kernel
     blocks_bits = readout[0].reshape(batch, -1, bg.z)
     for r0, r1 in ((0, 4), (3, 4), (4, rows), (0, rows)):
         got = native.row_parities(blocks_bits, bg, rows, r0, r1)
@@ -451,7 +459,7 @@ def _copy(ws):
 @pytest.mark.parametrize("slices", [1, 2])
 @pytest.mark.parametrize("precision", PRECISIONS)
 def test_a_live_pass_runs_the_live_codewords_alone(kernel, monkeypatch, slices, precision):
-    """A pass over a `live` subset leaves the other codewords' posteriors,
+    """A pass with a settled mask leaves the settled codewords' posteriors,
     messages and readout rows byte for byte as they were, and gives the live
     ones what a pass over the whole batch gives them, their readout equal to
     the numpy lines."""
@@ -465,13 +473,14 @@ def test_a_live_pass_runs_the_live_codewords_alone(kernel, monkeypatch, slices, 
     for it, subset in enumerate(subsets):
         live = np.array(subset, dtype=np.int64)
         retired = np.setdiff1d(np.arange(batch), live)
+        settled = ~np.isin(np.arange(batch), live)
         before, full = _copy(ws), _copy(ws)
         want = _readout_arrays(full.l_v)
-        assert layered_iteration(full, bg, cfg, want)
-        readout = _readout_arrays(ws.l_v)
         asked.clear()
-        assert layered_iteration(ws, bg, cfg, readout, live)
-        assert asked == [len(live)]
+        layered_iteration(full, bg, cfg, _unsettled(full), want)
+        readout = _readout_arrays(ws.l_v)
+        layered_iteration(ws, bg, cfg, settled, readout)
+        assert asked == [batch, len(live)]        # both passes ran the kernel
         for a, b in ((ws.l_v, before.l_v), (ws.messages, before.messages)):
             assert a[retired].tobytes() == b[retired].tobytes(), it
         for a, b in ((ws.l_v, full.l_v), (ws.messages, full.messages)):
@@ -513,11 +522,12 @@ def test_retired_codewords_decode_as_without_the_kernel(kernel, monkeypatch, pre
     cfg = DecodeConfig(precision=precision, early_stop=early, max_iter=10)
     inputs = [_crc_blocks(bg, 42, ebn0, 8, seed=90 + i, mode=precision)
               for i, ebn0 in enumerate((1.0, 1.5, 2.5))]
-    lives = []
+    settled = []
     run = native.run_iteration
-    monkeypatch.setattr(native, "run_iteration", lambda *a: lives.append(a[-1]) or run(*a))
+    monkeypatch.setattr(native, "run_iteration",
+                        lambda *a: settled.append(a[5].sum()) or run(*a))
     fast = [_decode_digest(blocks, bg, cfg) for blocks in inputs]
-    assert any(live is not None and len(live) < 8 for live in lives)
+    assert any(0 < n < 8 for n in settled)
     assert any(len(set(iters[ok])) > 1 for _, iters, ok, *_ in fast)
     for digest in fast:
         _assert_traces_hold_after_settling(DecodeResult(*digest))
