@@ -5,7 +5,7 @@ channel, parallelization planner, and a BER/BLER + latency benchmark harness.
 """
 
 # defined before the submodules load, so any of them can import it
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from ldpclab.basegraph import (
     ALL_LIFTING_SIZES,

@@ -3,15 +3,18 @@
 Sign convention: positive LLR means bit 0 is more likely. BPSK maps bit b to
 symbol 1 - 2b, so the ML demapper is L = 2y / sigma^2.
 
-`transmit` runs the whole stage for a batch: every domain goes from the
-draw to the decoder block in one compiled pass, bit-exact with
-`quantize(demap_llr(bpsk_awgn(...)))`, which stays its oracle and serves any
-host without the kernel.
+`transmit` runs the whole stage for a batch, each codeword drawn from a
+generator of its own: every domain goes from the draw to the decoder block in
+one compiled pass per codeword, bit-exact with
+`quantize(demap_llr(bpsk_awgn(...)))` of that codeword, which stays its
+oracle and serves any host without the kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +35,17 @@ DOMAINS = {"int8": (np.int8, INT8_MAX), "f16": (np.float16, F16_MAX),
 # LLR magnitude standing in for a noiseless channel observation; saturates
 # the int8 domain at the default scale.
 NOISE_FREE_LLR = 16.0
-# Standard normals `transmit` draws per chunk (1 MB of float64): a whole
-# BG1 Z=384 batch of 64 codewords would take 13 MB.
-DRAW_CHUNK = 1 << 17
+# How `transmit` shares its draw among threads, measured on a 2-core VM
+# against one thread. Each codeword a thread claims costs about 20 us of GIL
+# hand-offs, so two threads drew BG2 Z=52 codewords (2600 bits each) no
+# faster at any batch, BG1 Z=64 ones (4224 bits) 1.2x faster at B=64 and
+# BG1 Z=384 ones (25,344 bits) 1.3x at B=2 and 1.8x at B=32. Codewords
+# shorter than MIN_SHARED_DRAW bits are drawn on the calling thread; longer
+# ones count DRAW_WORK edge-positions per bit towards `native.slice_count`'s
+# floor: a drawn bit took about 15 ns, eight to ten times a layer pass's
+# edge-position.
+MIN_SHARED_DRAW = 1 << 12
+DRAW_WORK = 8
 
 
 @dataclass(frozen=True)
@@ -128,44 +139,85 @@ def quantize(llrs, cfg: QuantConfig, params: CodeParams) -> np.ndarray:
     return full
 
 
-def transmit(bits, sigma: float | None, rng, quant: QuantConfig,
+def transmit(bits, sigma: float | None, rngs, quant: QuantConfig,
              params: CodeParams) -> np.ndarray:
     """Decoder-domain blocks for transmitted codeword bits (..., n_tx).
 
-    Equal byte for byte to `quantize(demap_llr(bpsk_awgn(bits, sigma, rng),
-    sigma), quant, params)`, and the generator ends in the same state: the
-    compiled pass reads `rng.standard_normal`, the stream `rng.normal(0,
-    sigma)` draws. Every domain takes that pass where the kernel loads (f16
-    where gcc has `_Float16`); elsewhere the numpy chain runs. Bits of any dtype
-    other than 0 and 1 raise ValueError before the generator is read.
-    `sigma=None` disables the noise: every bit arrives as +/-NOISE_FREE_LLR
-    and the generator is not read.
+    `rngs` holds one generator (or seed) per codeword, in the order of the
+    codewords in `bits`. Codeword i's block is equal byte for byte to
+    `quantize(demap_llr(bpsk_awgn(bits[i], sigma, rngs[i]), sigma), quant,
+    params)`, and its generator ends in the state that chain leaves it in:
+    the compiled pass reads `rngs[i].standard_normal`, the stream
+    `rngs[i].normal(0, sigma)` draws. Every domain takes that pass where the
+    kernel loads (f16 where gcc has `_Float16`); elsewhere the numpy chain
+    runs codeword by codeword. The codewords are shared among
+    `native.slice_count` threads, created and joined inside the call, which
+    claim them one at a time and each draw into a row of their own. Bits of
+    any dtype other than 0 and 1 raise ValueError before any generator is
+    read. `sigma=None` disables the noise: every bit arrives as
+    +/-NOISE_FREE_LLR and no generator is read.
     """
+    if sigma is not None:
+        _check_sigma(sigma)
+    bits = _binary(bits)
+    if bits.ndim == 0 or bits.shape[-1] != params.n_tx:
+        raise ValueError(f"expected {params.n_tx} bits, got shape {bits.shape}")
+    flat = bits.reshape(-1, params.n_tx)
+    if len(rngs) != len(flat):
+        raise ValueError(f"expected one generator per codeword, {len(flat)}, "
+                         f"got {len(rngs)}")
     if sigma is None:
         return quantize(bpsk_exact(bits) * NOISE_FREE_LLR, quant, params)
-    _check_sigma(sigma)
-    rng = np.random.default_rng(rng)
-    bits = _binary(bits)
+    rngs = [np.random.default_rng(rng) for rng in rngs]
     # imported here: native imports kernels, which imports this module's bounds
     from ldpclab import native
 
     dtype, bound = DOMAINS[quant.mode]
-    if native.layer_entry(dtype) is None:
-        return quantize(demap_llr(bpsk_awgn(bits, sigma, rng), sigma), quant, params)
-    if bits.ndim == 0 or bits.shape[-1] != params.n_tx:
-        raise ValueError(f"expected {params.n_tx} bits, got shape {bits.shape}")
-    flat = np.ascontiguousarray(bits.reshape(-1, params.n_tx))
     blocks = np.empty((len(flat), params.n_c), dtype=dtype)
-    # the draw, in chunks of whole codewords through one small buffer: the
-    # generator fills element by element, so the stream is the one-call draw's
-    rows = max(1, DRAW_CHUNK // params.n_tx)
-    noise = np.empty((min(rows, len(flat)), params.n_tx))
-    for b0 in range(0, len(flat), rows):
-        part = noise[: len(flat[b0:b0 + rows])]
-        rng.standard_normal(out=part)
-        native.channel_blocks(part, flat[b0:b0 + rows], blocks[b0:b0 + rows], sigma,
-                              quant.scale, bound)
+    if native.layer_entry(dtype) is None:
+        for block, row, rng in zip(blocks, flat, rngs):
+            block[...] = quantize(demap_llr(bpsk_awgn(row, sigma, rng), sigma), quant, params)
+        return blocks.reshape(bits.shape[:-1] + (params.n_c,))
+    flat = np.ascontiguousarray(flat)
+    # the GIL makes the claim atomic; the draw and the pass release it
+    claim = itertools.count()
+
+    def draw():
+        noise = np.empty((1, params.n_tx))
+        while (i := next(claim)) < len(flat):
+            rngs[i].standard_normal(out=noise[0])
+            native.channel_blocks(noise, flat[i:i + 1], blocks[i:i + 1], sigma,
+                                  quant.scale, bound)
+
+    shared = params.n_tx >= MIN_SHARED_DRAW
+    _on_threads(draw, native.slice_count(len(flat), DRAW_WORK * flat.size) if shared else 1)
     return blocks.reshape(bits.shape[:-1] + (params.n_c,))
+
+
+def _on_threads(fn, count: int) -> None:
+    """Run `fn` on `count` threads, the calling one among them.
+
+    The others are created and joined here. The first exception any of them
+    raised is raised once all have joined.
+    """
+    errors = []
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(count - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        run()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def ebn0_to_sigma(ebn0_db: float, rate_eff: float) -> float:

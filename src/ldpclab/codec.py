@@ -12,6 +12,7 @@ import numpy as np
 
 from ldpclab import native
 from ldpclab.basegraph import BaseGraph, CodeParams, code_params
+from ldpclab.channel import _binary
 
 # CRC generator polynomials, msb-first without the leading x^L term.
 CRC_POLYS = {
@@ -37,9 +38,7 @@ class Syndrome:
 
 
 def _as_bits(x, length: int | None = None) -> np.ndarray:
-    bits = np.asarray(x, dtype=np.uint8).ravel()
-    if (bits > 1).any():
-        raise ValueError("bit vector may only contain 0 and 1")
+    bits = _binary(x).ravel()
     if length is not None and len(bits) != length:
         raise ValueError(f"expected {length} bits, got {len(bits)}")
     return bits
@@ -68,11 +67,9 @@ def encode_batch(messages, bg: BaseGraph, z: int, rows_used: int) -> np.ndarray:
     zero. The simulation harness lives on this path.
     """
     params = code_params(bg, z, rows_used)
-    msgs = np.asarray(messages, dtype=np.uint8)
+    msgs = _binary(messages)
     if msgs.ndim != 2 or msgs.shape[1] != params.k:
         raise ValueError(f"expected messages of shape (B, {params.k})")
-    if (msgs > 1).any():
-        raise ValueError("bit vector may only contain 0 and 1")
     batch = len(msgs)
     p0 = bg.core_parity_col
     known = np.zeros((batch, bg.k_b + rows_used, z), dtype=np.uint8)
@@ -200,11 +197,9 @@ def _crc_params(kind: str) -> tuple[int, int]:
 
 def _bit_rows(x) -> tuple[np.ndarray, bool]:
     """(B, n) uint8 bits from one stream or a batch, and whether it was one."""
-    bits = np.asarray(x, dtype=np.uint8)
+    bits = _binary(x)
     if bits.ndim not in (1, 2):
         raise ValueError(f"expected bits of shape (n,) or (B, n), got {bits.shape}")
-    if (bits > 1).any():
-        raise ValueError("bit vector may only contain 0 and 1")
     return (bits[None, :], True) if bits.ndim == 1 else (bits, False)
 
 

@@ -12,7 +12,9 @@ has settled. It also computes the parity bits of a range of base rows over
 a batch of hard decisions, for the syndrome and the encoder, with `codec`'s
 numpy roll loop as oracle and fallback; and turns standard normals and
 transmitted bits into decoder blocks of any domain in one pass, with
-`channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and fallback.
+`channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and fallback;
+`channel.transmit` calls that pass on one codeword at a time, from Python
+threads of its own that it sizes with `slice_count`.
 
 Every call shares its batch among `slice_count` threads, which claim
 codewords one at a time, so a thread on a slower core takes fewer. The

@@ -49,7 +49,7 @@ def test_channel_rejects_a_sigma_that_is_not_finite_and_positive(params_bg2_z2):
             demap_llr(np.ones(4), sigma)
         for mode in ("int8", "f16", "f32"):
             with pytest.raises(ValueError, match="finite and positive"):
-                transmit(bits, sigma, 0, QuantConfig(mode), params_bg2_z2)
+                transmit(bits, sigma, [0], QuantConfig(mode), params_bg2_z2)
 
 
 def test_bpsk_awgn_deterministic_under_seed():

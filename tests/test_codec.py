@@ -156,6 +156,21 @@ def test_crc_batch_bounds_and_shape():
         crc_check(np.full((2, 30), 2, dtype=np.uint8))
 
 
+def test_bits_a_uint8_cast_would_wrap_raise(bg2_z16):
+    # an int64 256 was cast to uint8 before the check and went through as a 0
+    params = code_params(bg2_z16, 16, 42)
+    message = np.zeros(params.k, dtype=np.int64)
+    message[3] = 256
+    word = np.zeros(params.n_c, dtype=np.int64)
+    word[5] = 256
+    for call in (lambda: encode(message, bg2_z16, 16, 42),
+                 lambda: codec.encode_batch(message[None], bg2_z16, 16, 42),
+                 lambda: crc_attach(message[:100]), lambda: crc_check(message[:100]),
+                 lambda: syndrome(word, bg2_z16, 16, 42)):
+        with pytest.raises(ValueError, match="0 and 1"):
+            call()
+
+
 def test_crc_one_table_per_kind_serves_attach_and_check(monkeypatch):
     monkeypatch.setattr(codec, "_CRC_TABLES", {})
     k = 8448

@@ -79,6 +79,27 @@ def test_sweep_worker_pool_matches_serial(bg2_z16):
         assert serial.config_hash == pooled.config_hash
 
 
+@pytest.mark.parametrize("ebn0, target, limit", [(1.0, 1000, 40), (0.5, 5, 100_000)],
+                         ids=["max-codewords", "block-errors"])
+def test_counters_depend_on_neither_batch_nor_workers(bg2_z16, ebn0, target, limit):
+    # Every codeword draws from its own generator, and a point stops at the
+    # codeword that meets the stopping rule. With one generator per batch and
+    # whole batches counted, the error-stopped point here stopped at 11, 14
+    # and 64 codewords for batches of 1, 7 and 64.
+    seen = set()
+    for batch in (1, 7, 64):
+        for workers in (1, 2):
+            p = run_bler_sweep(bg2_z16, 16, 42, DecodeConfig(), [ebn0], seed=4,
+                               target_block_errors=target, max_codewords=limit,
+                               batch=batch, workers=workers, keep_failures=100).points[0]
+            seen.add((p.codewords, p.bit_errors, p.block_errors, p.mean_iters,
+                      p.median_iters, tuple(m.tobytes() for m, _ in p.failed_samples)))
+    (codewords, bit_errors, block_errors, *_), = seen
+    assert bit_errors
+    # each point stops inside the first batch of 64
+    assert codewords < 64 and (codewords == limit or block_errors == target)
+
+
 def test_error_recount_from_failed_samples(bg2_z16):
     res = run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [0.5],
                          target_block_errors=12, max_codewords=200, seed=5,
@@ -279,12 +300,11 @@ def test_sweep_crc16_early_stop(bg2_z16):
 
 
 # (codewords, bit errors, block errors, iterations summed over codewords) at
-# 1.0/1.5/2.5 dB, computed with the bit-serial CRC that attached and checked
-# one codeword per call
+# 1.0/1.5/2.5 dB, computed with one generator per codeword
 CRC_SWEEP_COUNTERS = {
-    "crc24a": [(48, 713, 9, 370), (48, 0, 0, 288), (48, 0, 0, 208)],
-    "crc24b": [(48, 43, 5, 375), (48, 0, 0, 293), (48, 0, 0, 202)],
-    "crc16": [(48, 286, 6, 380), (48, 0, 0, 289), (48, 0, 0, 209)],
+    "crc24a": [(48, 256, 7, 389), (48, 0, 0, 279), (48, 0, 0, 204)],
+    "crc24b": [(48, 4, 1, 379), (48, 0, 0, 292), (48, 0, 0, 199)],
+    "crc16": [(48, 603, 9, 382), (48, 0, 0, 298), (48, 0, 0, 205)],
 }
 
 

@@ -260,7 +260,7 @@ def test_a_compiler_without_float16_keeps_int8_and_f32_compiled(kernel, monkeypa
         blocks = make_noisy_blocks(bg, 42, 2.0, 4, seed=12, mode=mode)[1]
         cfg = DecodeConfig(precision=mode, max_iter=8)
         cases.append((mode, blocks, cfg, _decode_digest(blocks, bg, cfg),
-                      transmit(bits, 0.7, np.random.default_rng(5), QuantConfig(mode), params)))
+                      transmit(bits, 0.7, _streams(5, 3), QuantConfig(mode), params)))
     monkeypatch.setattr(native, "load", lambda: lib)
     compiled = []
     for name in ("run_iteration", "channel_blocks"):
@@ -272,9 +272,9 @@ def test_a_compiler_without_float16_keeps_int8_and_f32_compiled(kernel, monkeypa
         assert _same(_decode_digest(blocks, bg, cfg), digest), mode
         assert compiled and all(c == (mode != "f16") for c in compiled), mode
         compiled.clear()
-        got = transmit(bits, 0.7, np.random.default_rng(5), QuantConfig(mode), params)
+        got = transmit(bits, 0.7, _streams(5, 3), QuantConfig(mode), params)
         assert _same_blocks(got, tx), mode
-        assert compiled == ([] if mode == "f16" else [True]), mode
+        assert compiled == ([] if mode == "f16" else [True] * 3), mode
 
 
 def test_cache_dir_falls_back_to_a_private_temp_dir(monkeypatch, tmp_path):
@@ -508,7 +508,7 @@ def _crc_blocks(bg, rows, ebn0, count, seed, mode):
     msgs = codec.crc_attach(rng.integers(0, 2, (count, params.k - 24), dtype=np.uint8))
     tx = codec.encode_batch(msgs, bg, bg.z, rows)[:, 2 * bg.z:]
     sigma = channel.ebn0_to_sigma(ebn0, params.k / params.n_tx)
-    return transmit(tx, sigma, rng, QuantConfig(mode), params)
+    return transmit(tx, sigma, _streams(seed, count), QuantConfig(mode), params)
 
 
 @pytest.mark.parametrize("early", ["syndrome", "crc"])
@@ -598,13 +598,18 @@ def test_pool_workers_share_the_cpus(monkeypatch):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-def test_no_thread_outlives_a_call(kernel, monkeypatch):
+def test_no_thread_outlives_a_call(kernel, monkeypatch, draw_threads):
     bg = get_graph("BG2", 52)
+    params = code_params(bg, 52, 42)
     _, blocks = make_noisy_blocks(bg, 42, 2.0, 5, seed=4, mode="f32")
     before = len(os.listdir("/proc/self/task"))
     monkeypatch.setattr(native, "slice_count", lambda b, work: 3)
     decode(blocks, bg, DecodeConfig(precision="f32", max_iter=4, early_stop="none"))
     assert len(os.listdir("/proc/self/task")) == before
+    counts = draw_threads(3)
+    transmit(np.zeros((5, params.n_tx), dtype=np.uint8), 0.7, _streams(4, 5), QuantConfig(),
+             params)
+    assert counts == [3] and len(os.listdir("/proc/self/task")) == before
 
 
 def test_packed_and_flooding_decode_as_without_the_kernel(kernel, monkeypatch):
@@ -632,9 +637,37 @@ def test_packed_and_flooding_decode_as_without_the_kernel(kernel, monkeypatch):
         assert _same(got, _decode_digest(blocks, bg, cfg, fn)), (fn.__name__, cfg)
 
 
-def _numpy_channel(bits, sigma, rng, quant, params):
-    """The channel oracle: draw, demap and quantize in numpy."""
-    return quantize(demap_llr(bpsk_awgn(bits, sigma, rng), sigma), quant, params)
+def _streams(seed, count):
+    """One generator per codeword."""
+    return [np.random.default_rng((seed, i)) for i in range(count)]
+
+
+def _numpy_channel(bits, sigma, rngs, quant, params):
+    """The channel oracle: draw, demap and quantize each codeword in numpy."""
+    rows = np.reshape(bits, (-1, params.n_tx))
+    return np.stack([quantize(demap_llr(bpsk_awgn(b, sigma, r), sigma), quant, params)
+                     for b, r in zip(rows, rngs, strict=True)]).reshape(
+        np.shape(bits)[:-1] + (params.n_c,))
+
+
+def _states(rngs):
+    return [r.bit_generator.state for r in rngs]
+
+
+@pytest.fixture
+def draw_threads(monkeypatch):
+    """Force `transmit` to share its draw among a given number of threads,
+    whatever the codeword's length; returns the thread counts it ran on."""
+    counts = []
+    share = channel._on_threads
+    monkeypatch.setattr(channel, "MIN_SHARED_DRAW", 0)
+    monkeypatch.setattr(channel, "_on_threads",
+                        lambda fn, count: counts.append(count) or share(fn, count))
+
+    def force(threads):
+        monkeypatch.setattr(native, "slice_count", lambda batch, work: min(batch, threads))
+        return counts
+    return force
 
 
 def _same_blocks(got, want) -> bool:
@@ -651,17 +684,15 @@ SIGMAS = [1e-170, 1e-10, 0.05, 0.55, 0.7, 0.79, 3.0, 40.0]
 @pytest.mark.parametrize("quant", [QuantConfig("int8"), QuantConfig("int8", scale=2.5),
                                    QuantConfig("f16"), QuantConfig("f32")],
                          ids=["int8", "int8-2.5", "f16", "f32"])
-@pytest.mark.parametrize("chunk_rows", [None, 1, 2], ids=["whole", "chunk1", "chunk2"])
-def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, bg_id, z, rows, batch, quant,
-                                         chunk_rows):
-    """The compiled channel pass writes the numpy chain's blocks byte for byte
-    and leaves the generator where the numpy draw leaves it, drawn in one
-    chunk or in chunks of one or two codewords."""
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, draw_threads, bg_id, z, rows,
+                                         batch, quant, threads):
+    """The compiled channel pass writes the numpy chain's blocks byte for byte,
+    one codeword per pass, and leaves every codeword's generator where its
+    numpy draw leaves it, on one thread or shared among two or three."""
     bg = get_graph(bg_id, z)
     params = code_params(bg, z, rows)
-    if chunk_rows is not None:
-        monkeypatch.setattr(channel, "DRAW_CHUNK", (chunk_rows + 1) * params.n_tx - 1)
-    chunks = -(-batch // (chunk_rows or batch))
+    counts = draw_threads(threads)
     msgs = np.random.default_rng(z + batch).integers(0, 2, (batch, params.k), dtype=np.uint8)
     bits = codec.encode_batch(msgs, bg, z, rows)[:, 2 * z:]      # a strided view
     passes = []
@@ -670,15 +701,16 @@ def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, bg_id, z, rows, ba
     bound = DOMAINS[quant.mode][1]
     clipped = 0
     for sigma in SIGMAS:
-        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        fast, slow = _streams(7, batch), _streams(7, batch)
         with np.errstate(divide="ignore"):
             got = transmit(bits, sigma, fast, quant, params)
             want = _numpy_channel(bits, sigma, slow, quant, params)
         assert _same_blocks(got, want), sigma
-        assert fast.bit_generator.state == slow.bit_generator.state, sigma
+        assert _states(fast) == _states(slow), sigma
         assert not got[:, : 2 * z].any()
         clipped += int((np.abs(got) == bound).sum())
-    assert len(passes) == chunks * len(SIGMAS) and clipped
+    assert len(passes) == batch * len(SIGMAS) and clipped
+    assert counts == [min(batch, threads)] * len(SIGMAS)
 
 
 def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
@@ -699,15 +731,16 @@ def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
     def check(compiled):
         for b, quant in cases:
             passes.clear()
-            fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+            count = b.size // params.n_tx
+            fast, slow = _streams(5, count), _streams(5, count)
             got = transmit(b, 0.7, fast, quant, params)
             assert _same_blocks(got, _numpy_channel(b, 0.7, slow, quant, params)), quant
-            assert fast.bit_generator.state == slow.bit_generator.state
-            assert len(passes) == compiled, (b.dtype, quant)
-            rng = np.random.default_rng(5)
-            quiet = transmit(b, None, rng, quant, params)
+            assert _states(fast) == _states(slow)
+            assert len(passes) == compiled * count, (b.dtype, quant)
+            rngs = _streams(5, count)
+            quiet = transmit(b, None, rngs, quant, params)
             assert _same_blocks(quiet, quantize(bpsk_exact(b) * NOISE_FREE_LLR, quant, params))
-            assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+            assert _states(rngs) == _states(_streams(5, count))
 
     check(True)
     monkeypatch.setattr(native, "load", lambda: None)
@@ -718,13 +751,17 @@ def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
-def test_transmit_rejects_bits_other_than_0_and_1(request, monkeypatch, compiled):
+def test_transmit_rejects_bits_other_than_0_and_1(request, monkeypatch, draw_threads,
+                                                  compiled):
     """A 2 and a 255 in a uint8 block went through as LLRs -68 and -127, on
-    the compiled path, the numpy path and with sigma=None alike."""
+    the compiled path, the numpy path and with sigma=None alike; they raise
+    before any generator is read, and so does a generator count other than
+    the codeword count. The draw may take two threads."""
     if compiled:
         request.getfixturevalue("kernel")
     else:
         monkeypatch.setattr(native, "load", lambda: None)
+    counts = draw_threads(2)
     bg = get_graph("BG2", 16)
     params = code_params(bg, 16, 42)
     for dtype, bad in ((np.uint8, 2), (np.uint8, 255), (np.int64, 2), (np.int64, -1)):
@@ -732,25 +769,36 @@ def test_transmit_rejects_bits_other_than_0_and_1(request, monkeypatch, compiled
         bits[1, 5] = bad
         for sigma in (None, 0.7):
             for quant in (QuantConfig("int8"), QuantConfig("f32")):
-                rng = np.random.default_rng(1)
+                rngs = _streams(1, 2)
                 with pytest.raises(ValueError, match="0 and 1"):
-                    transmit(bits, sigma, rng, quant, params)
+                    transmit(bits, sigma, rngs, quant, params)
                 # rejected before the draw
-                assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+                assert _states(rngs) == _states(_streams(1, 2))
+    bits = np.zeros((2, params.n_tx), dtype=np.uint8)
+    for sigma in (None, 0.7):
+        for count in (1, 3):
+            rngs = _streams(1, count)
+            with pytest.raises(ValueError, match="one generator per codeword"):
+                transmit(bits, sigma, rngs, QuantConfig(), params)
+            assert _states(rngs) == _states(_streams(1, count))
+    assert not counts
 
 
-def test_transmit_rejects_what_the_numpy_chain_rejects(kernel):
+def test_transmit_rejects_what_the_numpy_chain_rejects(kernel, draw_threads):
     bg = get_graph("BG2", 16)
     params = code_params(bg, 16, 42)
     bits = np.zeros((2, params.n_tx), dtype=np.uint8)
+    # the NaN is found on either of two threads and raised in the caller
+    counts = draw_threads(2)
     for quant in (QuantConfig("int8"), QuantConfig("f32")):
         # sigma * g overflows to inf, and inf / (sigma * sigma = inf) is NaN
         for fn in (transmit, _numpy_channel):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(ValueError, match="NaN"):
-                fn(bits, 1e308, np.random.default_rng(1), quant, params)
+                fn(bits, 1e308, _streams(1, 2), quant, params)
         with pytest.raises(ValueError, match="expected"):
-            transmit(bits[:, 1:], 0.7, 1, quant, params)
+            transmit(bits[:, 1:], 0.7, _streams(1, 2), quant, params)
+    assert counts == [2, 2]
     noise, out = np.zeros(bits.shape), np.empty((2, params.n_c), dtype=np.int8)
     for bad in ((noise.astype(np.float32), bits, out), (noise, bits.astype(np.int8), out),
                 (noise[:, ::2], bits[:, ::2], out), (noise[0], bits[0], out),
