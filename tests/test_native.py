@@ -679,22 +679,15 @@ def _same_blocks(got, want) -> bool:
 SIGMAS = [1e-170, 1e-10, 0.05, 0.55, 0.7, 0.79, 3.0, 40.0]
 
 
-@pytest.mark.parametrize("bg_id, z, rows, batch", [("BG1", 384, 46, 3), ("BG2", 52, 42, 5),
-                                                   ("BG2", 16, 42, 1)])
-@pytest.mark.parametrize("quant", [QuantConfig("int8"), QuantConfig("int8", scale=2.5),
-                                   QuantConfig("f16"), QuantConfig("f32")],
-                         ids=["int8", "int8-2.5", "f16", "f32"])
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, draw_threads, bg_id, z, rows,
-                                         batch, quant, threads):
-    """The compiled channel pass writes the numpy chain's blocks byte for byte,
-    one codeword per pass, and leaves every codeword's generator where its
-    numpy draw leaves it, on one thread or shared among two or three."""
+def _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant, chunk):
+    """Send a batch through `transmit` in calls of `chunk` codewords (all of
+    them when None) and check every call against the numpy chain at every
+    sigma; returns the number of compiled passes."""
     bg = get_graph(bg_id, z)
     params = code_params(bg, z, rows)
-    counts = draw_threads(threads)
     msgs = np.random.default_rng(z + batch).integers(0, 2, (batch, params.k), dtype=np.uint8)
     bits = codec.encode_batch(msgs, bg, z, rows)[:, 2 * z:]      # a strided view
+    step = chunk or batch
     passes = []
     fused = native.channel_blocks
     monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(1) or fused(*a))
@@ -703,13 +696,53 @@ def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, draw_threads, bg_i
     for sigma in SIGMAS:
         fast, slow = _streams(7, batch), _streams(7, batch)
         with np.errstate(divide="ignore"):
-            got = transmit(bits, sigma, fast, quant, params)
+            got = np.concatenate([transmit(bits[i:i + step], sigma, fast[i:i + step], quant,
+                                           params) for i in range(0, batch, step)])
             want = _numpy_channel(bits, sigma, slow, quant, params)
         assert _same_blocks(got, want), sigma
         assert _states(fast) == _states(slow), sigma
         assert not got[:, : 2 * z].any()
         clipped += int((np.abs(got) == bound).sum())
-    assert len(passes) == batch * len(SIGMAS) and clipped
+    assert clipped
+    return len(passes)
+
+
+TRANSMIT_CASES = [("BG1", 384, 46, 3), ("BG2", 52, 42, 5), ("BG2", 16, 42, 1)]
+TRANSMIT_QUANTS = pytest.mark.parametrize(
+    "quant", [QuantConfig("int8"), QuantConfig("int8", scale=2.5), QuantConfig("f16"),
+              QuantConfig("f32")], ids=["int8", "int8-2.5", "f16", "f32"])
+
+
+@pytest.mark.parametrize("bg_id, z, rows, batch", TRANSMIT_CASES)
+@TRANSMIT_QUANTS
+@pytest.mark.parametrize("chunk_rows", [None, 1, 2], ids=["whole", "chunk1", "chunk2"])
+def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, draw_threads, bg_id, z, rows,
+                                         batch, quant, chunk_rows):
+    """The compiled channel pass writes the numpy chain's blocks byte for byte,
+    one codeword per pass, and leaves every codeword's generator where its
+    numpy draw leaves it, whether the batch goes to `transmit` in one call or
+    in calls of one or two codewords: each codeword's block depends on its
+    own generator only. The draw may take two threads."""
+    counts = draw_threads(2)
+    step = chunk_rows or batch
+    passes = _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant,
+                                               chunk_rows)
+    assert passes == batch * len(SIGMAS)
+    calls = [min(step, batch - i, 2) for i in range(0, batch, step)]
+    assert counts == calls * len(SIGMAS)
+
+
+@pytest.mark.parametrize("bg_id, z, rows, batch", TRANSMIT_CASES)
+@TRANSMIT_QUANTS
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_transmit_shared_among_threads_equals_the_numpy_chain(kernel, monkeypatch, draw_threads,
+                                                              bg_id, z, rows, batch, quant,
+                                                              threads):
+    """The same blocks and generator states, one codeword per pass, with the
+    draw on one thread or shared among two or three."""
+    counts = draw_threads(threads)
+    passes = _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant, None)
+    assert passes == batch * len(SIGMAS)
     assert counts == [min(batch, threads)] * len(SIGMAS)
 
 
