@@ -2,8 +2,8 @@
  * pass ending with what decoding reads of it (hard decisions, min |L_v|, the
  * count of unsatisfied checks), the parity bits of a range of base rows over
  * a batch of hard decisions (the syndrome and the encoder), and the channel
- * stage from standard normals to decoder blocks, compiled at first use by
- * ldpclab.native. The iteration is bit-exact with the numpy engine
+ * stage from standard normals to one codeword's decoder block, compiled at
+ * first use by ldpclab.native. The iteration is bit-exact with the numpy engine
  * (ScalarWorkspace.layer), what it reads out with decoder._read_out, the row
  * parities with codec's numpy roll loop, the channel pass with channel's
  * quantize(demap_llr(bpsk_awgn(...))).
@@ -34,14 +34,16 @@
  * and readout as they were: decoding retires a codeword this way once it has
  * settled.
  *
- * Codewords never interact, so every entry point shares its batch among
- * `slices` threads (split()): the calling thread and slices - 1 pthreads
- * claim codewords one at a time from a shared counter, and the calling
- * thread joins the others before it returns, so no thread outlives a call.
- * All threads' scratch comes from one allocation in the calling thread, each
- * thread's part starting on its own 64-byte line; where a thread cannot be
- * created the others take its codewords. The result is the
- * same for every slice count.
+ * Codewords never interact, so the layer iteration and the row parities
+ * share their batch among `slices` threads (split()): the calling thread and
+ * slices - 1 pthreads claim codewords one at a time from a shared counter,
+ * and the calling thread joins the others before it returns, so no thread
+ * outlives a call. All threads' scratch comes from one allocation in the
+ * calling thread, each thread's part starting on its own 64-byte line; where
+ * a thread cannot be created the others take its codewords. The result is
+ * the same for every slice count. The channel pass takes one codeword per call:
+ * channel.transmit shares a batch's codewords among Python threads of its
+ * own, which claim them one at a time as these threads do.
  *
  * Build with -pthread, without -ffast-math and with -ffp-contract=off: a
  * fused multiply-add, or a division turned into a multiplication, would
@@ -438,67 +440,42 @@ int row_parities(const uint8_t *bits, uint8_t *par, int64_t *weights,
     return split(parities, &a, batch, slices, 0);
 }
 
-struct channel_args {
-    const double *noise;
-    const uint8_t *bits;
-    void *out;
-    int width;
-    int64_t n_tx, punctured;
-    double sigma, scale, bound;
-};
-
-/* Codeword b's row of out, values of type T: punctured zeros, then each
- * transmitted bit's LLR l in the float64 order of channel.bpsk_awgn and
- * channel.demap_llr, ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma * sigma),
- * turned into Q, clipped to +/-bound in float64 and rounded once on the
- * store. A NaN is written as 0 and noted in has_nan. */
+/* One codeword's decoder block out, punctured + n_tx values of type T:
+ * punctured zeros, then each transmitted bit's LLR l in the float64 order of
+ * channel.bpsk_awgn and channel.demap_llr, ((0.0 + sigma * g) + (1 - 2b)) * 2
+ * / (sigma * sigma), turned into Q, clipped to +/-bound in float64 and rounded
+ * once on the store. A NaN is written as 0 and noted in has_nan. */
 #define CHANNEL_ROW(T, Q)                                                               \
     {                                                                                 \
-        T *out = (T *)a->out + b * n_c;                                               \
+        T *o = (T *)out + punctured;                                                  \
         for (int64_t k = 0; k < punctured; k++)                                       \
-            out[k] = 0;                                                               \
-        out += punctured;                                                             \
+            ((T *)out)[k] = 0;                                                        \
         for (int64_t k = 0; k < n_tx; k++) {                                          \
             double l = ((0.0 + sigma * g[k]) + (1.0 - 2.0 * bits[k])) * 2.0 / s2;     \
             double q = Q;                                                             \
             has_nan |= q != q;                                                        \
             q = q != q ? 0.0 : q;                                                     \
-            out[k] = (T)(q > bound ? bound : (q < -bound ? -bound : q));              \
+            o[k] = (T)(q > bound ? bound : (q < -bound ? -bound : q));                \
         }                                                                             \
     }
 
-/* int8 rint(l * scale), f16 and f32 l itself, as channel.quantize. */
-static int channel_rows(const void *args, int64_t b0, int64_t b1, void *scratch)
+/* The decoder block of one codeword, int8, f16 or f32 by the width of its
+ * values (1, 2 or 4 bytes), from its n_tx standard normals g and transmitted
+ * bits: int8 rint(l * scale), f16 and f32 l itself, as channel.quantize.
+ * Returns 1 where an LLR is NaN, else 0. */
+int channel_blocks(const double *g, const uint8_t *bits, void *out, int width,
+                   int64_t n_tx, int64_t punctured, double sigma, double scale,
+                   double bound)
 {
-    const struct channel_args *a = args;
-    int64_t n_tx = a->n_tx, punctured = a->punctured, n_c = punctured + n_tx;
-    double sigma = a->sigma, s2 = sigma * sigma, scale = a->scale, bound = a->bound;
+    double s2 = sigma * sigma;
     int has_nan = 0;
-    (void)scratch;
-    for (int64_t b = b0; b < b1; b++) {
-        const double *g = a->noise + b * n_tx;
-        const uint8_t *bits = a->bits + b * n_tx;
-        if (a->width == 1)
-            CHANNEL_ROW(int8_t, rint(l * scale))
-        else if (a->width == 4)
-            CHANNEL_ROW(float, l)
+    if (width == 1)
+        CHANNEL_ROW(int8_t, rint(l * scale))
+    else if (width == 4)
+        CHANNEL_ROW(float, l)
 #ifdef __FLT16_MAX__
-        else if (a->width == 2)
-            CHANNEL_ROW(_Float16, l)
+    else if (width == 2)
+        CHANNEL_ROW(_Float16, l)
 #endif
-    }
-    return has_nan ? 2 : 0;
-}
-
-/* Decoder-domain blocks (batch, punctured + n_tx) of int8, f16 or f32 by the
- * width of their values (1, 2 or 4 bytes) from standard normals noise
- * (batch, n_tx) and transmitted bits (batch, n_tx). Returns -1 where the
- * threads cannot be allocated, 2 where an LLR is NaN, else 0. */
-int channel_blocks(const double *noise, const uint8_t *bits, void *out, int width,
-                   int64_t batch, int64_t n_tx, int64_t punctured, double sigma,
-                   double scale, double bound, int64_t slices)
-{
-    struct channel_args a = {noise, bits, out, width, n_tx, punctured, sigma,
-                             scale, bound};
-    return split(channel_rows, &a, batch, slices, 0);
+    return has_nan;
 }

@@ -7,7 +7,8 @@ symbol 1 - 2b, so the ML demapper is L = 2y / sigma^2.
 generator of its own: every domain goes from the draw to the decoder block in
 one compiled pass per codeword, bit-exact with
 `quantize(demap_llr(bpsk_awgn(...)))` of that codeword, which stays its
-oracle and serves any host without the kernel.
+oracle and serves any host without the kernel. Long codewords are shared
+among threads by `native`'s one thread rule.
 """
 
 from __future__ import annotations
@@ -35,17 +36,13 @@ DOMAINS = {"int8": (np.int8, INT8_MAX), "f16": (np.float16, F16_MAX),
 # LLR magnitude standing in for a noiseless channel observation; saturates
 # the int8 domain at the default scale.
 NOISE_FREE_LLR = 16.0
-# How `transmit` shares its draw among threads, measured on a 2-core VM
-# against one thread. Each codeword a thread claims costs about 20 us of GIL
+# Codewords shorter than this many transmitted bits are drawn on the calling
+# thread; longer ones on `native.cpu_share` threads. Measured on a 2-core VM
+# against one thread: each codeword a thread claims costs about 20 us of GIL
 # hand-offs, so two threads drew BG2 Z=52 codewords (2600 bits each) no
 # faster at any batch, BG1 Z=64 ones (4224 bits) 1.2x faster at B=64 and
-# BG1 Z=384 ones (25,344 bits) 1.3x at B=2 and 1.8x at B=32. Codewords
-# shorter than MIN_SHARED_DRAW bits are drawn on the calling thread; longer
-# ones count DRAW_WORK edge-positions per bit towards `native.slice_count`'s
-# floor: a drawn bit took about 15 ns, eight to ten times a layer pass's
-# edge-position.
+# BG1 Z=384 ones (25,344 bits) 1.3x at B=2 and 1.8x at B=32.
 MIN_SHARED_DRAW = 1 << 12
-DRAW_WORK = 8
 
 
 @dataclass(frozen=True)
@@ -150,8 +147,9 @@ def transmit(bits, sigma: float | None, rngs, quant: QuantConfig,
     the compiled pass reads `rngs[i].standard_normal`, the stream
     `rngs[i].normal(0, sigma)` draws. Every domain takes that pass where the
     kernel loads (f16 where gcc has `_Float16`); elsewhere the numpy chain
-    runs codeword by codeword. The codewords are shared among
-    `native.slice_count` threads, created and joined inside the call, which
+    runs codeword by codeword on the calling thread. The compiled pass's
+    codewords of at least MIN_SHARED_DRAW bits are shared among
+    `native.cpu_share` threads, created and joined inside the call, which
     claim them one at a time and each draw into a row of their own. Bits of
     any dtype other than 0 and 1 raise ValueError before any generator is
     read. `sigma=None` disables the noise: every bit arrives as
@@ -173,24 +171,26 @@ def transmit(bits, sigma: float | None, rngs, quant: QuantConfig,
     from ldpclab import native
 
     dtype, bound = DOMAINS[quant.mode]
+    compiled = native.layer_entry(dtype) is not None
+    # blocks before flat: the other order left glibc's heap 0.5 MB larger at
+    # its peak in a sweep of 64-codeword BG1 Z=384 int8 batches
     blocks = np.empty((len(flat), params.n_c), dtype=dtype)
-    if native.layer_entry(dtype) is None:
-        for block, row, rng in zip(blocks, flat, rngs):
-            block[...] = quantize(demap_llr(bpsk_awgn(row, sigma, rng), sigma), quant, params)
-        return blocks.reshape(bits.shape[:-1] + (params.n_c,))
     flat = np.ascontiguousarray(flat)
     # the GIL makes the claim atomic; the draw and the pass release it
     claim = itertools.count()
 
     def draw():
-        noise = np.empty((1, params.n_tx))
+        noise = np.empty(params.n_tx)
         while (i := next(claim)) < len(flat):
-            rngs[i].standard_normal(out=noise[0])
-            native.channel_blocks(noise, flat[i:i + 1], blocks[i:i + 1], sigma,
-                                  quant.scale, bound)
+            if compiled:
+                rngs[i].standard_normal(out=noise)
+                native.channel_blocks(noise, flat[i], blocks[i], sigma, quant.scale, bound)
+            else:
+                blocks[i] = quantize(demap_llr(bpsk_awgn(flat[i], sigma, rngs[i]), sigma),
+                                     quant, params)
 
-    shared = params.n_tx >= MIN_SHARED_DRAW
-    _on_threads(draw, native.slice_count(len(flat), DRAW_WORK * flat.size) if shared else 1)
+    shared = compiled and params.n_tx >= MIN_SHARED_DRAW
+    _on_threads(draw, native.cpu_share(len(flat)) if shared else 1)
     return blocks.reshape(bits.shape[:-1] + (params.n_c,))
 
 

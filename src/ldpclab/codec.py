@@ -98,8 +98,8 @@ def encode_batch(messages, bg: BaseGraph, z: int, rows_used: int) -> np.ndarray:
 def _row_parities(blocks: np.ndarray, bg: BaseGraph, rows_used: int, r0: int,
                   r1: int) -> tuple[np.ndarray, np.ndarray]:
     """Parity bits (B, r1 - r0, Z) of base rows r0..r1-1 over the C-contiguous
-    uint8 blocks (B, k_b + rows_used, Z), and each codeword's count of ones
-    among them.
+    uint8 blocks (B, k_b + rows_used, Z) or (B, n_c), and each codeword's
+    count of ones among them.
 
     The compiled kernel computes them; the numpy roll loop, its oracle, runs
     only where the kernel cannot be built.
@@ -122,15 +122,10 @@ def _row_parities_numpy(blocks: np.ndarray, bg: BaseGraph, r0: int,
 
 def _syndrome_weights(bits2d: np.ndarray, bg: BaseGraph, rows_used: int) -> np.ndarray:
     """Unsatisfied checks per row of the (B, n_c) hard bits: the counts of
-    `_row_parities` over every used row, or of its numpy oracle.
+    `_row_parities` over every used row.
     """
-    bits2d = np.ascontiguousarray(bits2d, dtype=np.uint8)
-    got = native.row_parities(bits2d, bg, rows_used, 0, rows_used)
-    return _syndrome_weights_numpy(bits2d, bg, rows_used) if got is None else got[1]
-
-
-def _syndrome_weights_numpy(bits2d: np.ndarray, bg: BaseGraph, rows_used: int) -> np.ndarray:
-    return _row_parities_numpy(bits2d, bg, 0, rows_used)[1]
+    return _row_parities(np.ascontiguousarray(bits2d, dtype=np.uint8), bg, rows_used, 0,
+                         rows_used)[1]
 
 
 def syndrome(hard_bits, bg: BaseGraph, z: int, rows_used: int) -> Syndrome:

@@ -345,11 +345,13 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     # are checked in their own dtype, before the cast could wrap them (2**32 + 5
     # to 5); floats after it, where f16 overflow shows as inf
     integer = cfg.precision is Precision.INT8
-    checked = arr if integer else arr.astype(dtype)
+    checked = arr if integer else arr.astype(dtype, order="C")
     if not (-bound <= checked.min() and checked.max() <= bound):
         raise ValueError(f"{cfg.precision.value} LLR magnitudes must be finite and "
                          f"at most {bound:g}")
-    lv = (arr.astype(dtype) if integer else checked).reshape(batch, bg.k_b + rows_used, bg.z)
+    # C order whatever the input's, as the kernel takes the posteriors
+    lv = (arr.astype(dtype, order="C") if integer else checked).reshape(
+        batch, bg.k_b + rows_used, bg.z)
     common = dict(bg=bg, rows_used=rows_used, lanes=batch)
     n_edges = int(bg.w_r[:rows_used].sum())
     if cfg.rho == 4:

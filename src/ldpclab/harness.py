@@ -4,7 +4,8 @@ Every sweep is reproducible: each codeword draws its payload bits and then its
 noise from a generator of its own, seeded by (seed, point index, codeword
 index within the point), and worker tallies merge in codeword order up to the
 codeword that meets the stopping rule. The counters therefore depend on the
-seed and the configuration, never on the batch size or the worker count.
+seed and the configuration, never on the batch size or the worker count, and
+the config hash covers neither; the metadata records both.
 Timing columns are machine-dependent and excluded from the guarantee.
 """
 
@@ -297,11 +298,13 @@ def run_bler_sweep(
         **asdict(cfg), "quant": asdict(quant),
         "grid": ["inf" if math.isinf(g) else g for g in grid],
         "target_block_errors": target_block_errors, "max_codewords": max_codewords,
-        "batch": batch, "rate_eff": rate_eff,
+        "batch": batch, "workers": workers, "rate_eff": rate_eff,
     }
+    # no counter depends on the batch or the worker count
+    hashed = {k: v for k, v in meta.items() if k not in ("batch", "workers")}
     return SweepResult(
         points=points, seed=seed,
-        config_hash=_config_hash({**meta, "seed": seed}),
+        config_hash=_config_hash({**hashed, "seed": seed}),
         metadata=meta,
     )
 

@@ -10,18 +10,21 @@ pass ends with its readout: hard decisions, margin and syndrome count, with
 mask marks settled, so decoding spends no more work on a codeword once it
 has settled. It also computes the parity bits of a range of base rows over
 a batch of hard decisions, for the syndrome and the encoder, with `codec`'s
-numpy roll loop as oracle and fallback; and turns standard normals and
-transmitted bits into decoder blocks of any domain in one pass, with
-`channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and fallback;
-`channel.transmit` calls that pass on one codeword at a time, from Python
-threads of its own that it sizes with `slice_count`.
+numpy roll loop as oracle and fallback; and turns one codeword's standard
+normals and transmitted bits into its decoder block in any domain in one
+pass, with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and
+fallback.
 
-Every call shares its batch among `slice_count` threads, which claim
-codewords one at a time, so a thread on a slower core takes fewer. The
-threads are created and joined inside the call, so none is alive between
-calls and forked pool workers stay safe; a sweep's pool workers split the
-CPUs among themselves (`share_cpus`). Codewords never interact, so the
-outputs are the same for every slice count.
+One thread rule serves every call: at most one thread per codeword and one
+per CPU of this process's share (`cpu_share`; a sweep's pool workers split
+the CPUs among themselves, `share_cpus`). The layer iteration and the row
+parities share their batch among `slice_count` threads, that rule with a
+floor of work per thread; `channel.transmit` shares the codewords of a
+draw among `cpu_share` Python threads of its own. Either way the threads
+claim codewords one at a time, so a thread on a slower core takes fewer,
+and are created and joined inside the call, so none is alive between calls
+and forked pool workers stay safe. Codewords never interact, so the outputs
+are the same for every thread count.
 
 The library is compiled with the host's gcc into a per-user cache directory
 that lasts across processes, under a name keyed by the source, the compile
@@ -80,15 +83,19 @@ def share_cpus(processes: int) -> None:
     _sharers = max(1, processes)
 
 
-def slice_count(batch: int, work: int) -> int:
-    """Threads for a call over `batch` codewords and `work` edge-positions.
-
-    At most one per codeword and one per CPU this process may run on (its
-    share of them in a pool worker, see share_cpus), and no more than leave
-    every thread MIN_SLICE_WORK edge-positions.
-    """
+def cpu_share(batch: int) -> int:
+    """Threads for `batch` codewords: at most one per codeword and one per
+    CPU this process may run on (its share of them in a pool worker, see
+    share_cpus), and at least one."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(batch, (cpus or 1) // _sharers, work // MIN_SLICE_WORK))
+    return max(1, min(batch, (cpus or 1) // _sharers))
+
+
+def slice_count(batch: int, work: int) -> int:
+    """Threads for a call over `batch` codewords and `work` edge-positions:
+    `cpu_share(batch)`, and no more than leave every thread MIN_SLICE_WORK
+    edge-positions."""
+    return max(1, min(cpu_share(batch), work // MIN_SLICE_WORK))
 
 
 def cache_dir() -> Path | None:
@@ -168,8 +175,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     for fn in layers:
         fn.argtypes = [ptr] * 6 + [i64] * 4 + [ptr] * 4 + [ctypes.c_float, i64]
     lib.row_parities.argtypes = [ptr] * 3 + [i64] * 5 + [ptr] * 3 + [i64]
-    lib.channel_blocks.argtypes = ([ptr] * 3 + [ctypes.c_int] + [i64] * 3
-                                   + [ctypes.c_double] * 3 + [i64])
+    lib.channel_blocks.argtypes = [ptr] * 3 + [ctypes.c_int] + [i64] * 2 + [ctypes.c_double] * 3
     for fn in (*layers, lib.row_parities, lib.channel_blocks):
         fn.restype = ctypes.c_int
     return lib
@@ -182,16 +188,11 @@ def layer_entry(dtype):
     return getattr(load(), name, None) if name else None
 
 
-def _call(fn, *args) -> int:
-    """Run a kernel entry point; raise if the slices' allocation failed.
-
-    Returns the entry point's other status bits (a NaN LLR for
-    `channel_blocks`), 0 for the rest.
-    """
-    status = fn(*args)
-    if status < 0:
+def _call(fn, *args) -> None:
+    """Run a kernel entry point that shares its batch; raise if the slices'
+    allocation failed."""
+    if fn(*args) < 0:
         raise MemoryError(f"{fn.__name__} could not allocate its threads' scratch")
-    return status
 
 
 def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
@@ -225,13 +226,16 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int, bet
     other codeword's pass ends by writing its uint8 hard decisions `l_v < 0`
     into its row of `hard` (B, n_blocks * Z), its unsatisfied checks over
     the used rows into the int64 `weights` (B,) and min |L_v| into the
-    float64 `margins` (B,), as `decoder._read_out` computes them. Returns
-    False, touching nothing, where the arrays are strided or of two dtypes,
-    or the kernel is unavailable for their dtype (see `layer_entry`).
+    float64 `margins` (B,), as `decoder._read_out` computes them. Strided
+    arrays, or arrays of two dtypes, raise ValueError. Returns False,
+    touching nothing, where the kernel is unavailable for their dtype (see
+    `layer_entry`).
     """
-    layer = layer_entry(l_v.dtype)
-    if (layer is None or messages.dtype != l_v.dtype or not l_v.flags.c_contiguous
+    if (messages.dtype != l_v.dtype or not l_v.flags.c_contiguous
             or not messages.flags.c_contiguous):
+        raise ValueError("posteriors and messages must be C-contiguous arrays of one dtype")
+    layer = layer_entry(l_v.dtype)
+    if layer is None:
         return False
     batch, n_blocks, z = l_v.shape
     tables = _graph_tables(bg, rows_used, n_blocks, z)
@@ -290,32 +294,32 @@ def row_parities(bits: np.ndarray, bg, rows_used: int, r0: int,
 
 def channel_blocks(noise: np.ndarray, bits: np.ndarray, out: np.ndarray, sigma: float,
                    scale: float, bound: float) -> bool:
-    """Decoder blocks from standard normals and transmitted bits, in one pass.
+    """One codeword's decoder block from its standard normals and transmitted
+    bits, in one pass.
 
     `noise` is C-contiguous float64 and `bits` C-contiguous uint8, both
-    (B, n_tx). Each transmitted bit's LLR is
+    (n_tx,). Each transmitted bit's LLR is
     ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma * sigma) in float64, as
     `channel.bpsk_awgn` and `channel.demap_llr` compute it from the same
     draw. Into an int8 `out` it goes as rint(L * scale) clipped to +/-bound,
     into a float16 or float32 one clipped to +/-bound in float64 and rounded
-    once, as `channel.quantize`; the positions of each C-contiguous (B, n_c)
-    row of `out` before its last n_tx are set to zero. Returns False,
-    touching nothing, where the kernel is unavailable for `out`'s dtype. A
-    NaN LLR raises ValueError, as in `quantize`.
+    once, as `channel.quantize`; the positions of the C-contiguous (n_c,)
+    `out` before its last n_tx are set to zero. Returns False, touching
+    nothing, where the kernel is unavailable for `out`'s dtype. A NaN LLR
+    raises ValueError, as in `quantize`.
     """
-    if (noise.dtype != np.float64 or bits.dtype != np.uint8 or noise.ndim != 2
+    if (noise.dtype != np.float64 or bits.dtype != np.uint8 or noise.ndim != 1
             or noise.shape != bits.shape or not noise.flags.c_contiguous
             or not bits.flags.c_contiguous):
-        raise ValueError("noise and bits must be C-contiguous (B, n_tx) float64 and uint8")
-    batch, n_tx = noise.shape
-    if (out.dtype not in LAYER_ENTRIES or out.ndim != 2 or len(out) != batch
-            or out.shape[1] < n_tx or not out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous (B, n_c >= n_tx) int8, f16 or f32 array")
+        raise ValueError("noise and bits must be C-contiguous (n_tx,) float64 and uint8")
+    if (out.dtype not in LAYER_ENTRIES or out.ndim != 1 or len(out) < len(noise)
+            or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous (n_c >= n_tx,) int8, f16 or f32 array")
     # each domain's blocks are built where its layer pass is
     if layer_entry(out.dtype) is None:
         return False
-    if _call(load().channel_blocks, noise.ctypes.data, bits.ctypes.data, out.ctypes.data,
-             out.itemsize, batch, n_tx, out.shape[1] - n_tx, sigma, scale, bound,
-             slice_count(batch, out.size)):
+    if load().channel_blocks(noise.ctypes.data, bits.ctypes.data, out.ctypes.data,
+                             out.itemsize, len(noise), len(out) - len(noise), sigma, scale,
+                             bound):
         raise ValueError("LLRs must not be NaN")
     return True

@@ -86,14 +86,19 @@ def test_counters_depend_on_neither_batch_nor_workers(bg2_z16, ebn0, target, lim
     # codeword that meets the stopping rule. With one generator per batch and
     # whole batches counted, the error-stopped point here stopped at 11, 14
     # and 64 codewords for batches of 1, 7 and 64.
-    seen = set()
+    # so the config hash leaves both out, and the metadata records both
+    seen, hashes = set(), set()
     for batch in (1, 7, 64):
         for workers in (1, 2):
-            p = run_bler_sweep(bg2_z16, 16, 42, DecodeConfig(), [ebn0], seed=4,
-                               target_block_errors=target, max_codewords=limit,
-                               batch=batch, workers=workers, keep_failures=100).points[0]
+            res = run_bler_sweep(bg2_z16, 16, 42, DecodeConfig(), [ebn0], seed=4,
+                                 target_block_errors=target, max_codewords=limit,
+                                 batch=batch, workers=workers, keep_failures=100)
+            p = res.points[0]
             seen.add((p.codewords, p.bit_errors, p.block_errors, p.mean_iters,
                       p.median_iters, tuple(m.tobytes() for m, _ in p.failed_samples)))
+            hashes.add(res.config_hash)
+            assert (res.metadata["batch"], res.metadata["workers"]) == (batch, workers)
+    assert len(hashes) == 1
     (codewords, bit_errors, block_errors, *_), = seen
     assert bit_errors
     # each point stops inside the first batch of 64
@@ -160,15 +165,17 @@ def test_sweep_and_latency_bench_go_through_transmit(bg2_z16, monkeypatch):
 
 
 # A fresh process, so that the heap's history is the sweeps' own: glibc moves
-# its thresholds with the blocks a process has freed so far.
+# its thresholds with the blocks a process has freed so far. The first sweep
+# warms up: it has the shape of the counted ones, so they count the reuse of
+# its buffers, not where the heap first puts a batch.
 _SWEEP_FAULTS = """
 import resource
 from ldpclab import DecodeConfig, load_basegraph
 from ldpclab.harness import run_bler_sweep
 bg = load_basegraph("BG1", 384)
-for max_iter, grid in [(1, [1.5])] + [(20, [1.5, 2.5])] * 3:
+for _ in range(4):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_bler_sweep(bg, 384, 46, DecodeConfig(precision="int8", max_iter=max_iter), grid,
+    run_bler_sweep(bg, 384, 46, DecodeConfig(precision="int8", max_iter=20), [1.5, 2.5],
                    target_block_errors=65, max_codewords=64, batch=64)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """

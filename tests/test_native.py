@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -172,12 +173,12 @@ def test_decode_equals_decode_without_kernel(kernel, monkeypatch, precision):
     with monkeypatch.context() as m:
         # neither numpy path may run while the kernel serves this engine
         m.setattr(ScalarWorkspace, "layer", None)
-        m.setattr(codec, "_syndrome_weights_numpy", None)
+        m.setattr(codec, "_row_parities_numpy", None)
         fast = [_decode_digest(blocks, bg, cfg) for blocks, cfg in cases]
     monkeypatch.setattr(native, "load", lambda: None)
     numpy_syndromes = []
-    roll_loop = codec._syndrome_weights_numpy
-    monkeypatch.setattr(codec, "_syndrome_weights_numpy",
+    roll_loop = codec._row_parities_numpy
+    monkeypatch.setattr(codec, "_row_parities_numpy",
                         lambda *a: numpy_syndromes.append(1) or roll_loop(*a))
     for (blocks, cfg), got in zip(cases, fast):
         assert _same(got, _decode_digest(blocks, bg, cfg)), cfg
@@ -277,6 +278,33 @@ def test_a_compiler_without_float16_keeps_int8_and_f32_compiled(kernel, monkeypa
         assert compiled == ([] if mode == "f16" else [True] * 3), mode
 
 
+# the ctypes type `_bind` gives each kind of C parameter other than a pointer
+C_KINDS = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "float": ctypes.c_float,
+           "double": ctypes.c_double}
+
+
+def test_bound_argtypes_match_the_exported_prototypes(kernel, tmp_path):
+    """ctypes converts every argument by the argtypes `_bind` sets, and
+    nothing checks them against the C source: a stale list passes an entry
+    point arguments of the wrong kind or count. gcc's -aux-info lists the
+    prototype of every function the source defines."""
+    aux = tmp_path / "layer.aux"
+    built = _compile(tmp_path, "-aux-info", str(aux))
+    assert built.returncode == 0, built.stderr
+    lib = native._bind(ctypes.CDLL(str(tmp_path / "layer.so")))
+    exported = re.findall(rf"^/\* {re.escape(str(native.SOURCE))}:\d+:NF \*/ extern int "
+                          r"(\w+) \(([^)]*)\);", aux.read_text(), re.M)
+    names = {name for name, _ in exported}
+    assert {"row_parities", "channel_blocks", "layer_iteration_i8",
+            "layer_iteration_f32"} <= names
+    for name, params in exported:
+        kinds = [ctypes.c_void_p if "*" in param else C_KINDS[param.rsplit(" ", 1)[0]]
+                 for param in params.split(", ")]
+        fn = getattr(lib, name)
+        assert fn.argtypes is not None and list(fn.argtypes) == kinds, name
+        assert fn.restype is ctypes.c_int, name
+
+
 def test_cache_dir_falls_back_to_a_private_temp_dir(monkeypatch, tmp_path):
     blocked = tmp_path / "not-a-dir"
     blocked.write_text("")
@@ -305,14 +333,34 @@ def test_run_iteration_rejects_arrays_of_another_graph(kernel):
             native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, settled, *args)
     # the arrays are checked before the pass: it ran on nothing
     assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
-    # f16 arrays are checked as int8's; only strided ones take the numpy
-    # rows and lines
+    # f16 arrays are checked as int8's; strided ones, or two dtypes, raise
+    # rather than take the numpy rows unseen
     with pytest.raises(ValueError, match="do not match"):
         native.run_iteration(ws.l_v.astype(np.float16), ws.messages.astype(np.float16),
                              get_graph("BG2", 52), 42, 0.75, settled, *readout)
-    assert not native.run_iteration(ws.l_v[::-1], ws.messages[::-1], bg, 42, 0.75, settled,
-                                    *readout)
+    for l_v, messages in ((ws.l_v[::-1], ws.messages[::-1]),
+                          (ws.l_v, ws.messages.astype(np.float32))):
+        with pytest.raises(ValueError, match="C-contiguous arrays of one dtype"):
+            native.run_iteration(l_v, messages, bg, 42, 0.75, settled, *readout)
+    assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
     assert (hard == 7).all() and (weights == 7).all() and (margins == 7).all()
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_a_fortran_ordered_batch_decodes_through_the_kernel(kernel, monkeypatch, precision):
+    """The workspace lays the posteriors out in C order whatever the
+    input's. A Fortran-ordered batch ran every iteration through the numpy
+    rows with the same result, about 30 times slower (8 BG1 Z=384 int8
+    codewords, 5 iterations: 0.17 s against 0.006 s)."""
+    bg = get_graph("BG2", 52)
+    cfg = DecodeConfig(precision=precision, max_iter=6)
+    _, blocks = make_noisy_blocks(bg, 42, 1.5, 5, seed=17, mode=precision)
+    want = _decode_digest(blocks, bg, cfg)
+    ran = []
+    run = native.run_iteration
+    monkeypatch.setattr(native, "run_iteration", lambda *a: ran.append(run(*a)) or ran[-1])
+    assert _same(_decode_digest(np.asfortranarray(blocks), bg, cfg), want)
+    assert ran and all(ran)
 
 
 def test_run_iteration_rejects_a_bad_settled_mask(kernel):
@@ -361,7 +409,7 @@ def test_syndrome_kernel_matches_roll_loop_and_dense_oracle(kernel, bg_id, z):
         ])
         got = native.row_parities(bits, bg, rows, 0, rows)[1]
         assert got.dtype == np.int64
-        assert np.array_equal(got, codec._syndrome_weights_numpy(bits, bg, rows)), rows
+        assert np.array_equal(got, codec._row_parities_numpy(bits, bg, 0, rows)[1]), rows
         assert not got[-2:].any() and got[:3].all()
         dense = _dense_weights(bits, bg, rows)
         if dense is not None:
@@ -416,7 +464,7 @@ def test_syndrome_weights_rejects_arrays_of_another_graph(kernel):
 def _numpy_readout(lv, bg, rows):
     """The numpy lines of `_run_schedule`: hard decisions, syndrome counts, margins."""
     hard = (lv < 0).view(np.uint8).reshape(len(lv), -1)
-    return hard, codec._syndrome_weights_numpy(hard, bg, rows), np.abs(lv).min(axis=(1, 2))
+    return hard, codec._row_parities_numpy(hard, bg, 0, rows)[1], np.abs(lv).min(axis=(1, 2))
 
 
 @pytest.mark.parametrize("batch, slices", [(5, 1), (5, 2), (5, 3), (1, 1), (1, 3)])
@@ -574,11 +622,12 @@ def test_slice_count_stays_within_batch_cpus_and_work_floor(kernel, monkeypatch)
 def test_pool_workers_share_the_cpus(monkeypatch):
     monkeypatch.setattr(native, "_sharers", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert native.slice_count(64, 10**12) == 4
+    assert native.slice_count(64, 10**12) == native.cpu_share(64) == 4
     native.share_cpus(2)
-    assert native.slice_count(64, 10**12) == 2
+    assert native.slice_count(64, 10**12) == native.cpu_share(64) == 2
+    assert native.cpu_share(1) == 1
     native.share_cpus(8)
-    assert native.slice_count(64, 10**12) == 1
+    assert native.slice_count(64, 10**12) == native.cpu_share(64) == 1
     monkeypatch.undo()
     # each worker of a sweep's pool gets CPUs // workers threads per call
     seen = []
@@ -665,7 +714,7 @@ def draw_threads(monkeypatch):
                         lambda fn, count: counts.append(count) or share(fn, count))
 
     def force(threads):
-        monkeypatch.setattr(native, "slice_count", lambda batch, work: min(batch, threads))
+        monkeypatch.setattr(native, "cpu_share", lambda batch: min(batch, threads))
         return counts
     return force
 
@@ -777,8 +826,8 @@ def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
 
     check(True)
     monkeypatch.setattr(native, "load", lambda: None)
-    noise, out = np.zeros(bits.shape), np.ones((3, params.n_c), dtype=np.int8)
-    assert not fused(noise, np.ascontiguousarray(bits), out, 0.7, 8.0, 127)
+    noise, out = np.zeros(params.n_tx), np.ones(params.n_c, dtype=np.int8)
+    assert not fused(noise, np.ascontiguousarray(bits[0]), out, 0.7, 8.0, 127)
     assert (out == 1).all()
     check(False)
 
@@ -832,11 +881,11 @@ def test_transmit_rejects_what_the_numpy_chain_rejects(kernel, draw_threads):
         with pytest.raises(ValueError, match="expected"):
             transmit(bits[:, 1:], 0.7, _streams(1, 2), quant, params)
     assert counts == [2, 2]
-    noise, out = np.zeros(bits.shape), np.empty((2, params.n_c), dtype=np.int8)
-    for bad in ((noise.astype(np.float32), bits, out), (noise, bits.astype(np.int8), out),
-                (noise[:, ::2], bits[:, ::2], out), (noise[0], bits[0], out),
-                (noise, bits[:1], out), (noise, bits, out.astype(np.int32)),
-                (noise, bits, out[:1]), (noise, bits, out[:, : params.n_tx - 1]),
-                (noise, bits, np.asfortranarray(out))):
+    noise, row, out = np.zeros(params.n_tx), bits[0], np.empty(params.n_c, dtype=np.int8)
+    for bad in ((noise.astype(np.float32), row, out), (noise, row.astype(np.int8), out),
+                (noise[::2], row[::2], out), (noise[None], row[None], out),
+                (noise, row[1:], out), (noise, row, out.astype(np.int32)),
+                (noise, row, out[None]), (noise, row, out[: params.n_tx - 1]),
+                (noise, row, np.empty(2 * params.n_c, dtype=np.int8)[::2])):
         with pytest.raises(ValueError, match="C-contiguous"):
             native.channel_blocks(*bad, 0.7, 8.0, 127)
