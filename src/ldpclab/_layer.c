@@ -2,11 +2,11 @@
  * pass ending with what decoding reads of it (hard decisions, min |L_v|, the
  * count of unsatisfied checks), the parity bits of a range of base rows over
  * a batch of hard decisions (the syndrome and the encoder), and the channel
- * stage from standard normals to one codeword's decoder block, compiled at
- * first use by ldpclab.native. The iteration is bit-exact with the numpy engine
- * (ScalarWorkspace.layer), what it reads out with decoder._read_out, the row
- * parities with codec's numpy roll loop, the channel pass with channel's
- * quantize(demap_llr(bpsk_awgn(...))).
+ * stage from each codeword's own numpy bit generator to its decoder block,
+ * compiled at first use by ldpclab.native. The iteration is bit-exact with the
+ * numpy engine (ScalarWorkspace.layer), what it reads out with
+ * decoder._read_out, the row parities with codec's numpy roll loop, the
+ * channel pass with channel's quantize(demap_llr(bpsk_awgn(...))).
  *
  * Layout, all C-contiguous: posteriors lv (batch, n_blocks, z), messages
  * msg (batch, n_edges, z), both of one domain: int8, f16 or f32. The layer
@@ -34,16 +34,20 @@
  * and readout as they were: decoding retires a codeword this way once it has
  * settled.
  *
- * Codewords never interact, so the layer iteration and the row parities
- * share their batch among `slices` threads (split()): the calling thread and
- * slices - 1 pthreads claim codewords one at a time from a shared counter,
- * and the calling thread joins the others before it returns, so no thread
- * outlives a call. All threads' scratch comes from one allocation in the
- * calling thread, each thread's part starting on its own 64-byte line; where
- * a thread cannot be created the others take its codewords. The result is
- * the same for every slice count. The channel pass takes one codeword per call:
- * channel.transmit shares a batch's codewords among Python threads of its
- * own, which claim them one at a time as these threads do.
+ * Codewords never interact, so every entry point shares its batch among
+ * `slices` threads (split()): the calling thread and slices - 1 pthreads
+ * claim codewords one at a time from a shared counter, and the calling thread
+ * joins the others before it returns, so no thread outlives a call. All
+ * threads' scratch comes from one allocation in the calling thread, each
+ * thread's part starting on its own 64-byte line; where a thread cannot be
+ * created the others take its codewords. The result is the same for every
+ * slice count.
+ *
+ * The channel pass draws each codeword's normals from its own bit generator
+ * through numpy's random_standard_normal_fill, the sampler behind
+ * Generator.standard_normal, linked from numpy's libnpyrandom.a: the same
+ * stream and the same end state as numpy's draw. No two codewords may share
+ * a generator.
  *
  * Build with -pthread, without -ffast-math and with -ffp-contract=off: a
  * fused multiply-add, or a division turned into a multiplication, would
@@ -59,8 +63,8 @@
 #define F16_SAT 0x1.ffcp15f
 #define F32_SAT 0x1p64f
 
-/* The work on codewords [b0, b1) of the call described by args. */
-typedef int (*slice_fn)(const void *args, int64_t b0, int64_t b1, void *scratch);
+/* The work on codeword b of the call described by args. */
+typedef int (*slice_fn)(const void *args, int64_t b, void *scratch);
 
 struct slice {
     slice_fn fn;
@@ -79,7 +83,7 @@ static void *run_slice(void *p)
     struct slice *s = p;
     int64_t b;
     while ((b = __atomic_fetch_add(s->next, 1, __ATOMIC_RELAXED)) < s->batch)
-        s->status |= s->fn(s->args, b, b + 1, s->scratch);
+        s->status |= s->fn(s->args, b, s->scratch);
     return NULL;
 }
 
@@ -297,12 +301,12 @@ static inline float f16_update(float ext, float out, float *msg)
 FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
 #endif
 
-/* The layer pass of domain D over codewords [b0, b1) of the call: storage
+/* The layer pass of domain D over codeword b of the call: storage
  * type V, scratch type X (the extrinsic, m1 and m2), sign parity and tag type
  * S, bound SAT, and the steps D##_fold, _ext, _scale, _update and _readout.
  * Then the entry point layer_iteration_D over a batch (see below). */
 #define LAYER(D, V, X, S, SAT)                                                          \
-    static int layer_##D(const void *args, int64_t b0, int64_t b1, void *scratch)     \
+    static int layer_##D(const void *args, int64_t b, void *scratch)                  \
     {                                                                                 \
         const struct layer_args *p = args;                                            \
         int64_t z = p->z, n_edges = p->row_start[p->rows];                            \
@@ -311,68 +315,66 @@ FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
          * sign parity and argmin tag at every position */                            \
         X *x = scratch, *m1 = x + p->w_max * z, *m2 = m1 + z;                         \
         S *sg = (S *)(m2 + z), *tag = sg + z;                                         \
-        for (int64_t b = b0; b < b1; b++) {                                           \
-            if (p->settled[b])                                                        \
-                continue;                                                             \
-            V *lvb = (V *)p->lv + b * p->n_blocks * z;                                \
-            V *msgb = (V *)p->msg + b * n_edges * z;                                  \
-            for (int64_t r = 0; r < p->rows; r++) {                                   \
-                int64_t e0 = row_start[r], w = row_start[r + 1] - e0;                 \
-                for (int64_t j = 0; j < w; j++) {                                     \
-                    const V *src = lvb + cols[e0 + j] * z, *m = msgb + (e0 + j) * z;  \
-                    X *xj = x + j * z;                                                \
-                    int64_t s = shifts[e0 + j];                                       \
-                    for (int64_t k = 0; k < z - s; k++)                               \
-                        xj[k] = (X)src[k + s] - (X)m[k];                              \
-                    for (int64_t k = z - s; k < z; k++)                               \
-                        xj[k] = (X)src[k + s - z] - (X)m[k];                          \
-                }                                                                     \
+        if (p->settled[b])                                                            \
+            return 0;                                                                 \
+        V *lvb = (V *)p->lv + b * p->n_blocks * z;                                    \
+        V *msgb = (V *)p->msg + b * n_edges * z;                                      \
+        for (int64_t r = 0; r < p->rows; r++) {                                       \
+            int64_t e0 = row_start[r], w = row_start[r + 1] - e0;                     \
+            for (int64_t j = 0; j < w; j++) {                                         \
+                const V *src = lvb + cols[e0 + j] * z, *m = msgb + (e0 + j) * z;      \
+                X *xj = x + j * z;                                                    \
+                int64_t s = shifts[e0 + j];                                           \
+                for (int64_t k = 0; k < z - s; k++)                                   \
+                    xj[k] = (X)src[k + s] - (X)m[k];                                  \
+                for (int64_t k = z - s; k < z; k++)                                   \
+                    xj[k] = (X)src[k + s - z] - (X)m[k];                              \
+            }                                                                         \
+            for (int64_t k = 0; k < z; k++) {                                         \
+                m1[k] = m2[k] = SAT;                                                  \
+                sg[k] = 0;                                                            \
+                tag[k] = -1;                                                          \
+            }                                                                         \
+            for (S j = 0; j < w; j++) {                                               \
+                const X *xj = x + j * z;                                              \
                 for (int64_t k = 0; k < z; k++) {                                     \
-                    m1[k] = m2[k] = SAT;                                              \
-                    sg[k] = 0;                                                        \
-                    tag[k] = -1;                                                      \
-                }                                                                     \
-                for (S j = 0; j < w; j++) {                                           \
-                    const X *xj = x + j * z;                                          \
-                    for (int64_t k = 0; k < z; k++) {                                 \
-                        X v = D##_fold(xj[k]), a = ABS(v);                            \
-                        S win = a < m1[k];                                            \
-                        X loser = win ? m1[k] : a;                                    \
-                        m2[k] = loser < m2[k] ? loser : m2[k];                        \
-                        m1[k] = win ? a : m1[k];                                      \
-                        tag[k] = win ? j : tag[k];                                    \
-                        sg[k] ^= v < 0;                                               \
-                    }                                                                 \
-                }                                                                     \
-                for (int64_t k = 0; k < z; k++) {                                     \
-                    m1[k] = D##_scale(p, m1[k]);                                      \
-                    m2[k] = D##_scale(p, m2[k]);                                      \
-                }                                                                     \
-                for (S j = 0; j < w; j++) {                                           \
-                    V *dst = lvb + cols[e0 + j] * z, *m = msgb + (e0 + j) * z;        \
-                    X *xj = x + j * z;                                                \
-                    int64_t s = shifts[e0 + j];                                       \
-                    for (int64_t k = 0; k < z; k++) {                                 \
-                        /* both magnitudes loaded, then selected: a load under the    \
-                         * select compiled to two masked loads, and the f32 pass ran  \
-                         * 2% slower (BG1 Z=384, 16 codewords, one Sapphire Rapids    \
-                         * core) */                                                   \
-                        X raw = xj[k], a1 = m1[k], a2 = m2[k], msg;                   \
-                        X mag = tag[k] == j ? a2 : a1;                                \
-                        X out = (sg[k] ^ (D##_fold(raw) < 0)) ? -mag : mag;           \
-                        xj[k] = D##_update(D##_ext(raw), out, &msg);                  \
-                        m[k] = (V)msg;                                                \
-                    }                                                                 \
-                    for (int64_t k = 0; k < z - s; k++)                               \
-                        dst[k + s] = (V)xj[k];                                        \
-                    for (int64_t k = z - s; k < z; k++)                               \
-                        dst[k + s - z] = (V)xj[k];                                    \
+                    X v = D##_fold(xj[k]), a = ABS(v);                                \
+                    S win = a < m1[k];                                                \
+                    X loser = win ? m1[k] : a;                                        \
+                    m2[k] = loser < m2[k] ? loser : m2[k];                            \
+                    m1[k] = win ? a : m1[k];                                          \
+                    tag[k] = win ? j : tag[k];                                        \
+                    sg[k] ^= v < 0;                                                   \
                 }                                                                     \
             }                                                                         \
-            int64_t n = p->n_blocks * z;                                              \
-            p->margins[b] = D##_readout(lvb, p->hard + b * n, n);                     \
-            p->weights[b] = unsatisfied(p, b, scratch);                               \
+            for (int64_t k = 0; k < z; k++) {                                         \
+                m1[k] = D##_scale(p, m1[k]);                                          \
+                m2[k] = D##_scale(p, m2[k]);                                          \
+            }                                                                         \
+            for (S j = 0; j < w; j++) {                                               \
+                V *dst = lvb + cols[e0 + j] * z, *m = msgb + (e0 + j) * z;            \
+                X *xj = x + j * z;                                                    \
+                int64_t s = shifts[e0 + j];                                           \
+                for (int64_t k = 0; k < z; k++) {                                     \
+                    /* both magnitudes loaded, then selected: a load under the        \
+                     * select compiled to two masked loads, and the f32 pass ran      \
+                     * 2% slower (BG1 Z=384, 16 codewords, one Sapphire Rapids        \
+                     * core) */                                                       \
+                    X raw = xj[k], a1 = m1[k], a2 = m2[k], msg;                       \
+                    X mag = tag[k] == j ? a2 : a1;                                    \
+                    X out = (sg[k] ^ (D##_fold(raw) < 0)) ? -mag : mag;               \
+                    xj[k] = D##_update(D##_ext(raw), out, &msg);                      \
+                    m[k] = (V)msg;                                                    \
+                }                                                                     \
+                for (int64_t k = 0; k < z - s; k++)                                   \
+                    dst[k + s] = (V)xj[k];                                            \
+                for (int64_t k = z - s; k < z; k++)                                   \
+                    dst[k + s - z] = (V)xj[k];                                        \
+            }                                                                         \
         }                                                                             \
+        int64_t n = p->n_blocks * z;                                                  \
+        p->margins[b] = D##_readout(lvb, p->hard + b * n, n);                         \
+        p->weights[b] = unsatisfied(p, b, scratch);                                   \
         return 0;                                                                     \
     }                                                                                 \
                                                                                       \
@@ -412,18 +414,16 @@ struct parity_args {
     const int64_t *row_start, *cols, *shifts;
 };
 
-static int parities(const void *args, int64_t b0, int64_t b1, void *scratch)
+static int parities(const void *args, int64_t b, void *scratch)
 {
     const struct parity_args *a = args;
     (void)scratch;
-    for (int64_t b = b0; b < b1; b++) {
-        const uint8_t *bitsb = a->bits + b * a->n_blocks * a->z;
-        int64_t w = 0;
-        for (int64_t r = a->r0; r < a->r1; r++)
-            w += row_parity(bitsb, a->par + (b * (a->r1 - a->r0) + r - a->r0) * a->z,
-                            a->z, r, a->row_start, a->cols, a->shifts);
-        a->weights[b] = w;
-    }
+    const uint8_t *bitsb = a->bits + b * a->n_blocks * a->z;
+    int64_t w = 0;
+    for (int64_t r = a->r0; r < a->r1; r++)
+        w += row_parity(bitsb, a->par + (b * (a->r1 - a->r0) + r - a->r0) * a->z,
+                        a->z, r, a->row_start, a->cols, a->shifts);
+    a->weights[b] = w;
     return 0;
 }
 
@@ -440,42 +440,77 @@ int row_parities(const uint8_t *bits, uint8_t *par, int64_t *weights,
     return split(parities, &a, batch, slices, 0);
 }
 
-/* One codeword's decoder block out, punctured + n_tx values of type T:
- * punctured zeros, then each transmitted bit's LLR l in the float64 order of
+/* numpy's bit generator, opaque here, and the normal sampler
+ * Generator.standard_normal runs */
+typedef struct bitgen bitgen_t;
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+
+/* Normals drawn at a time into a thread's scratch, 4 KB, which the LLR loop
+ * then reads vectorized. A normal at a time, with the LLR computed after each
+ * call, cost 16.3 ns per normal on one Sapphire Rapids core against 14.7-15.3
+ * in these chunks and 14.1-14.8 for numpy's draw followed by a separate pass
+ * (BG1 Z=384 codewords, int8 and f32). */
+#define DRAW 512
+
+struct channel_args {
+    bitgen_t *const *rngs;
+    const uint8_t *bits;
+    void *out;
+    int64_t width, n_tx, punctured;
+    double sigma, scale, bound;
+};
+
+/* Codeword b's decoder block o, punctured + n_tx values of type T: punctured
+ * zeros, then each transmitted bit's LLR l in the float64 order of
  * channel.bpsk_awgn and channel.demap_llr, ((0.0 + sigma * g) + (1 - 2b)) * 2
- * / (sigma * sigma), turned into Q, clipped to +/-bound in float64 and rounded
- * once on the store. A NaN is written as 0 and noted in has_nan. */
+ * / (sigma * sigma), g drawn from the codeword's generator, turned into Q,
+ * clipped to +/-bound in float64 and rounded once on the store. A NaN is
+ * written as 0 and noted in has_nan. */
 #define CHANNEL_ROW(T, Q)                                                               \
     {                                                                                 \
-        T *o = (T *)out + punctured;                                                  \
-        for (int64_t k = 0; k < punctured; k++)                                       \
-            ((T *)out)[k] = 0;                                                        \
-        for (int64_t k = 0; k < n_tx; k++) {                                          \
-            double l = ((0.0 + sigma * g[k]) + (1.0 - 2.0 * bits[k])) * 2.0 / s2;     \
-            double q = Q;                                                             \
-            has_nan |= q != q;                                                        \
-            q = q != q ? 0.0 : q;                                                     \
-            o[k] = (T)(q > bound ? bound : (q < -bound ? -bound : q));                \
+        T *o = (T *)a->out + b * (a->punctured + a->n_tx) + a->punctured;             \
+        const uint8_t *bits = a->bits + b * a->n_tx;                                  \
+        for (int64_t k = -a->punctured; k < 0; k++)                                   \
+            o[k] = 0;                                                                 \
+        for (int64_t k0 = 0; k0 < a->n_tx; k0 += DRAW) {                              \
+            int64_t n = a->n_tx - k0 < DRAW ? a->n_tx - k0 : DRAW;                    \
+            random_standard_normal_fill(a->rngs[b], n, g);                            \
+            for (int64_t k = 0; k < n; k++) {                                         \
+                double l = ((0.0 + sigma * g[k]) + (1.0 - 2.0 * bits[k0 + k])) * 2.0 / s2; \
+                double q = Q;                                                         \
+                has_nan |= q != q;                                                    \
+                q = q != q ? 0.0 : q;                                                 \
+                o[k0 + k] = (T)(q > bound ? bound : (q < -bound ? -bound : q));       \
+            }                                                                         \
         }                                                                             \
     }
 
-/* The decoder block of one codeword, int8, f16 or f32 by the width of its
- * values (1, 2 or 4 bytes), from its n_tx standard normals g and transmitted
- * bits: int8 rint(l * scale), f16 and f32 l itself, as channel.quantize.
- * Returns 1 where an LLR is NaN, else 0. */
-int channel_blocks(const double *g, const uint8_t *bits, void *out, int width,
-                   int64_t n_tx, int64_t punctured, double sigma, double scale,
-                   double bound)
+static int channel_row(const void *args, int64_t b, void *scratch)
 {
-    double s2 = sigma * sigma;
+    const struct channel_args *a = args;
+    double sigma = a->sigma, scale = a->scale, bound = a->bound, s2 = sigma * sigma;
+    double *g = scratch;
     int has_nan = 0;
-    if (width == 1)
+    if (a->width == 1)
         CHANNEL_ROW(int8_t, rint(l * scale))
-    else if (width == 4)
+    else if (a->width == 4)
         CHANNEL_ROW(float, l)
 #ifdef __FLT16_MAX__
-    else if (width == 2)
+    else if (a->width == 2)
         CHANNEL_ROW(_Float16, l)
 #endif
     return has_nan;
+}
+
+/* The decoder blocks out (batch, punctured + n_tx) of a batch's transmitted
+ * bits (batch, n_tx), codeword b's noise drawn from rngs[b]: int8, f16 or f32
+ * by the width of its values (1, 2 or 4 bytes), int8 rint(l * scale), f16 and
+ * f32 l itself, as channel.quantize. Returns 1 where an LLR is NaN, else 0
+ * (or -1, as split()). */
+int channel_blocks(bitgen_t *const *rngs, const uint8_t *bits, void *out, int width,
+                   int64_t batch, int64_t n_tx, int64_t punctured, double sigma,
+                   double scale, double bound, int64_t slices)
+{
+    struct channel_args a = {rngs, bits, out, width, n_tx, punctured, sigma, scale, bound};
+    return split(channel_row, &a, batch, slices, sizeof(double) * DRAW);
 }

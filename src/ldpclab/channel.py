@@ -4,18 +4,14 @@ Sign convention: positive LLR means bit 0 is more likely. BPSK maps bit b to
 symbol 1 - 2b, so the ML demapper is L = 2y / sigma^2.
 
 `transmit` runs the whole stage for a batch, each codeword drawn from a
-generator of its own: every domain goes from the draw to the decoder block in
-one compiled pass per codeword, bit-exact with
-`quantize(demap_llr(bpsk_awgn(...)))` of that codeword, which stays its
-oracle and serves any host without the kernel. Long codewords are shared
-among threads by `native`'s one thread rule.
+generator of its own: every domain goes from the draw to the decoder blocks
+in one compiled call, bit-exact with `quantize(demap_llr(bpsk_awgn(...)))` of
+each codeword, which stays its oracle and serves any host without the kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +32,6 @@ DOMAINS = {"int8": (np.int8, INT8_MAX), "f16": (np.float16, F16_MAX),
 # LLR magnitude standing in for a noiseless channel observation; saturates
 # the int8 domain at the default scale.
 NOISE_FREE_LLR = 16.0
-# Codewords shorter than this many transmitted bits are drawn on the calling
-# thread; longer ones on `native.cpu_share` threads. Measured on a 2-core VM
-# against one thread: each codeword a thread claims costs about 20 us of GIL
-# hand-offs, so two threads drew BG2 Z=52 codewords (2600 bits each) no
-# faster at any batch, BG1 Z=64 ones (4224 bits) 1.2x faster at B=64 and
-# BG1 Z=384 ones (25,344 bits) 1.3x at B=2 and 1.8x at B=32.
-MIN_SHARED_DRAW = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -141,19 +130,17 @@ def transmit(bits, sigma: float | None, rngs, quant: QuantConfig,
     """Decoder-domain blocks for transmitted codeword bits (..., n_tx).
 
     `rngs` holds one generator (or seed) per codeword, in the order of the
-    codewords in `bits`. Codeword i's block is equal byte for byte to
-    `quantize(demap_llr(bpsk_awgn(bits[i], sigma, rngs[i]), sigma), quant,
-    params)`, and its generator ends in the state that chain leaves it in:
-    the compiled pass reads `rngs[i].standard_normal`, the stream
-    `rngs[i].normal(0, sigma)` draws. Every domain takes that pass where the
-    kernel loads (f16 where gcc has `_Float16`); elsewhere the numpy chain
-    runs codeword by codeword on the calling thread. The compiled pass's
-    codewords of at least MIN_SHARED_DRAW bits are shared among
-    `native.cpu_share` threads, created and joined inside the call, which
-    claim them one at a time and each draw into a row of their own. Bits of
-    any dtype other than 0 and 1 raise ValueError before any generator is
-    read. `sigma=None` disables the noise: every bit arrives as
-    +/-NOISE_FREE_LLR and no generator is read.
+    codewords in `bits`, no two of them sharing a bit generator. Codeword i's
+    block is equal byte for byte to `quantize(demap_llr(bpsk_awgn(bits[i],
+    sigma, rngs[i]), sigma), quant, params)`, and its generator ends in the
+    state that chain leaves it in. Every domain takes one compiled call for
+    the batch where the kernel loads (f16 where gcc has `_Float16`; see
+    `native.channel_blocks`); elsewhere the numpy chain runs codeword by
+    codeword. Bits of any dtype other than 0 and 1, a generator count other
+    than the codeword count and, where noise is drawn, a generator repeated
+    among the codewords raise ValueError before any generator is read, with
+    the kernel or without it. `sigma=None` disables the noise: every bit
+    arrives as +/-NOISE_FREE_LLR and no generator is read.
     """
     if sigma is not None:
         _check_sigma(sigma)
@@ -171,53 +158,14 @@ def transmit(bits, sigma: float | None, rngs, quant: QuantConfig,
     from ldpclab import native
 
     dtype, bound = DOMAINS[quant.mode]
-    compiled = native.layer_entry(dtype) is not None
     # blocks before flat: the other order left glibc's heap 0.5 MB larger at
     # its peak in a sweep of 64-codeword BG1 Z=384 int8 batches
     blocks = np.empty((len(flat), params.n_c), dtype=dtype)
     flat = np.ascontiguousarray(flat)
-    # the GIL makes the claim atomic; the draw and the pass release it
-    claim = itertools.count()
-
-    def draw():
-        noise = np.empty(params.n_tx)
-        while (i := next(claim)) < len(flat):
-            if compiled:
-                rngs[i].standard_normal(out=noise)
-                native.channel_blocks(noise, flat[i], blocks[i], sigma, quant.scale, bound)
-            else:
-                blocks[i] = quantize(demap_llr(bpsk_awgn(flat[i], sigma, rngs[i]), sigma),
-                                     quant, params)
-
-    shared = compiled and params.n_tx >= MIN_SHARED_DRAW
-    _on_threads(draw, native.cpu_share(len(flat)) if shared else 1)
+    if not native.channel_blocks(rngs, flat, blocks, sigma, quant.scale, bound):
+        for block, row, rng in zip(blocks, flat, rngs):
+            block[:] = quantize(demap_llr(bpsk_awgn(row, sigma, rng), sigma), quant, params)
     return blocks.reshape(bits.shape[:-1] + (params.n_c,))
-
-
-def _on_threads(fn, count: int) -> None:
-    """Run `fn` on `count` threads, the calling one among them.
-
-    The others are created and joined here. The first exception any of them
-    raised is raised once all have joined.
-    """
-    errors = []
-
-    def run():
-        try:
-            fn()
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run) for _ in range(count - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        run()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def ebn0_to_sigma(ebn0_db: float, rate_eff: float) -> float:

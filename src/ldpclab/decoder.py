@@ -53,6 +53,14 @@ class EarlyStop(str, Enum):
     NONE = "none"
 
 
+def checked_count(name: str, value, least: int = 1) -> int:
+    """`value` as an int of at least `least`. A bool, anything but an int or
+    a numpy integer (a 2.5, a 4.0) and a smaller value raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     """Decoder knobs; every stored one takes effect."""
@@ -67,8 +75,8 @@ class DecodeConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for name in ("max_iter", "rho"):
+            object.__setattr__(self, name, checked_count(name, getattr(self, name)))
         precision = Precision(self.precision)
         early = EarlyStop(self.early_stop)
         object.__setattr__(self, "precision", precision)

@@ -36,7 +36,7 @@ from ldpclab.channel import (  # noqa: F401
     transmit,
 )
 from ldpclab.codec import CRC_POLYS, crc_attach, encode_batch
-from ldpclab.decoder import DecodeConfig, EarlyStop, decode
+from ldpclab.decoder import DecodeConfig, EarlyStop, checked_count, decode
 
 # glibc's malloc options M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the values
 # run_bler_sweep and run_latency_bench fix them at: the heap keeps up to 64 MB
@@ -225,12 +225,11 @@ def run_bler_sweep(
     grid = list(ebn0_grid)
     if not grid:
         raise ValueError("SNR grid must be non-empty")
-    if target_block_errors <= 0 or max_codewords <= 0:
-        raise ValueError("stopping rule must be positive")
-    if batch < 1 or workers < 1:
-        raise ValueError("batch and workers must be at least 1")
-    if keep_failures < 0:
-        raise ValueError("keep_failures must not be negative")
+    target_block_errors = checked_count("target_block_errors", target_block_errors)
+    max_codewords = checked_count("max_codewords", max_codewords)
+    batch = checked_count("batch", batch)
+    workers = checked_count("workers", workers)
+    keep_failures = checked_count("keep_failures", keep_failures, least=0)
     params = code_params(bg, z, rows_used)
     quant = quant or QuantConfig(mode=cfg.precision.value)
     if quant.mode != cfg.precision.value:

@@ -10,28 +10,27 @@ pass ends with its readout: hard decisions, margin and syndrome count, with
 mask marks settled, so decoding spends no more work on a codeword once it
 has settled. It also computes the parity bits of a range of base rows over
 a batch of hard decisions, for the syndrome and the encoder, with `codec`'s
-numpy roll loop as oracle and fallback; and turns one codeword's standard
-normals and transmitted bits into its decoder block in any domain in one
-pass, with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))` as oracle and
-fallback.
+numpy roll loop as oracle and fallback; and turns a batch's transmitted bits
+into its decoder blocks in any domain, each codeword's noise drawn in the
+pass from its own numpy bit generator by numpy's own sampler (linked from
+numpy's `libnpyrandom.a`), with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))`
+as oracle and fallback.
 
 One thread rule serves every call: at most one thread per codeword and one
 per CPU of this process's share (`cpu_share`; a sweep's pool workers split
 the CPUs among themselves, `share_cpus`). The layer iteration and the row
-parities share their batch among `slice_count` threads, that rule with a
-floor of work per thread; `channel.transmit` shares the codewords of a
-draw among `cpu_share` Python threads of its own. Either way the threads
-claim codewords one at a time, so a thread on a slower core takes fewer,
-and are created and joined inside the call, so none is alive between calls
-and forked pool workers stay safe. Codewords never interact, so the outputs
-are the same for every thread count.
+parities keep a floor of work per thread on top (`slice_count`). The threads
+claim codewords one at a time, so a thread on a slower core takes fewer, and
+are created and joined inside the call, so none is alive between calls and
+forked pool workers stay safe. Codewords never interact, so the outputs are
+the same for every thread count.
 
 The library is compiled with the host's gcc into a per-user cache directory
-that lasts across processes, under a name keyed by the source, the compile
-command and the host CPU's flags, so a `-march=native` build is never loaded
-on another CPU. Where it cannot be built or loaded, `run_iteration`,
-`row_parities` and `channel_blocks` report so and the caller takes the numpy
-path.
+that lasts across processes, under a name keyed by the source, numpy's
+sampler archive, the compile command and the host CPU's flags, so a
+`-march=native` build is never loaded on another CPU. Where it cannot be
+built or loaded, `run_iteration`, `row_parities` and `channel_blocks` report
+so and the caller takes the numpy path.
 """
 
 from __future__ import annotations
@@ -50,6 +49,8 @@ import numpy as np
 from ldpclab import kernels
 
 SOURCE = Path(__file__).with_name("_layer.c")
+# numpy's distributions as a static library: random_standard_normal_fill
+ARCHIVE = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
 # -ffp-contract=off and no -ffast-math: f32 must round as numpy does
 COMMAND = ("gcc", "-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared",
            "-fPIC")
@@ -136,13 +137,18 @@ def _cpu_id() -> str:
     return f"{platform.machine()} {platform.processor()}"
 
 
+def build_command(out, *flags) -> list[str]:
+    """The command that builds the library into `out`, with extra `flags`."""
+    return [*COMMAND, *flags, "-o", str(out), str(SOURCE), str(ARCHIVE), "-lm"]
+
+
 def _build(path: Path) -> None:
     """Compile the source into `path`; concurrent builds replace atomically."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".build-", suffix=".so")
     os.close(fd)
     try:
-        subprocess.run([*COMMAND, "-o", tmp, str(SOURCE)], check=True,
-                       capture_output=True, timeout=BUILD_TIMEOUT_S)
+        subprocess.run(build_command(tmp), check=True, capture_output=True,
+                       timeout=BUILD_TIMEOUT_S)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -157,8 +163,8 @@ def load() -> ctypes.CDLL | None:
         return None
     try:
         key = hashlib.sha256(b"\0".join([
-            SOURCE.read_bytes(), " ".join(COMMAND).encode(), _cpu_id().encode(),
-        ])).hexdigest()
+            SOURCE.read_bytes(), ARCHIVE.read_bytes(), " ".join(COMMAND).encode(),
+            _cpu_id().encode()])).hexdigest()
         path = directory / f"layer-{key[:32]}.so"
         if not path.exists():
             _build(path)
@@ -170,12 +176,12 @@ def load() -> ctypes.CDLL | None:
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """`lib` with its entry points' argument and result types set."""
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     layers = [getattr(lib, name) for name in LAYER_ENTRIES.values() if hasattr(lib, name)]
     for fn in layers:
         fn.argtypes = [ptr] * 6 + [i64] * 4 + [ptr] * 4 + [ctypes.c_float, i64]
     lib.row_parities.argtypes = [ptr] * 3 + [i64] * 5 + [ptr] * 3 + [i64]
-    lib.channel_blocks.argtypes = [ptr] * 3 + [ctypes.c_int] + [i64] * 2 + [ctypes.c_double] * 3
+    lib.channel_blocks.argtypes = [ptr] * 3 + [ctypes.c_int] + [i64] * 3 + [f64] * 3 + [i64]
     for fn in (*layers, lib.row_parities, lib.channel_blocks):
         fn.restype = ctypes.c_int
     return lib
@@ -188,11 +194,12 @@ def layer_entry(dtype):
     return getattr(load(), name, None) if name else None
 
 
-def _call(fn, *args) -> None:
-    """Run a kernel entry point that shares its batch; raise if the slices'
-    allocation failed."""
-    if fn(*args) < 0:
+def _call(fn, *args) -> int:
+    """Run a kernel entry point that shares its batch and return its status;
+    raise if the slices' allocation failed."""
+    if (status := fn(*args)) < 0:
         raise MemoryError(f"{fn.__name__} could not allocate its threads' scratch")
+    return status
 
 
 def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
@@ -292,34 +299,47 @@ def row_parities(bits: np.ndarray, bg, rows_used: int, r0: int,
     return parities, weights
 
 
-def channel_blocks(noise: np.ndarray, bits: np.ndarray, out: np.ndarray, sigma: float,
-                   scale: float, bound: float) -> bool:
-    """One codeword's decoder block from its standard normals and transmitted
-    bits, in one pass.
+# the pointer a capsule holds: a bit generator's capsule holds its bitgen_t
+_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
-    `noise` is C-contiguous float64 and `bits` C-contiguous uint8, both
-    (n_tx,). Each transmitted bit's LLR is
-    ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma * sigma) in float64, as
-    `channel.bpsk_awgn` and `channel.demap_llr` compute it from the same
-    draw. Into an int8 `out` it goes as rint(L * scale) clipped to +/-bound,
+
+def channel_blocks(rngs, bits: np.ndarray, out: np.ndarray, sigma: float, scale: float,
+                   bound: float) -> bool:
+    """A batch's decoder blocks from its transmitted bits, each codeword's
+    noise drawn from its own generator, in one call.
+
+    `rngs` holds one numpy Generator per row of the C-contiguous (B, n_tx)
+    uint8 `bits`, and no two of them may share a bit generator: that raises
+    ValueError before any is read, whether the kernel is available or not.
+    Codeword i draws its n_tx standard normals g from `rngs[i]` as
+    `rngs[i].standard_normal` does, leaving it in the same state, and each
+    transmitted bit's LLR is ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma *
+    sigma) in float64, as `channel.bpsk_awgn` and `channel.demap_llr` compute
+    it. Into an int8 `out` it goes as rint(L * scale) clipped to +/-bound,
     into a float16 or float32 one clipped to +/-bound in float64 and rounded
-    once, as `channel.quantize`; the positions of the C-contiguous (n_c,)
-    `out` before its last n_tx are set to zero. Returns False, touching
-    nothing, where the kernel is unavailable for `out`'s dtype. A NaN LLR
-    raises ValueError, as in `quantize`.
+    once, as `channel.quantize`; the positions of each row of the C-contiguous
+    (B, n_c) `out` before its last n_tx are set to zero. The call runs on
+    `cpu_share(B)` threads, which read the generators without their locks:
+    no other thread may use them meanwhile. Returns False, touching nothing,
+    where the kernel is unavailable for `out`'s dtype. A NaN LLR raises
+    ValueError, as in `quantize`.
     """
-    if (noise.dtype != np.float64 or bits.dtype != np.uint8 or noise.ndim != 1
-            or noise.shape != bits.shape or not noise.flags.c_contiguous
-            or not bits.flags.c_contiguous):
-        raise ValueError("noise and bits must be C-contiguous (n_tx,) float64 and uint8")
-    if (out.dtype not in LAYER_ENTRIES or out.ndim != 1 or len(out) < len(noise)
+    if (bits.dtype != np.uint8 or out.dtype not in LAYER_ENTRIES or bits.ndim != 2
+            or out.ndim != 2 or not len(rngs) == len(bits) == len(out)
+            or out.shape[1] < bits.shape[1] or not bits.flags.c_contiguous
             or not out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous (n_c >= n_tx,) int8, f16 or f32 array")
+        raise ValueError("bits and out must be C-contiguous (B, n_tx) uint8 and (B, n_c >= "
+                         "n_tx) int8, f16 or f32 arrays, with one generator per row")
+    states = np.array([_pointer(g.bit_generator.capsule, b"BitGenerator") for g in rngs],
+                      dtype=np.uintp)
+    if len(np.unique(states)) < len(states):
+        raise ValueError("each codeword needs a bit generator of its own")
     # each domain's blocks are built where its layer pass is
     if layer_entry(out.dtype) is None:
         return False
-    if load().channel_blocks(noise.ctypes.data, bits.ctypes.data, out.ctypes.data,
-                             out.itemsize, len(noise), len(out) - len(noise), sigma, scale,
-                             bound):
+    if _call(load().channel_blocks, states.ctypes.data, bits.ctypes.data, out.ctypes.data,
+             out.itemsize, *bits.shape, out.shape[1] - bits.shape[1], sigma, scale, bound,
+             cpu_share(len(bits))):
         raise ValueError("LLRs must not be NaN")
     return True

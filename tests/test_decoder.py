@@ -451,6 +451,15 @@ def test_config_validation():
         DecodeConfig(precision=Precision.F16, rho=2)
     with pytest.raises(ValueError):
         DecodeConfig(max_iter=0)
+    # counts that are not integers failed mid-decode with a TypeError, and
+    # rho=4.0 passed and hashed apart from rho=4; numpy integers are ints
+    for knob in (dict(max_iter=2.5), dict(max_iter=True), dict(rho=4.0), dict(rho=True),
+                 dict(max_iter=np.bool_(True))):
+        with pytest.raises(ValueError, match="must be an integer of at least 1"):
+            DecodeConfig(**knob)
+    numpy_counts = DecodeConfig(max_iter=np.int64(5), rho=np.int32(4))
+    assert numpy_counts == DecodeConfig(max_iter=5, rho=4)
+    assert type(numpy_counts.max_iter) is int and type(numpy_counts.rho) is int
     # the reduce shape is the planner's: the decoder has no strategy knob
     for knob in (dict(strategy="low_latency"), dict(alpha=4)):
         with pytest.raises(TypeError):

@@ -134,14 +134,29 @@ def test_sweep_validation(bg2_z16):
 
 
 @pytest.mark.parametrize("knob", [dict(batch=0), dict(batch=-4), dict(workers=0),
-                                  dict(workers=-2), dict(keep_failures=-1)])
-def test_sweep_rejects_nonsense_batch_workers_and_samples(bg2_z16, knob):
+                                  dict(workers=-2), dict(keep_failures=-1), dict(batch=2.5),
+                                  dict(max_codewords=10.5), dict(keep_failures=1.5),
+                                  dict(target_block_errors=2.5), dict(workers=True)])
+def test_sweep_rejects_nonsense_batch_workers_and_samples(bg2_z16, monkeypatch, knob):
     # before any batch runs: a zero or negative batch failed deep in the
     # decoder or numpy, workers < 1 ran one worker, keep_failures=-1 dropped
-    # the last failed sample
-    with pytest.raises(ValueError, match="batch and workers|keep_failures"):
+    # the last failed sample; a fractional batch, max_codewords or
+    # keep_failures failed mid-sweep with a TypeError, and a fractional
+    # target_block_errors or workers=True ran
+    monkeypatch.setattr(harness, "_run_batch", None)
+    with pytest.raises(ValueError, match="must be an integer of at least"):
         run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [1.0],
-                       target_block_errors=1, max_codewords=4, **knob)
+                       **(dict(target_block_errors=1, max_codewords=4) | knob))
+
+
+def test_sweep_takes_numpy_integer_counts(bg2_z16):
+    counts = dict(target_block_errors=1, max_codewords=4, batch=2, workers=1, keep_failures=1)
+    sweeps = [run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [1.0], **counts),
+              run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [1.0],
+                             **{k: np.int64(v) for k, v in counts.items()})]
+    assert sweeps[0].config_hash == sweeps[1].config_hash
+    assert sweeps[0].metadata == sweeps[1].metadata
+    assert sweeps[0].points[0].codewords == sweeps[1].points[0].codewords
 
 
 @pytest.mark.parametrize("grid", [[-math.inf], [math.nan], [1.0, math.nan], [-7000.0]])

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -231,10 +232,49 @@ def test_missing_compiler_takes_the_numpy_rows(kernel, request, monkeypatch):
     assert list(cache.iterdir()) == []                # and no build leftovers
 
 
+def test_missing_sampler_archive_takes_the_numpy_paths(kernel, request, monkeypatch):
+    """Without numpy's libnpyrandom.a the library is not built: decoding and
+    the channel take the numpy paths, with the kernel's outputs."""
+    bg = get_graph("BG2", 52)
+    params = code_params(bg, 52, 42)
+    cfg = DecodeConfig(max_iter=10)
+    _, blocks = make_noisy_blocks(bg, 42, 2.0, 8, seed=3)
+    bits = np.random.default_rng(4).integers(0, 2, (3, params.n_tx), dtype=np.uint8)
+    with_kernel = _decode_digest(blocks, bg, cfg)
+    sent = transmit(bits, 0.7, _streams(5, 3), QuantConfig(), params)
+    cache = request.getfixturevalue("fresh_loader")
+    monkeypatch.setattr(native, "ARCHIVE", cache / "lib" / "libnpyrandom.a")
+    assert native.load() is None
+    assert _same(_decode_digest(blocks, bg, cfg), with_kernel)
+    assert _same_blocks(transmit(bits, 0.7, _streams(5, 3), QuantConfig(), params), sent)
+    assert list(cache.iterdir()) == []                # and no build leftovers
+
+
+def test_a_changed_sampler_archive_gives_a_new_library(kernel, fresh_loader, monkeypatch,
+                                                       tmp_path):
+    """The library's name covers numpy's sampler archive, which it links:
+    a numpy upgrade builds a new library rather than loading a stale one."""
+    names = []
+
+    def build(path):
+        names.append(path.name)
+        raise OSError("not built")
+
+    monkeypatch.setattr(native, "_build", build)
+    changed = tmp_path / "lib" / "libnpyrandom.a"
+    changed.parent.mkdir()
+    changed.write_bytes(native.ARCHIVE.read_bytes() + b"\n")
+    for archive in (native.ARCHIVE, changed, native.ARCHIVE):
+        monkeypatch.setattr(native, "ARCHIVE", archive)
+        native.load.cache_clear()
+        assert native.load() is None
+    assert len(names) == 3 and names[0] == names[2] != names[1]
+
+
 def _compile(tmp_path, *flags) -> subprocess.CompletedProcess:
-    """native.SOURCE built with native.COMMAND and `flags` into tmp_path."""
-    return subprocess.run([*native.COMMAND, *flags, "-o", str(tmp_path / "layer.so"),
-                           str(native.SOURCE)], capture_output=True, text=True)
+    """The library built as `native` builds it, with `flags`, into tmp_path."""
+    return subprocess.run(native.build_command(tmp_path / "layer.so", *flags),
+                          capture_output=True, text=True)
 
 
 def test_the_kernel_compiles_without_warnings(kernel, tmp_path):
@@ -275,7 +315,7 @@ def test_a_compiler_without_float16_keeps_int8_and_f32_compiled(kernel, monkeypa
         compiled.clear()
         got = transmit(bits, 0.7, _streams(5, 3), QuantConfig(mode), params)
         assert _same_blocks(got, tx), mode
-        assert compiled == ([] if mode == "f16" else [True] * 3), mode
+        assert compiled == [mode != "f16"], mode      # one call for the batch
 
 
 # the ctypes type `_bind` gives each kind of C parameter other than a pointer
@@ -700,22 +740,24 @@ def _numpy_channel(bits, sigma, rngs, quant, params):
 
 
 def _states(rngs):
-    return [r.bit_generator.state for r in rngs]
+    """Each generator's state, comparable with == (MT19937's holds an array)."""
+    return [pickle.dumps(r.bit_generator.state) for r in rngs]
 
 
 @pytest.fixture
 def draw_threads(monkeypatch):
-    """Force `transmit` to share its draw among a given number of threads,
-    whatever the codeword's length; returns the thread counts it ran on."""
-    counts = []
-    share = channel._on_threads
-    monkeypatch.setattr(channel, "MIN_SHARED_DRAW", 0)
-    monkeypatch.setattr(channel, "_on_threads",
-                        lambda fn, count: counts.append(count) or share(fn, count))
+    """Force `transmit`'s compiled call onto a given number of threads
+    through the one thread rule, `native.cpu_share`; returns the thread
+    counts its calls passed to the kernel, one per compiled call."""
+    slices = []
 
     def force(threads):
         monkeypatch.setattr(native, "cpu_share", lambda batch: min(batch, threads))
-        return counts
+        lib = native.load()
+        if lib is not None:
+            fn = lib.channel_blocks
+            monkeypatch.setattr(lib, "channel_blocks", lambda *a: slices.append(a[-1]) or fn(*a))
+        return slices
     return force
 
 
@@ -731,7 +773,7 @@ SIGMAS = [1e-170, 1e-10, 0.05, 0.55, 0.7, 0.79, 3.0, 40.0]
 def _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant, chunk):
     """Send a batch through `transmit` in calls of `chunk` codewords (all of
     them when None) and check every call against the numpy chain at every
-    sigma; returns the number of compiled passes."""
+    sigma; returns the number of compiled calls."""
     bg = get_graph(bg_id, z)
     params = code_params(bg, z, rows)
     msgs = np.random.default_rng(z + batch).integers(0, 2, (batch, params.k), dtype=np.uint8)
@@ -739,7 +781,7 @@ def _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant,
     step = chunk or batch
     passes = []
     fused = native.channel_blocks
-    monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(1) or fused(*a))
+    monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(fused(*a)) or passes[-1])
     bound = DOMAINS[quant.mode][1]
     clipped = 0
     for sigma in SIGMAS:
@@ -752,7 +794,7 @@ def _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant,
         assert _states(fast) == _states(slow), sigma
         assert not got[:, : 2 * z].any()
         clipped += int((np.abs(got) == bound).sum())
-    assert clipped
+    assert clipped and all(passes)
     return len(passes)
 
 
@@ -767,17 +809,17 @@ TRANSMIT_QUANTS = pytest.mark.parametrize(
 @pytest.mark.parametrize("chunk_rows", [None, 1, 2], ids=["whole", "chunk1", "chunk2"])
 def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, draw_threads, bg_id, z, rows,
                                          batch, quant, chunk_rows):
-    """The compiled channel pass writes the numpy chain's blocks byte for byte,
-    one codeword per pass, and leaves every codeword's generator where its
-    numpy draw leaves it, whether the batch goes to `transmit` in one call or
-    in calls of one or two codewords: each codeword's block depends on its
-    own generator only. The draw may take two threads."""
+    """The compiled channel call writes the numpy chain's blocks byte for
+    byte, one call per `transmit` call, and leaves every codeword's generator
+    where its numpy draw leaves it, whether the batch goes to `transmit` in
+    one call or in calls of one or two codewords: each codeword's block
+    depends on its own generator only. The call may take two threads."""
     counts = draw_threads(2)
     step = chunk_rows or batch
     passes = _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant,
                                                chunk_rows)
-    assert passes == batch * len(SIGMAS)
     calls = [min(step, batch - i, 2) for i in range(0, batch, step)]
+    assert passes == len(calls) * len(SIGMAS)
     assert counts == calls * len(SIGMAS)
 
 
@@ -787,12 +829,60 @@ def test_transmit_equals_the_numpy_chain(kernel, monkeypatch, draw_threads, bg_i
 def test_transmit_shared_among_threads_equals_the_numpy_chain(kernel, monkeypatch, draw_threads,
                                                               bg_id, z, rows, batch, quant,
                                                               threads):
-    """The same blocks and generator states, one codeword per pass, with the
-    draw on one thread or shared among two or three."""
+    """The same blocks and generator states, one compiled call per batch, on
+    one thread or shared among two or three."""
     counts = draw_threads(threads)
     passes = _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant, None)
-    assert passes == batch * len(SIGMAS)
+    assert passes == len(SIGMAS)
     assert counts == [min(batch, threads)] * len(SIGMAS)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64], ids=lambda c: c.__name__)
+@TRANSMIT_QUANTS
+def test_transmit_draws_every_bit_generator_as_numpy_does(kernel, draw_threads, bit_generator,
+                                                          quant):
+    """The kernel draws through numpy's own sampler, whatever the bit
+    generator: the numpy chain's blocks and end states, from one call on two
+    threads."""
+    counts = draw_threads(2)
+    bg = get_graph("BG2", 52)
+    params = code_params(bg, 52, 42)
+    bits = np.random.default_rng(9).integers(0, 2, (3, params.n_tx), dtype=np.uint8)
+    fast, slow = ([np.random.Generator(bit_generator(i)) for i in range(3)] for _ in range(2))
+    for sigma in (0.05, 0.7, 3.0):
+        got = transmit(bits, sigma, fast, quant, params)
+        assert _same_blocks(got, _numpy_channel(bits, sigma, slow, quant, params)), sigma
+        assert _states(fast) == _states(slow), sigma
+    assert counts == [2] * 3
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+def test_transmit_rejects_a_repeated_generator(request, monkeypatch, compiled):
+    """Two codewords drawing from one bit generator would race on it in the
+    kernel's threads: a generator given twice, or two Generators over one bit
+    generator, raise before any generator is read, with the kernel or
+    without it."""
+    if compiled:
+        request.getfixturevalue("kernel")
+    else:
+        monkeypatch.setattr(native, "load", lambda: None)
+    bg = get_graph("BG2", 16)
+    params = code_params(bg, 16, 42)
+    bits = np.zeros((2, params.n_tx), dtype=np.uint8)
+    one, shared = np.random.default_rng(1), np.random.PCG64(2)
+    before = [one.bit_generator.state, shared.state]
+    for rngs in ([one, one], [shared, shared],
+                 [np.random.Generator(shared), np.random.Generator(shared)]):
+        for quant in (QuantConfig("int8"), QuantConfig("f32")):
+            with pytest.raises(ValueError, match="of its own"):
+                transmit(bits, 0.7, rngs, quant, params)
+    if compiled:
+        with pytest.raises(ValueError, match="of its own"):
+            native.channel_blocks([one, one], bits, np.empty((2, params.n_c), dtype=np.int8),
+                                  0.7, 8.0, 127)
+    assert [one.bit_generator.state, shared.state] == before
 
 
 def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
@@ -808,7 +898,7 @@ def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
              for q in (QuantConfig("int8"), QuantConfig("f16"), QuantConfig("f32"))]
     passes = []
     fused = native.channel_blocks
-    monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(1) or fused(*a))
+    monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(fused(*a)) or passes[-1])
 
     def check(compiled):
         for b, quant in cases:
@@ -818,7 +908,7 @@ def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
             got = transmit(b, 0.7, fast, quant, params)
             assert _same_blocks(got, _numpy_channel(b, 0.7, slow, quant, params)), quant
             assert _states(fast) == _states(slow)
-            assert len(passes) == compiled * count, (b.dtype, quant)
+            assert passes == [compiled], (b.dtype, quant)
             rngs = _streams(5, count)
             quiet = transmit(b, None, rngs, quant, params)
             assert _same_blocks(quiet, quantize(bpsk_exact(b) * NOISE_FREE_LLR, quant, params))
@@ -826,9 +916,9 @@ def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
 
     check(True)
     monkeypatch.setattr(native, "load", lambda: None)
-    noise, out = np.zeros(params.n_tx), np.ones(params.n_c, dtype=np.int8)
-    assert not fused(noise, np.ascontiguousarray(bits[0]), out, 0.7, 8.0, 127)
-    assert (out == 1).all()
+    rngs, out = _streams(5, 3), np.ones((3, params.n_c), dtype=np.int8)
+    assert not fused(rngs, np.ascontiguousarray(bits), out, 0.7, 8.0, 127)
+    assert (out == 1).all() and _states(rngs) == _states(_streams(5, 3))
     check(False)
 
 
@@ -881,11 +971,12 @@ def test_transmit_rejects_what_the_numpy_chain_rejects(kernel, draw_threads):
         with pytest.raises(ValueError, match="expected"):
             transmit(bits[:, 1:], 0.7, _streams(1, 2), quant, params)
     assert counts == [2, 2]
-    noise, row, out = np.zeros(params.n_tx), bits[0], np.empty(params.n_c, dtype=np.int8)
-    for bad in ((noise.astype(np.float32), row, out), (noise, row.astype(np.int8), out),
-                (noise[::2], row[::2], out), (noise[None], row[None], out),
-                (noise, row[1:], out), (noise, row, out.astype(np.int32)),
-                (noise, row, out[None]), (noise, row, out[: params.n_tx - 1]),
-                (noise, row, np.empty(2 * params.n_c, dtype=np.int8)[::2])):
+    rngs, out = _streams(1, 2), np.empty((2, params.n_c), dtype=np.int8)
+    for bad in ((rngs, bits.astype(np.int8), out), (rngs, bits[:, ::2], out),
+                (rngs, bits[0], out), (rngs[:1], bits, out), (rngs, bits[:1], out),
+                (rngs, bits, out.astype(np.int32)), (rngs, bits, out[0]),
+                (rngs, bits, out[:1]), (rngs, bits, out[:, : params.n_tx - 1]),
+                (rngs, bits, np.empty((2, 2 * params.n_c), dtype=np.int8)[:, ::2])):
         with pytest.raises(ValueError, match="C-contiguous"):
             native.channel_blocks(*bad, 0.7, 8.0, 127)
+    assert _states(rngs) == _states(_streams(1, 2))
