@@ -215,10 +215,6 @@ class DecodeWorkspace(ABC):
     rows_used: int
     lanes: int
 
-    @property
-    def n_edges(self) -> int:
-        return int(self.bg.w_r[: self.rows_used].sum())
-
     @cached_property
     def row_gather(self) -> list:
         """Per row: (cols, shifts, edge offset, (w, Z) index), built on first

@@ -2,10 +2,11 @@
 
 Every sweep is reproducible: each codeword draws its payload bits and then its
 noise from a generator of its own, seeded by (seed, point index, codeword
-index within the point), and worker tallies merge in codeword order up to the
-codeword that meets the stopping rule. The counters therefore depend on the
-seed and the configuration, never on the batch size or the worker count, and
-the config hash covers neither; the metadata records both.
+index within the point). A point's batches return per-codeword tallies, which
+are joined in codeword order and cut once, after the codeword that meets the
+stopping rule. The counters therefore depend on the seed and the
+configuration, never on the batch size or the worker count, and the config
+hash covers neither; the metadata records both.
 Timing columns are machine-dependent and excluded from the guarantee.
 """
 
@@ -19,6 +20,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -90,7 +92,7 @@ class SweepPoint:
     median_iters: float
     wall_time_per_cw: float
     throughput_cbps: float
-    info_bits: int = 0
+    info_bits: int
     failed_samples: list = field(default_factory=list, repr=False)
 
     @property
@@ -129,75 +131,47 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _codeword_streams(seed: int, point: int, first: int, count: int) -> list:
-    """The generators of codewords first..first+count-1 of a sweep point."""
-    return [np.random.default_rng((seed, point, index))
-            for index in range(first, first + count)]
-
-
-def _payloads(rngs, bits: int) -> np.ndarray:
-    """(len(rngs), bits) uint8 payloads, each row drawn from its own generator.
-
-    Drawn as bools, one bit of the stream per payload bit: as uint8 each took
-    twice as long (27 against 13 us for 8424 bits).
-    """
-    return np.stack([rng.integers(0, 2, size=bits, dtype=bool) for rng in rngs]).view(np.uint8)
-
-
-def _run_batch(
-    bg: BaseGraph,
-    rows_used: int,
-    cfg: DecodeConfig,
-    quant: QuantConfig,
-    sigma: float | None,
-    batch_n: int,
-    point_key: tuple,
-    first: int,
-    keep_failures: int,
-) -> dict:
-    """Encode/transmit/decode codewords first..first+batch_n-1 of the point
-    `point_key` = (seed, point index); returns per-codeword tallies."""
+def _draw(bg: BaseGraph, rows_used: int, cfg: DecodeConfig, quant: QuantConfig,
+          sigma: float | None, point_key: tuple, first: int, count: int) -> tuple:
+    """(messages, channel blocks) of codewords first..first+count-1 of the
+    sweep point `point_key` = (seed, point index), each drawn from its own
+    generator: its payload bits, then its noise."""
     params = code_params(bg, bg.z, rows_used)
-    rngs = _codeword_streams(*point_key, first, batch_n)
-    use_crc = cfg.early_stop is EarlyStop.CRC
-    crc_len = CRC_POLYS[cfg.crc_kind][0] if use_crc else 0
-    payload = _payloads(rngs, params.k - crc_len)
-    if use_crc:
-        messages = crc_attach(payload, cfg.crc_kind, k=params.k)
-    else:
-        messages = payload
+    rngs = [np.random.default_rng((*point_key, index)) for index in range(first, first + count)]
+    crc_len = CRC_POLYS[cfg.crc_kind][0] if cfg.early_stop is EarlyStop.CRC else 0
+    # drawn as bools, one bit of the stream per payload bit: as uint8 each
+    # payload took twice as long (27 against 13 us for 8424 bits)
+    payload = np.stack([rng.integers(0, 2, size=params.k - crc_len, dtype=bool)
+                        for rng in rngs]).view(np.uint8)
+    messages = crc_attach(payload, cfg.crc_kind, k=params.k) if crc_len else payload
     tx = encode_batch(messages, bg, bg.z, rows_used)[:, 2 * bg.z:]
-    blocks = transmit(tx, sigma, rngs, quant, params)
+    return messages, transmit(tx, sigma, rngs, quant, params)
+
+
+def _run_batch(bg: BaseGraph, rows_used: int, cfg: DecodeConfig, quant: QuantConfig,
+               sigma: float | None, point_key: tuple, keep_failures: int, first: int,
+               count: int) -> tuple[dict, list]:
+    """Draw and decode codewords first..first+count-1 of the point `point_key`.
+
+    Returns per-codeword arrays (bit errors, block errors, iterations and the
+    batch's decode time as an equal share per codeword) and up to
+    `keep_failures` failed samples (index within the point, message,
+    decoded bits), so that the sweep can cut anywhere in the batch.
+    """
+    messages, blocks = _draw(bg, rows_used, cfg, quant, sigma, point_key, first, count)
     t0 = time.perf_counter()
     result = decode(blocks, bg, cfg)
     decode_time = time.perf_counter() - t0
     wrong = result.bits != messages
     block_err = wrong.any(axis=1)
-    samples = [(i, messages[i].copy(), result.bits[i].copy())
+    samples = [(first + i, messages[i].copy(), result.bits[i].copy())
                for i in np.flatnonzero(block_err)[:keep_failures]]
     return {
         "bit_errors": wrong.sum(axis=1),
         "block_errors": block_err,
         "iterations": result.iterations,
-        "decode_time": decode_time,
-        "samples": samples,
-    }
-
-
-def _up_to_target(tally: dict, needed: int) -> dict:
-    """A batch's tally cut after the codeword that brings its `needed`-th
-    block error, if it has that many; the decode time shrinks in proportion."""
-    reached = np.flatnonzero(np.cumsum(tally["block_errors"]) >= needed)
-    if not len(reached):
-        return tally
-    keep, total = reached[0] + 1, len(tally["block_errors"])
-    return {
-        "bit_errors": tally["bit_errors"][:keep],
-        "block_errors": tally["block_errors"][:keep],
-        "iterations": tally["iterations"][:keep],
-        "decode_time": tally["decode_time"] * keep / total,
-        "samples": [s for s in tally["samples"] if s[0] < keep],
-    }
+        "decode_time": np.full(count, decode_time / count),
+    }, samples
 
 
 def run_bler_sweep(
@@ -216,17 +190,20 @@ def run_bler_sweep(
 ) -> SweepResult:
     """Sweep BLER/BER over an Eb/N0 grid (dB; math.inf = noise disabled).
 
-    Each point runs up to the codeword that brings its
-    `target_block_errors`-th block error or to `max_codewords` codewords,
-    whichever comes first, whatever the batch and worker count. Eb/N0
-    converts to sigma through the effective rate K/N_tx of the transmitted
-    bits; every grid point is finite, with a finite positive sigma, or +inf.
+    Each point runs rounds of up to `workers` batches until its
+    `target_block_errors`-th block error or `max_codewords` codewords. Its
+    tallies, in codeword order, are then cut once, after the codeword that
+    brings the `target_block_errors`-th block error, so the counters do not
+    depend on the batch or worker count. Eb/N0 converts to sigma through the
+    effective rate K/N_tx of the transmitted bits; every grid point is
+    finite, with a finite positive sigma, or +inf.
     """
     grid = list(ebn0_grid)
     if not grid:
         raise ValueError("SNR grid must be non-empty")
     target_block_errors = checked_count("target_block_errors", target_block_errors)
     max_codewords = checked_count("max_codewords", max_codewords)
+    seed = checked_count("seed", seed, least=0)
     batch = checked_count("batch", batch)
     workers = checked_count("workers", workers)
     keep_failures = checked_count("keep_failures", keep_failures, least=0)
@@ -239,57 +216,43 @@ def run_bler_sweep(
     sigmas = [None if g == math.inf else ebn0_to_sigma(g, rate_eff) for g in grid]
 
     points: list[SweepPoint] = []
+    _keep_batch_memory()
     # each worker's kernel calls take CPUs // workers threads: with all CPUs
     # each, the workers' threads would contend for the same cores
-    _keep_batch_memory()
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                initargs=(workers,)) if workers > 1 else None)
-    try:
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                              initargs=(workers,)) if workers > 1 else nullcontext()) as pool:
+        run = pool.map if pool is not None else map
         for p_idx, (ebn0, sigma) in enumerate(zip(grid, sigmas)):
-            tallies: list[dict] = []
-            total_cw = total_blk = 0
-            launched = 0          # codewords in the batches launched so far
-            while total_cw < max_codewords and total_blk < target_block_errors:
-                # Up to `workers` batches at once, each sized as the serial
-                # loop would size it. Tallies count in codeword order up to
-                # the codeword that meets the stopping rule; every codeword
-                # past it is dropped.
-                jobs = []
-                while len(jobs) < workers and launched < max_codewords:
-                    want = min(batch, max_codewords - launched)
-                    jobs.append((bg, rows_used, cfg, quant, sigma, want, (seed, p_idx),
-                                 launched, keep_failures))
-                    launched += want
-                if pool is not None:
-                    results = list(pool.map(_run_batch, *zip(*jobs)))
-                else:
-                    results = [_run_batch(*j) for j in jobs]
-                for res in results:
-                    res = _up_to_target(res, target_block_errors - total_blk)
-                    tallies.append(res)
-                    total_cw += len(res["block_errors"])
-                    total_blk += int(res["block_errors"].sum())
-                    if total_cw >= max_codewords or total_blk >= target_block_errors:
-                        break
-            iters = np.concatenate([t["iterations"] for t in tallies])
-            decode_time = sum(t["decode_time"] for t in tallies)
-            samples = [(m, d) for t in tallies for _, m, d in t["samples"]][:keep_failures]
+            job = functools.partial(_run_batch, bg, rows_used, cfg, quant, sigma,
+                                    (seed, p_idx), keep_failures)
+            tallies, samples = [], []
+            launched = errors = 0
+            while launched < max_codewords and errors < target_block_errors:
+                end = min(launched + workers * batch, max_codewords)
+                firsts = range(launched, end, batch)
+                for tally, failed in run(job, firsts, [min(batch, end - f) for f in firsts]):
+                    tallies.append(tally)
+                    samples += failed
+                    errors += int(tally["block_errors"].sum())
+                launched = end
+            cols = {k: np.concatenate([t[k] for t in tallies]) for k in tallies[0]}
+            # every codeword past the one that meets the stopping rule is dropped
+            n = int(np.searchsorted(np.cumsum(cols["block_errors"]), target_block_errors)) + 1
+            cols = {k: v[:n] for k, v in cols.items()}
+            codewords, decode_time = len(cols["iterations"]), float(cols["decode_time"].sum())
             points.append(SweepPoint(
                 ebn0_db=ebn0,
                 sigma=0.0 if sigma is None else sigma,
-                codewords=total_cw,
-                bit_errors=int(sum(t["bit_errors"].sum() for t in tallies)),
-                block_errors=total_blk,
-                mean_iters=float(np.mean(iters)),
-                median_iters=float(np.median(iters)),
-                wall_time_per_cw=decode_time / total_cw,
-                throughput_cbps=params.n_c * total_cw / decode_time if decode_time else 0.0,
-                failed_samples=samples,
+                codewords=codewords,
+                bit_errors=int(cols["bit_errors"].sum()),
+                block_errors=int(cols["block_errors"].sum()),
+                mean_iters=float(np.mean(cols["iterations"])),
+                median_iters=float(np.median(cols["iterations"])),
+                wall_time_per_cw=decode_time / codewords,
+                throughput_cbps=params.n_c * codewords / decode_time if decode_time else 0.0,
                 info_bits=params.k,
+                failed_samples=[(m, d) for i, m, d in samples if i < n][:keep_failures],
             ))
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     meta = {
         "version": __version__, "bg": bg.id, "z": z, "rows_used": rows_used,
@@ -368,17 +331,18 @@ def run_latency_bench(
     by a fixed iteration count yields per-iteration latency; the first
     `warmup` repetitions are excluded from the statistics.
     """
-    if batch < 1 or repetitions < 1:
-        raise ValueError("batch and repetitions must be positive")
+    batch = checked_count("batch", batch)
+    repetitions = checked_count("repetitions", repetitions)
+    iterations = checked_count("iterations", iterations)
+    warmup = checked_count("warmup", warmup, least=0)
+    seed = checked_count("seed", seed, least=0)
     rows_used = bg.m_bg if rows_used is None else rows_used
     params = code_params(bg, z, rows_used)
     bench_cfg = replace(cfg, early_stop=EarlyStop.NONE, max_iter=iterations)
     quant = QuantConfig(mode=cfg.precision.value)
     _keep_batch_memory()
-    rngs = _codeword_streams(seed, 0, 0, batch)
-    tx = encode_batch(_payloads(rngs, params.k), bg, z, rows_used)[:, 2 * z:]
     sigma = ebn0_to_sigma(LATENCY_EBN0_DB, params.k / params.n_tx)
-    blocks = transmit(tx, sigma, rngs, quant, params)
+    _, blocks = _draw(bg, rows_used, bench_cfg, quant, sigma, (seed, 0), 0, batch)
 
     times = []
     for rep in range(warmup + repetitions):

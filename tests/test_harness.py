@@ -124,6 +124,17 @@ def test_throughput_arithmetic(bg2_z16):
     assert p.throughput_cbps == pytest.approx(832 * p.codewords / total_time, rel=1e-9)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_decode_time_shared_per_codeword(bg2_z16, workers):
+    # a point cut inside a batch keeps the decode time of the codewords it keeps
+    res = run_bler_sweep(bg2_z16, 16, 42, DecodeConfig(), [1.0], target_block_errors=5,
+                         max_codewords=100_000, seed=5, batch=16, workers=workers)
+    p = res.points[0]
+    assert p.block_errors == 5 and p.codewords % 16
+    assert p.wall_time_per_cw > 0
+    assert p.throughput_cbps * p.wall_time_per_cw == pytest.approx(832, rel=1e-9)
+
+
 def test_sweep_validation(bg2_z16):
     with pytest.raises(ValueError):
         run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [],
@@ -136,7 +147,8 @@ def test_sweep_validation(bg2_z16):
 @pytest.mark.parametrize("knob", [dict(batch=0), dict(batch=-4), dict(workers=0),
                                   dict(workers=-2), dict(keep_failures=-1), dict(batch=2.5),
                                   dict(max_codewords=10.5), dict(keep_failures=1.5),
-                                  dict(target_block_errors=2.5), dict(workers=True)])
+                                  dict(target_block_errors=2.5), dict(workers=True),
+                                  dict(seed=-1), dict(seed=1.5), dict(seed=True)])
 def test_sweep_rejects_nonsense_batch_workers_and_samples(bg2_z16, monkeypatch, knob):
     # before any batch runs: a zero or negative batch failed deep in the
     # decoder or numpy, workers < 1 ran one worker, keep_failures=-1 dropped
@@ -150,13 +162,15 @@ def test_sweep_rejects_nonsense_batch_workers_and_samples(bg2_z16, monkeypatch, 
 
 
 def test_sweep_takes_numpy_integer_counts(bg2_z16):
-    counts = dict(target_block_errors=1, max_codewords=4, batch=2, workers=1, keep_failures=1)
+    counts = dict(target_block_errors=1, max_codewords=4, seed=1, batch=2, workers=1,
+                  keep_failures=1)
     sweeps = [run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [1.0], **counts),
               run_bler_sweep(bg2_z16, 16, 42, _small_cfg(), [1.0],
                              **{k: np.int64(v) for k, v in counts.items()})]
     assert sweeps[0].config_hash == sweeps[1].config_hash
     assert sweeps[0].metadata == sweeps[1].metadata
     assert sweeps[0].points[0].codewords == sweeps[1].points[0].codewords
+    assert type(sweeps[1].seed) is int
 
 
 @pytest.mark.parametrize("grid", [[-math.inf], [math.nan], [1.0, math.nan], [-7000.0]])
@@ -260,9 +274,16 @@ def test_latency_bench_packed_batch_check(bg2_z16):
     assert stats.per_codeword_s["median"] > 0
 
 
-def test_latency_bench_validation(bg2_z16):
-    with pytest.raises(ValueError):
-        run_latency_bench(bg2_z16, 16, _small_cfg(), batch=0)
+@pytest.mark.parametrize("knob", [dict(batch=0), dict(batch=2.5), dict(batch=True),
+                                  dict(repetitions=0), dict(repetitions=1.5),
+                                  dict(iterations=0), dict(warmup=-1), dict(warmup=0.5),
+                                  dict(seed=-1), dict(seed=1.5)])
+def test_latency_bench_validation(bg2_z16, monkeypatch, knob):
+    # a fractional batch, repetitions or warmup failed with numpy's TypeError
+    # during the bench, and batch=True ran
+    monkeypatch.setattr(harness, "_draw", None)           # before any codeword is drawn
+    with pytest.raises(ValueError, match="must be an integer of at least"):
+        run_latency_bench(bg2_z16, 16, _small_cfg(), **knob)
 
 
 def test_sweep_crc_early_stop_counts_blocks(bg2_z16):

@@ -8,7 +8,8 @@ tree. For every pair and workload the two sides run one after the other,
     python3 perfbench/run.py --workload NAME --seed 1 --seconds 50 --trace 0
 
 each from the root of its own tree, so each imports its own `src/`. The
-seed, the run length, the workloads and the number of pairs are fixed, so
+perfbench command, the workloads and the run length are those that
+`BENCHMARK.json` declares; the seed and the number of pairs are fixed, so
 that every BENCH file compares like with like. The parent runs first in the
 even pairs (0, 2, ...) and second in the odd ones, so ten pairs give five of
 each order. Before the pairs, each tree builds its compiled kernel once, so
@@ -42,11 +43,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("bg1_waterfall_int8", "bg1_highsnr_f32_crc_2w")
 SEED = 1
-SECONDS = 50
 PAIRS = 10
-COMMAND = f"python3 perfbench/run.py --workload NAME --seed {SEED} --seconds {SECONDS} --trace 0"
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -96,10 +94,14 @@ def build_kernel(tree: Path) -> None:
               file=sys.stderr)
 
 
-def run_once(tree: Path, workload: str) -> dict:
-    """One perfbench run from `tree`; its last line of output, parsed."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-           "--seconds", str(SECONDS), "--trace", "0"]
+def perfbench_command(bench: dict, workload: str) -> list:
+    """The untraced perfbench run of `workload` that `bench` (BENCHMARK.json) declares."""
+    return [*bench["command"], "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+
+
+def run_once(tree: Path, cmd: list) -> dict:
+    """One perfbench run of `cmd` from `tree`; its last line of output, parsed."""
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{done.stderr}")
@@ -123,6 +125,8 @@ def main(argv=None) -> int:
     p.add_argument("--parent", default="HEAD", help="the parent revision (default HEAD)")
     p.add_argument("--note", default="", help="what the change is, for the record")
     args = p.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
 
     parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     src_tree = working_src_tree()
@@ -133,7 +137,7 @@ def main(argv=None) -> int:
         "git_sha": parent_sha,
         "src_tree": src_tree,
         "note": args.note,
-        "command": COMMAND,
+        "command": " ".join(perfbench_command(bench, "NAME")),
         "host": host(),
         "workloads": {},
         "medians": {},
@@ -146,16 +150,16 @@ def main(argv=None) -> int:
             build_kernel(tree)
         for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for workload in WORKLOADS:
+            for workload in workloads:
                 for side in order:
-                    result = run_once(trees[side], workload)
+                    result = run_once(trees[side], perfbench_command(bench, workload))
                     record["runs"].append({"pair": pair, "first": order[0], "side": side,
                                            "workload": workload, **result})
                     print(f"pair {pair} {workload} {side}: "
                           f"{result['metrics']['cw_per_s']['value']:.1f} cw/s, "
                           f"correct={result['correct']} failed={result['failed']}",
                           file=sys.stderr, flush=True)
-    for workload in WORKLOADS:
+    for workload in workloads:
         runs = {side: [{k: r[k] for k in ("correct", "attempted", "failed", "metrics")}
                        for r in record["runs"] if r["workload"] == workload and r["side"] == side]
                 for side in ("parent", "change")}
