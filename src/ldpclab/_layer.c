@@ -9,21 +9,21 @@
  * channel pass with channel's quantize(demap_llr(bpsk_awgn(...))).
  *
  * Layout, all C-contiguous: posteriors lv (batch, n_blocks, z), messages
- * msg (batch, n_edges, z), both of one domain: int8, f16 or f32. The layer
- * pass is written once (LAYER) and instantiated per domain, each with its own
+ * msg (batch, n_edges, z), both of one domain: int8 or f32. The layer pass is
+ * written once (LAYER) and instantiated per domain, each with its own
  * storage, scratch and bound and a few small steps; int8 values stay bytes in
- * memory, with only the extrinsic and the fold in int16 scratch, and f16
- * values are computed in f32 and rounded where numpy rounds them. f16 is built
- * only where the compiler has _Float16 (__FLT16_MAX__). Edge e of base row r
- * lies in [row_start[r], row_start[r + 1]) and couples block cols[e] at
- * circulant shift shifts[e] (already reduced mod z): position k of the row
- * reads lv[cols[e]][(k + shift) mod z], two contiguous runs.
+ * memory, with only the extrinsic and the fold in int16 scratch. Edge e of
+ * base row r lies in [row_start[r], row_start[r + 1]) and couples block
+ * cols[e] at circulant shift shifts[e] (already reduced mod z): position k of
+ * the row reads lv[cols[e]][(k + shift) mod z], two contiguous runs.
  *
- * Every domain saturates at its channel bound (INT8_SAT, F16_SAT and F32_SAT
- * are channel.INT8_MAX, F16_MAX and F32_MAX) by one rule: with the extrinsic
- * raw = lv - msg, the check node folds sat(raw), the posterior becomes
- * sat(raw + out), and the message stores out, or where the posterior
- * saturated what it absorbed, sat(raw + out) - raw.
+ * Every domain saturates at its channel bound (INT8_SAT and F32_SAT are
+ * channel.INT8_MAX and F32_MAX) by one rule: with the extrinsic raw = lv -
+ * msg, the check node folds sat(raw), the posterior becomes sat(raw + out),
+ * and the message stores out, or where the posterior saturated what it
+ * absorbed, sat(raw + out) - raw. The fold reads raw itself: m1 and m2 start
+ * at the bound, so a larger magnitude never beats m1 nor lowers m2, and
+ * saturating would keep its sign.
  *
  * Per row and codeword: gather each edge's extrinsic, fold (m1, m2, sign,
  * argmin tag) elementwise over z in edge order, scale by beta, then write
@@ -60,7 +60,6 @@
 #include <stdlib.h>
 
 #define INT8_SAT 127
-#define F16_SAT 0x1.ffcp15f
 #define F32_SAT 0x1p64f
 
 /* The work on codeword b of the call described by args. */
@@ -132,10 +131,10 @@ static inline int16_t sat_i8(int16_t v)
     return v > INT8_SAT ? INT8_SAT : (v < -INT8_SAT ? -INT8_SAT : v);
 }
 
-static inline float sat_f(float v, float bound)
+static inline float sat_f32(float v)
 {
-    float t = v < bound ? v : bound;
-    return t > -bound ? t : -bound;
+    float t = v < F32_SAT ? v : F32_SAT;
+    return t > -F32_SAT ? t : -F32_SAT;
 }
 
 static inline int16_t abs_i16(int16_t v)
@@ -143,7 +142,7 @@ static inline int16_t abs_i16(int16_t v)
     return v < 0 ? -v : v;
 }
 
-/* |v| of the fold: fabsf for the floats, so -0.0 gives +0.0, as numpy's abs */
+/* |v| of the fold: fabsf for f32, so -0.0 gives +0.0, as numpy's abs */
 #define ABS(v) _Generic((v), float: fabsf, int16_t: abs_i16)(v)
 
 static int64_t max_row_weight(int64_t rows, const int64_t *row_start)
@@ -202,28 +201,13 @@ static int64_t unsatisfied(const struct layer_args *p, int64_t b, uint8_t *acc)
     return w;
 }
 
-/* The floats' update: the posterior sat(sum) and, where it saturated, the
- * message it absorbed on top of ext. */
-static inline float update_f(float ext, float out, float bound, float *msg)
-{
-    float sum = ext + out, upd = sat_f(sum, bound);
-    *msg = upd == sum ? out : upd - ext;
-    return upd;
-}
-
-/* Each domain's steps: fold, what the check node folds of the extrinsic raw;
- * ext, what the check node's output adds onto; scale, the beta rule on a
- * magnitude; update, the posterior, with the message into *msg; readout, one
+/* Each domain's steps: scale, the beta rule on a magnitude; update, the
+ * posterior sat(ext + out), with the message into *msg; readout, one
  * codeword's hard decisions lv < 0 and min |lv| over its n posteriors.
  *
  * int8: the extrinsic (|raw| <= 254) stays unclamped in int16, and the
  * message sat(raw + out) - raw lies within +/-127 like every stored value.
  * beta_lut[m] is floor(beta * m) for m in 0..127. */
-/* no sat(raw) in the fold: m1 and m2 start at INT8_SAT, so a larger magnitude
- * never beats m1 nor lowers m2, and saturating would keep the sign */
-static inline int16_t i8_fold(int16_t raw) { return raw; }
-static inline int16_t i8_ext(int16_t raw) { return raw; }
-
 static inline int16_t i8_scale(const struct layer_args *p, int16_t m)
 {
     return (int16_t)p->beta_lut[m];
@@ -248,62 +232,40 @@ static double i8_readout(const int8_t *lv, uint8_t *hard, int64_t n)
     return m;
 }
 
-/* A float readout reads each posterior as its bit pattern U, so both loops
- * vectorize: for finite values, and every posterior stays within the bound,
- * |v| orders as the bits below the sign, and v < 0 is a set sign on a
- * nonzero magnitude (-0.0 is not negative). */
-#define FLOAT_READOUT(D, V, U, SIGN, INF)                                  \
-    static double D##_readout(const V *lv, uint8_t *hard, int64_t n)       \
-    {                                                                      \
-        const U *bits = (const U *)lv;                                     \
-        U m = INF;                                                         \
-        for (int64_t i = 0; i < n; i++) {                                  \
-            U a = bits[i] & (SIGN - 1);                                    \
-            m = a < m ? a : m;                                             \
-        }                                                                  \
-        for (int64_t i = 0; i < n; i++)                                    \
-            hard[i] = ((bits[i] & SIGN) != 0) & ((bits[i] & (SIGN - 1)) != 0); \
-        union { U u; V f; } margin = {m};                                  \
-        return margin.f;                                                   \
-    }
-
 /* f32: beta scales in f32; |raw| stays within 2 * F32_SAT, so no sum
  * overflows. The fold, as int8's, needs no clamp, which kept gcc from
- * vectorizing it. */
-static inline float f32_fold(float raw) { return raw; }
-static inline float f32_ext(float raw) { return raw; }
+ * vectorizing it. Where the posterior saturated, the message is what it
+ * absorbed on top of ext. */
 static inline float f32_scale(const struct layer_args *p, float m) { return p->beta * m; }
 
 static inline float f32_update(float ext, float out, float *msg)
 {
-    return update_f(ext, out, F32_SAT, msg);
+    float sum = ext + out, upd = sat_f32(sum);
+    *msg = upd == sum ? out : upd - ext;
+    return upd;
 }
 
-FLOAT_READOUT(f32, float, uint32_t, 0x80000000u, 0x7f800000u)
-
-#ifdef __FLT16_MAX__
-/* f16, stored as _Float16, as the numpy rows compute it: every +, - and x in
- * f32, each result rounded to f16 where numpy rounds it (the saturated
- * extrinsic, the beta product, the stored message and posterior). The fold
- * reads the rounded extrinsic, whose sign is the one numpy sees (-0.0 is not
- * negative); past the bound it rounds to 65504 or inf, which the fold treats
- * as the bound. out adds onto that rounding where raw fits the bound, else
- * onto raw. beta is already rounded to f16. */
-static inline float f16_fold(float raw) { return (_Float16)raw; }
-static inline float f16_ext(float raw) { return fabsf(raw) <= F16_SAT ? (_Float16)raw : raw; }
-static inline float f16_scale(const struct layer_args *p, float m) { return (_Float16)(p->beta * m); }
-
-static inline float f16_update(float ext, float out, float *msg)
+/* The readout reads each posterior as its bit pattern, so both loops
+ * vectorize: for finite values, and every posterior stays within the bound,
+ * |v| orders as the bits below the sign, and v < 0 is a set sign on a
+ * nonzero magnitude (-0.0 is not negative). */
+static double f32_readout(const float *lv, uint8_t *hard, int64_t n)
 {
-    return update_f(ext, out, F16_SAT, msg);
+    const uint32_t *bits = (const uint32_t *)lv, sign = 0x80000000u;
+    uint32_t m = 0x7f800000u;
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t a = bits[i] & (sign - 1);
+        m = a < m ? a : m;
+    }
+    for (int64_t i = 0; i < n; i++)
+        hard[i] = ((bits[i] & sign) != 0) & ((bits[i] & (sign - 1)) != 0);
+    union { uint32_t u; float f; } margin = {m};
+    return margin.f;
 }
-
-FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
-#endif
 
 /* The layer pass of domain D over codeword b of the call: storage
  * type V, scratch type X (the extrinsic, m1 and m2), sign parity and tag type
- * S, bound SAT, and the steps D##_fold, _ext, _scale, _update and _readout.
+ * S, bound SAT, and the steps D##_scale, _update and _readout.
  * Then the entry point layer_iteration_D over a batch (see below). */
 #define LAYER(D, V, X, S, SAT)                                                          \
     static int layer_##D(const void *args, int64_t b, void *scratch)                  \
@@ -338,7 +300,7 @@ FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
             for (S j = 0; j < w; j++) {                                               \
                 const X *xj = x + j * z;                                              \
                 for (int64_t k = 0; k < z; k++) {                                     \
-                    X v = D##_fold(xj[k]), a = ABS(v);                                \
+                    X v = xj[k], a = ABS(v);                                          \
                     S win = a < m1[k];                                                \
                     X loser = win ? m1[k] : a;                                        \
                     m2[k] = loser < m2[k] ? loser : m2[k];                            \
@@ -362,8 +324,8 @@ FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
                      * core) */                                                       \
                     X raw = xj[k], a1 = m1[k], a2 = m2[k], msg;                       \
                     X mag = tag[k] == j ? a2 : a1;                                    \
-                    X out = (sg[k] ^ (D##_fold(raw) < 0)) ? -mag : mag;               \
-                    xj[k] = D##_update(D##_ext(raw), out, &msg);                      \
+                    X out = (sg[k] ^ (raw < 0)) ? -mag : mag;                         \
+                    xj[k] = D##_update(raw, out, &msg);                               \
                     m[k] = (V)msg;                                                    \
                 }                                                                     \
                 for (int64_t k = 0; k < z - s; k++)                                   \
@@ -399,12 +361,9 @@ FLOAT_READOUT(f16, _Float16, uint16_t, 0x8000u, 0x7c00u)
  * out: the uint8 hard decisions lv < 0 into its row of hard
  * (batch, n_blocks, z), min |lv| into margins and the count of unsatisfied
  * checks over the used rows into weights, each at the codeword's own index.
- * int8 scales by beta_lut, the floats by beta. */
+ * int8 scales by beta_lut, f32 by beta. */
 LAYER(i8, int8_t, int16_t, int16_t, INT8_SAT)
 LAYER(f32, float, float, int32_t, F32_SAT)
-#ifdef __FLT16_MAX__
-LAYER(f16, _Float16, float, int32_t, F16_SAT)
-#endif
 
 struct parity_args {
     const uint8_t *bits;
@@ -495,17 +454,13 @@ static int channel_row(const void *args, int64_t b, void *scratch)
         CHANNEL_ROW(int8_t, rint(l * scale))
     else if (a->width == 4)
         CHANNEL_ROW(float, l)
-#ifdef __FLT16_MAX__
-    else if (a->width == 2)
-        CHANNEL_ROW(_Float16, l)
-#endif
     return has_nan;
 }
 
 /* The decoder blocks out (batch, punctured + n_tx) of a batch's transmitted
- * bits (batch, n_tx), codeword b's noise drawn from rngs[b]: int8, f16 or f32
- * by the width of its values (1, 2 or 4 bytes), int8 rint(l * scale), f16 and
- * f32 l itself, as channel.quantize. Returns 1 where an LLR is NaN, else 0
+ * bits (batch, n_tx), codeword b's noise drawn from rngs[b]: int8 or f32 by
+ * the width of its values (1 or 4 bytes), int8 rint(l * scale), f32 l itself,
+ * as channel.quantize. Returns 1 where an LLR is NaN, else 0
  * (or -1, as split()). */
 int channel_blocks(bitgen_t *const *rngs, const uint8_t *bits, void *out, int width,
                    int64_t batch, int64_t n_tx, int64_t punctured, double sigma,

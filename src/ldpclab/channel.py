@@ -4,7 +4,7 @@ Sign convention: positive LLR means bit 0 is more likely. BPSK maps bit b to
 symbol 1 - 2b, so the ML demapper is L = 2y / sigma^2.
 
 `transmit` runs the whole stage for a batch, each codeword drawn from a
-generator of its own: every domain goes from the draw to the decoder blocks
+generator of its own: either domain goes from the draw to the decoder blocks
 in one compiled call, bit-exact with `quantize(demap_llr(bpsk_awgn(...)))` of
 each codeword, which stays its oracle and serves any host without the kernel.
 """
@@ -19,7 +19,6 @@ import numpy as np
 from ldpclab.basegraph import CodeParams
 
 INT8_MAX = 127
-F16_MAX = 65504.0
 # f32 LLRs clamp here, and the decoder saturates its f32 values here, as
 # every domain does at its bound. The sums a layer forms before it saturates
 # them stay within three times the bound, far inside the f32 range (3.4e38).
@@ -27,8 +26,7 @@ F32_MAX = 2.0 ** 64
 # Each decoder domain, by quantization mode: its dtype and the largest
 # magnitude its values hold. `quantize` and `transmit` clamp the channel
 # values at the bound, and the decoder saturates every value it stores there.
-DOMAINS = {"int8": (np.int8, INT8_MAX), "f16": (np.float16, F16_MAX),
-           "f32": (np.float32, F32_MAX)}
+DOMAINS = {"int8": (np.int8, INT8_MAX), "f32": (np.float32, F32_MAX)}
 # LLR magnitude standing in for a noiseless channel observation; saturates
 # the int8 domain at the default scale.
 NOISE_FREE_LLR = 16.0
@@ -39,8 +37,8 @@ class QuantConfig:
     """Decoder-domain representation of channel LLRs.
 
     `scale` is quantization steps per LLR unit and applies to int8 mode
-    only; int8 magnitudes saturate at 127, i.e. at 127/scale LLR units. f16
-    saturates at the largest representable half-precision value.
+    only; int8 magnitudes saturate at 127, i.e. at 127/scale LLR units. f32
+    saturates at F32_MAX.
     """
 
     mode: str = "int8"
@@ -103,9 +101,8 @@ def quantize(llrs, cfg: QuantConfig, params: CodeParams) -> np.ndarray:
     Input is one LLR per transmitted bit (length n_tx, possibly batched as
     (..., n_tx)); output has length n_c with the 2Z punctured positions set
     to exact zero. int8 values are round(L*scale) clamped to [-127, 127];
-    f16 clamps to its largest finite value and rounds to nearest-even half
-    precision; f32 clamps to +/-F32_MAX. NaN is rejected; +/-inf clamps like
-    any out-of-range value.
+    f32 clamps to +/-F32_MAX and rounds to nearest-even single precision.
+    NaN is rejected; +/-inf clamps like any out-of-range value.
     """
     arr = np.asarray(llrs, dtype=np.float64)
     if arr.shape[-1] != params.n_tx:
@@ -133,13 +130,13 @@ def transmit(bits, sigma: float | None, rngs, quant: QuantConfig,
     codewords in `bits`, no two of them sharing a bit generator. Codeword i's
     block is equal byte for byte to `quantize(demap_llr(bpsk_awgn(bits[i],
     sigma, rngs[i]), sigma), quant, params)`, and its generator ends in the
-    state that chain leaves it in. Every domain takes one compiled call for
-    the batch where the kernel loads (f16 where gcc has `_Float16`; see
-    `native.channel_blocks`); elsewhere the numpy chain runs codeword by
-    codeword. Bits of any dtype other than 0 and 1, a generator count other
-    than the codeword count and, where noise is drawn, a generator repeated
-    among the codewords raise ValueError before any generator is read, with
-    the kernel or without it. `sigma=None` disables the noise: every bit
+    state that chain leaves it in. Either domain takes one compiled call for
+    the batch where the kernel loads (see `native.channel_blocks`);
+    elsewhere the numpy chain runs codeword by codeword. Bits of any dtype
+    other than 0 and 1, a generator count other than the codeword count
+    and, where noise is drawn, a generator repeated among the codewords
+    raise ValueError before any generator is read, with the kernel or
+    without it. `sigma=None` disables the noise: every bit
     arrives as +/-NOISE_FREE_LLR and no generator is read.
     """
     if sigma is not None:

@@ -70,7 +70,8 @@ def _cmd_info(args) -> int:
         f"R={rate.numerator}/{rate.denominator} ({float(rate):.4f})",
         f"entries={bg.n_entries} max_row_weight={int(bg.w_r.max())}",
     ]
-    for eps, mode in ((1, "int8"), (2, "f16")):
+    # the paper's 8- and 16-bit footprints
+    for eps, mode in ((1, "int8"), (2, "16-bit")):
         s_v, s_cv = planner.memory_footprint(bg, args.z, rows, eps)
         lines.append(f"[{mode}] S_v={s_v} B S_cv={s_cv} B")
     for strat in planner.Strategy:
@@ -155,13 +156,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    choices = [p.value for p in decoder.Precision]
+    precisions = args.precisions.split(",")
+    # every entry is checked before the first bench runs
+    for prec in precisions:
+        if prec not in choices:
+            raise ValueError(f"unknown precision {prec!r}; choose from {', '.join(choices)}")
     bg, rows, params = _load_graph(args)
     rows_out = ["# ldpclab latency/throughput bench (host hardware)",
                 ",".join(harness.BENCH_COLUMNS)]
-    for prec in args.precisions.split(","):
+    for prec in precisions:
         cfg = decoder.DecodeConfig(
-            beta=args.beta, rho=args.rho if prec == "int8" else 1,
-            precision=decoder.Precision(prec),
+            beta=args.beta, rho=args.rho if prec == "int8" else 1, precision=prec,
         )
         stats = harness.run_latency_bench(
             bg, args.z, cfg, batch=args.batch, repetitions=args.reps,
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="latency / throughput measurement -> CSV")
     _add_code_args(p)
     p.add_argument("--precisions", default="int8",
-                   help="comma-separated: int8,f16,f32")
+                   help="comma-separated: int8,f32")
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--beta", type=float, default=0.75)
     p.add_argument("--batch", type=int, default=4)

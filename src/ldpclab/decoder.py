@@ -3,7 +3,7 @@
 Two engines produce bit-identical results on identical quantized inputs,
 each behind its own workspace type:
 
-* ScalarWorkspace: a batched scalar engine (int8, f16, or f32) that serves
+* ScalarWorkspace: a batched scalar engine (int8 or f32) that serves
   as the reference; its layered iterations run in the compiled kernel of
   `ldpclab.native` where the host can build it, bit-exact with the numpy
   rows here, and
@@ -14,16 +14,15 @@ The scalar engine reduces a check row to (m1, m2, argmin, sign parity) with
 whole-array numpy over the edge axis, as the compiled kernel does per edge;
 the packed engine folds the row's edges in order through `kernels.acc_merge`.
 
-Every domain saturates at its channel bound (`channel.DOMAINS`): +/-127 for
-int8, the largest finite half for f16, +/-2**64 for f32. A layer feeds the
-saturated extrinsic sat(L_v - message) to the check node and writes the
-posterior sat(raw + out); where that posterior saturates, the message stores
-what it absorbed on top of the extrinsic, sat(raw + out) - raw, so the next
-visit subtracts exactly what this one added and a codeword once found is
-kept. Only the extrinsic (|raw| up to twice the bound) needs more than the
-domain: the numpy rows widen it to int32 for int8 and to f32 for f16, and
-the kernel works in int16 scratch for int8 and in f32 for f16; int8
-posteriors and messages stay bytes.
+Both domains saturate at their channel bound (`channel.DOMAINS`): +/-127
+for int8, +/-2**64 for f32. A layer feeds the saturated extrinsic
+sat(L_v - message) to the check node and writes the posterior
+sat(raw + out); where that posterior saturates, the message stores what it
+absorbed on top of the extrinsic, sat(raw + out) - raw, so the next visit
+subtracts exactly what this one added and a codeword once found is kept.
+Only int8's extrinsic (|raw| up to 254) needs more than its domain: the
+numpy rows widen it to int32 and the kernel works in int16 scratch, while
+int8 posteriors and messages stay bytes; f32 holds twice its bound.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from ldpclab.codec import CRC_POLYS, _syndrome_weights, crc_check
 
 class Precision(str, Enum):
     INT8 = "int8"
-    F16 = "f16"
     F32 = "f32"
 
 
@@ -124,7 +122,8 @@ _BOUNDS = {np.dtype(dtype): bound for dtype, bound in DOMAINS.values()}
 def _bound(dtype):
     """Largest magnitude a decoder value of `dtype` holds: its domain's
     channel bound. Every integer is int8's (`check_node_minsum` widens to
-    int32); float64, which only `check_node_minsum` sees, is unbounded."""
+    int32); any other float, such as the float64 that only
+    `check_node_minsum` sees, is unbounded."""
     bound = INT8_MAX if np.issubdtype(dtype, np.integer) else _BOUNDS.get(dtype, np.inf)
     return dtype.type(bound)
 
@@ -160,9 +159,8 @@ def check_node_minsum(inputs, beta: float = 0.75) -> np.ndarray:
     use the fixed-point rule floor(beta * magnitude) and must lie within
     +/-127, as the decoder's; float inputs scale in their own dtype and must
     not be NaN. Magnitudes saturate at the bound of their decoder domain
-    (`channel.DOMAINS`: 127 for integers, the largest finite half for f16,
-    2**64 for f32); float64 is unbounded. beta lies in (0, 1], as in
-    `DecodeConfig`.
+    (`channel.DOMAINS`: 127 for integers, 2**64 for f32); any other float
+    dtype is unbounded. beta lies in (0, 1], as in `DecodeConfig`.
     """
     arr = np.asarray(inputs)
     w = arr.shape[-1]
@@ -243,8 +241,8 @@ class ScalarWorkspace(DecodeWorkspace):
 
     def extrinsic(self, cols, e0: int, idx) -> tuple[np.ndarray, np.ndarray]:
         """A row's extrinsic raw = L_v - message, in int32 for int8 and f32
-        for the floats, where it neither wraps nor overflows, and raw
-        saturated at the bound in the workspace dtype."""
+        for f32, where it neither wraps nor overflows, and raw saturated at
+        the bound in the workspace dtype."""
         dtype = self.l_v.dtype
         raw = np.subtract(self.l_v[:, cols[:, None], idx], self.messages[:, e0:e0 + len(cols)],
                           dtype=np.int32 if dtype == np.int8 else np.float32)
@@ -256,13 +254,11 @@ class ScalarWorkspace(DecodeWorkspace):
         raw, lvc = self.extrinsic(cols, e0, idx)
         bound = _bound(lvc.dtype)
         out = _minsum(lvc, cfg.beta)
-        # out adds onto the unsaturated extrinsic: raw, or lvc where raw fits
-        # the bound, which is raw itself for int8 and f32 and f16's rounding
-        ext = np.where(np.abs(raw) <= bound, lvc, raw)
-        total = ext + out
+        # out adds onto the unsaturated extrinsic
+        total = raw + out
         upd = np.clip(total, -bound, bound)
-        # a saturated posterior's message is what it absorbed on top of ext
-        self.messages[:, e0:e0 + len(cols)] = np.where(upd == total, out, upd - ext)
+        # a saturated posterior's message is what it absorbed on top of raw
+        self.messages[:, e0:e0 + len(cols)] = np.where(upd == total, out, upd - raw)
         self.l_v[:, cols[:, None], idx] = upd
 
 
@@ -347,7 +343,7 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
     dtype, bound = DOMAINS[cfg.precision.value]
     # the largest value `quantize` emits, where the decoder saturates. Integers
     # are checked in their own dtype, before the cast could wrap them (2**32 + 5
-    # to 5); floats after it, where f16 overflow shows as inf
+    # to 5); floats after it, where an overflow shows as inf
     integer = cfg.precision is Precision.INT8
     checked = arr if integer else arr.astype(dtype, order="C")
     if not (-bound <= checked.min() and checked.max() <= bound):

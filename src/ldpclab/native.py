@@ -1,17 +1,16 @@
 """The compiled kernels of `_layer.c`: built on first use, cached, loaded.
 
 `_layer.c` runs one full layered min-sum iteration of the scalar engine in
-each of its domains, int8 (int8 posteriors and messages, int16 scratch), f16
-and f32, from one layer body; it is bit-exact with the numpy rows of
-`ScalarWorkspace.layer`, which stay its oracle and its fallback. f16 is built
-where gcc has `_Float16`; elsewhere it takes the numpy rows. Each codeword's
-pass ends with its readout: hard decisions, margin and syndrome count, with
-`decoder._read_out` as oracle and fallback. A pass skips the codewords a
-mask marks settled, so decoding spends no more work on a codeword once it
-has settled. It also computes the parity bits of a range of base rows over
+each of its domains, int8 (int8 posteriors and messages, int16 scratch) and
+f32, from one layer body; it is bit-exact with the numpy rows of
+`ScalarWorkspace.layer`, which stay its oracle and its fallback. Each
+codeword's pass ends with its readout: hard decisions, margin and syndrome
+count, with `decoder._read_out` as oracle and fallback. A pass skips the
+codewords a mask marks settled, so decoding spends no more work on a
+codeword once it has settled. It also computes the parity bits of a range of base rows over
 a batch of hard decisions, for the syndrome and the encoder, with `codec`'s
 numpy roll loop as oracle and fallback; and turns a batch's transmitted bits
-into its decoder blocks in any domain, each codeword's noise drawn in the
+into its decoder blocks in either domain, each codeword's noise drawn in the
 pass from its own numpy bit generator by numpy's own sampler (linked from
 numpy's `libnpyrandom.a`), with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))`
 as oracle and fallback.
@@ -28,9 +27,10 @@ the same for every thread count.
 The library is compiled with the host's gcc into a per-user cache directory
 that lasts across processes, under a name keyed by the source, numpy's
 sampler archive, the compile command and the host CPU's flags, so a
-`-march=native` build is never loaded on another CPU. Where it cannot be
-built or loaded, `run_iteration`, `row_parities` and `channel_blocks` report
-so and the caller takes the numpy path.
+`-march=native` build is never loaded on another CPU. The library holds
+every domain or is not loaded at all: where it cannot be built or loaded,
+`run_iteration`, `row_parities` and `channel_blocks` report so and the
+caller takes the numpy path.
 """
 
 from __future__ import annotations
@@ -61,10 +61,8 @@ BUILD_TIMEOUT_S = 120
 # B=8 1.38x, B=16 1.62x; BG2 Z=52 B=128 1.37x), not below it (BG1 B=4 0.89x,
 # BG2 Z=52 B=32 0.78x).
 MIN_SLICE_WORK = 1 << 19
-# The layer entry point of each scalar dtype; f16's is built only where gcc
-# has _Float16.
+# The layer entry point of each domain's dtype.
 LAYER_ENTRIES = {np.dtype(np.int8): "layer_iteration_i8",
-                 np.dtype(np.float16): "layer_iteration_f16",
                  np.dtype(np.float32): "layer_iteration_f32"}
 
 
@@ -177,7 +175,7 @@ def load() -> ctypes.CDLL | None:
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """`lib` with its entry points' argument and result types set."""
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    layers = [getattr(lib, name) for name in LAYER_ENTRIES.values() if hasattr(lib, name)]
+    layers = [getattr(lib, name) for name in LAYER_ENTRIES.values()]
     for fn in layers:
         fn.argtypes = [ptr] * 6 + [i64] * 4 + [ptr] * 4 + [ctypes.c_float, i64]
     lib.row_parities.argtypes = [ptr] * 3 + [i64] * 5 + [ptr] * 3 + [i64]
@@ -185,13 +183,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     for fn in (*layers, lib.row_parities, lib.channel_blocks):
         fn.restype = ctypes.c_int
     return lib
-
-
-def layer_entry(dtype):
-    """The kernel's layer pass for `dtype`, or None where the kernel is
-    unavailable or has none for it (f16 where gcc has no _Float16)."""
-    name = LAYER_ENTRIES.get(np.dtype(dtype))
-    return getattr(load(), name, None) if name else None
 
 
 def _call(fn, *args) -> int:
@@ -226,23 +217,24 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int, bet
                   margins: np.ndarray) -> bool:
     """One layered iteration over rows 0..rows_used-1 of `bg`, in place.
 
-    `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8, both
-    float16 or both float32. The base graph's own entry arrays are the
-    kernel's tables. The pass skips the codewords the C-contiguous bool (B,)
-    mask `settled` sets, and leaves them and their readout untouched. Every
+    `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8 or both
+    float32. The base graph's own entry arrays are the kernel's tables. The
+    pass skips the codewords the C-contiguous bool (B,) mask `settled`
+    sets, and leaves them and their readout untouched. Every
     other codeword's pass ends by writing its uint8 hard decisions `l_v < 0`
     into its row of `hard` (B, n_blocks * Z), its unsatisfied checks over
     the used rows into the int64 `weights` (B,) and min |L_v| into the
     float64 `margins` (B,), as `decoder._read_out` computes them. Strided
-    arrays, or arrays of two dtypes, raise ValueError. Returns False,
-    touching nothing, where the kernel is unavailable for their dtype (see
-    `layer_entry`).
+    arrays, arrays of two dtypes and arrays of no decoder domain raise
+    ValueError. Returns False, touching nothing, where the kernel is
+    unavailable.
     """
-    if (messages.dtype != l_v.dtype or not l_v.flags.c_contiguous
-            or not messages.flags.c_contiguous):
-        raise ValueError("posteriors and messages must be C-contiguous arrays of one dtype")
-    layer = layer_entry(l_v.dtype)
-    if layer is None:
+    if (messages.dtype != l_v.dtype or l_v.dtype not in LAYER_ENTRIES
+            or not l_v.flags.c_contiguous or not messages.flags.c_contiguous):
+        raise ValueError("posteriors and messages must be C-contiguous arrays of one dtype, "
+                         "int8 or float32")
+    lib = load()
+    if lib is None:
         return False
     batch, n_blocks, z = l_v.shape
     tables = _graph_tables(bg, rows_used, n_blocks, z)
@@ -258,14 +250,14 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int, bet
                          "and the base graph")
     unsettled = batch - np.count_nonzero(settled)
     row_start, cols, shifts = tables
-    # int8 magnitudes m = 0..127 scale by the beta rule's table, floats by
-    # beta rounded to their dtype, as the numpy rows
+    # int8 magnitudes m = 0..127 scale by the beta rule's table, f32 by beta
+    # rounded to f32, as the numpy rows
     lut = kernels.beta_lut(beta)[:128]
-    scale = float(l_v.dtype.type(beta)) if l_v.dtype.kind == "f" else 0.0
-    _call(layer, l_v.ctypes.data, messages.ctypes.data, settled.ctypes.data,
-          hard.ctypes.data, margins.ctypes.data, weights.ctypes.data, batch, n_blocks, z,
-          rows_used, row_start.ctypes.data, cols.ctypes.data, shifts.ctypes.data,
-          lut.ctypes.data, scale, slice_count(unsettled, unsettled * messages.shape[1] * z))
+    _call(getattr(lib, LAYER_ENTRIES[l_v.dtype]), l_v.ctypes.data, messages.ctypes.data,
+          settled.ctypes.data, hard.ctypes.data, margins.ctypes.data, weights.ctypes.data,
+          batch, n_blocks, z, rows_used, row_start.ctypes.data, cols.ctypes.data,
+          shifts.ctypes.data, lut.ctypes.data, float(np.float32(beta)),
+          slice_count(unsettled, unsettled * messages.shape[1] * z))
     return True
 
 
@@ -317,28 +309,28 @@ def channel_blocks(rngs, bits: np.ndarray, out: np.ndarray, sigma: float, scale:
     transmitted bit's LLR is ((0.0 + sigma * g) + (1 - 2b)) * 2 / (sigma *
     sigma) in float64, as `channel.bpsk_awgn` and `channel.demap_llr` compute
     it. Into an int8 `out` it goes as rint(L * scale) clipped to +/-bound,
-    into a float16 or float32 one clipped to +/-bound in float64 and rounded
-    once, as `channel.quantize`; the positions of each row of the C-contiguous
+    into a float32 one clipped to +/-bound in float64 and rounded once, as
+    `channel.quantize`; the positions of each row of the C-contiguous
     (B, n_c) `out` before its last n_tx are set to zero. The call runs on
     `cpu_share(B)` threads, which read the generators without their locks:
     no other thread may use them meanwhile. Returns False, touching nothing,
-    where the kernel is unavailable for `out`'s dtype. A NaN LLR raises
-    ValueError, as in `quantize`.
+    where the kernel is unavailable. A NaN LLR raises ValueError, as in
+    `quantize`.
     """
     if (bits.dtype != np.uint8 or out.dtype not in LAYER_ENTRIES or bits.ndim != 2
             or out.ndim != 2 or not len(rngs) == len(bits) == len(out)
             or out.shape[1] < bits.shape[1] or not bits.flags.c_contiguous
             or not out.flags.c_contiguous):
         raise ValueError("bits and out must be C-contiguous (B, n_tx) uint8 and (B, n_c >= "
-                         "n_tx) int8, f16 or f32 arrays, with one generator per row")
+                         "n_tx) int8 or f32 arrays, with one generator per row")
     states = np.array([_pointer(g.bit_generator.capsule, b"BitGenerator") for g in rngs],
                       dtype=np.uintp)
     if len(np.unique(states)) < len(states):
         raise ValueError("each codeword needs a bit generator of its own")
-    # each domain's blocks are built where its layer pass is
-    if layer_entry(out.dtype) is None:
+    lib = load()
+    if lib is None:
         return False
-    if _call(load().channel_blocks, states.ctypes.data, bits.ctypes.data, out.ctypes.data,
+    if _call(lib.channel_blocks, states.ctypes.data, bits.ctypes.data, out.ctypes.data,
              out.itemsize, *bits.shape, out.shape[1] - bits.shape[1], sigma, scale, bound,
              cpu_share(len(bits))):
         raise ValueError("LLRs must not be NaN")

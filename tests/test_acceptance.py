@@ -219,7 +219,7 @@ def test_criterion_9_bench_metric_schema(tmp_path, capsys):
     """Host-hardware bench emits per-iteration latency and coded-bit
     throughput; absolute figures are hardware-specific, never asserted."""
     bg = get_graph("BG2", 16)
-    for precision, rho in ((Precision.INT8, 1), (Precision.F16, 1)):
+    for precision, rho in ((Precision.INT8, 1), (Precision.F32, 1)):
         cfg = DecodeConfig(precision=precision, rho=rho)
         stats = run_latency_bench(bg, 16, cfg, batch=2, repetitions=5,
                                   iterations=10, warmup=1, seed=99)
@@ -228,7 +228,7 @@ def test_criterion_9_bench_metric_schema(tmp_path, capsys):
         assert stats.throughput_cbps > 0
     out_file = tmp_path / "bench.csv"
     code = dispatch(["bench", "--bg", "2", "--z", "16",
-                     "--precisions", "int8,f16", "--batch", "2",
+                     "--precisions", "int8,f32", "--batch", "2",
                      "--reps", "3", "--iters", "4", "--out", str(out_file)])
     capsys.readouterr()
     assert code == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ldpclab import harness
 from ldpclab.basegraph import code_params, load_basegraph
 from ldpclab.channel import bpsk_exact
 from ldpclab.cli import dispatch
@@ -136,7 +137,7 @@ def test_bench_emits_metric_schema(tmp_path, capsys):
     out_file = tmp_path / "bench.csv"
     code, out, err = run_cli(
         capsys, "bench", "--bg", "2", "--z", "16",
-        "--precisions", "int8,f16", "--batch", "2", "--reps", "3",
+        "--precisions", "int8,f32", "--batch", "2", "--reps", "3",
         "--iters", "4", "--out", str(out_file),
     )
     assert code == 0, err
@@ -148,7 +149,22 @@ def test_bench_emits_metric_schema(tmp_path, capsys):
     rows = [l for l in text.splitlines() if l and not l.startswith(("#", "precision"))]
     assert len(rows) == 2
     assert rows[0].startswith("int8,")
-    assert rows[1].startswith("f16,")
+    assert rows[1].startswith("f32,")
+
+
+def test_bench_checks_every_precision_before_it_runs(capsys, monkeypatch):
+    """`int8,bogus` ran the int8 bench, then failed on the second entry; an
+    unknown precision, f16 included, now exits 2 before any bench runs."""
+    def no_bench(*args, **kwargs):
+        raise AssertionError("a bench ran")
+
+    monkeypatch.setattr(harness, "run_latency_bench", no_bench)
+    for precisions, bad in (("int8,bogus", "bogus"), ("f16", "f16"), ("f32,int8,", "")):
+        code, out, err = run_cli(capsys, "bench", "--bg", "2", "--z", "16",
+                                 "--precisions", precisions)
+        assert code == 2 and not out
+        assert err.splitlines() == [f"error: unknown precision {bad!r}; "
+                                    "choose from int8, f32"], precisions
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,15 @@ import pytest
 
 from ldpclab import native
 from ldpclab.basegraph import code_params
-from ldpclab.channel import DOMAINS, F32_MAX, QuantConfig, bpsk_exact, quantize
+from ldpclab.channel import (
+    DOMAINS,
+    F32_MAX,
+    QuantConfig,
+    bpsk_exact,
+    ebn0_to_sigma,
+    quantize,
+    transmit,
+)
 from ldpclab.codec import crc_attach, encode, encode_batch, puncture
 from ldpclab.decoder import (
     DecodeConfig,
@@ -56,10 +64,9 @@ def test_minsum_matches_sorted_reference():
         got = check_node_minsum(row, beta=0.75)
         ref = minsum_row_reference(row, 0.75, integer=False)
         assert np.allclose(got, ref, rtol=1e-6)
-    # f16 rounds the one product beta * m, as the float64 reference does once
-    # it is cast; rows drawn from a few values give ties, zeros and rows whose
-    # every magnitude saturates, where only m1 == m2 keeps the tag rule moot
-    for dtype, sat in ((np.float16, 65504.0), (np.float32, F32_MAX), (np.int32, 127)):
+    # rows drawn from a few values give ties, zeros and rows whose every
+    # magnitude saturates, where only m1 == m2 keeps the tag rule moot
+    for dtype, sat in ((np.float32, F32_MAX), (np.int32, 127)):
         integer = np.issubdtype(dtype, np.integer)
         pools = ([0, 1, -1, 3, -3], [sat, -sat], [0, 2, -2, sat, -sat])
         for i in range(300):
@@ -72,14 +79,15 @@ def test_minsum_matches_sorted_reference():
             ref = minsum_row_reference(row, 0.75, integer=integer)
             assert got.dtype == dtype
             assert np.array_equal(got, ref.astype(dtype))
-    # +/-inf saturates at the domain's bound: f16's largest finite value,
-    # F32_MAX for f32; float64 is unbounded
-    for dtype, sat in ((np.float16, 65504.0), (np.float32, F32_MAX)):
+    # +/-inf saturates at f32's bound, F32_MAX; a float of no decoder domain
+    # is unbounded
+    row = np.array([np.inf, -np.inf, 2.0, np.inf], dtype=np.float32)
+    ref = minsum_row_reference(np.clip(row, -F32_MAX, F32_MAX), 0.75, integer=False)
+    assert np.array_equal(check_node_minsum(row, beta=0.75), ref.astype(np.float32))
+    for dtype in (np.float16, np.float64):
         row = np.array([np.inf, -np.inf, 2.0, np.inf], dtype=dtype)
-        ref = minsum_row_reference(np.clip(row, -sat, sat), 0.75, integer=False)
-        assert np.array_equal(check_node_minsum(row, beta=0.75), ref.astype(dtype))
-    row = np.array([np.inf, -np.inf, 2.0, np.inf])
-    assert np.array_equal(check_node_minsum(row, beta=0.75), [-1.5, 1.5, -np.inf, -1.5])
+        got = check_node_minsum(row, beta=0.75)
+        assert got.dtype == dtype and np.array_equal(got, [-1.5, 1.5, -np.inf, -1.5])
 
 
 def test_exact_degree_two_passes_through():
@@ -384,22 +392,6 @@ def test_trace_collects_margins(bg2_z16):
     assert (res.margin_trace[res.iterations - 1, cols][res.success] > 0).all()
 
 
-def test_f16_f32_coherence_on_confident_margins(bg2_z16):
-    """Hard decisions agree wherever the posterior margin stays clear."""
-    _, blocks_f = make_noisy_blocks(bg2_z16, 42, 3.5, 16, seed=47, mode="f32")
-    blocks_h = blocks_f.astype(np.float16)
-    r32 = decode(blocks_f, bg2_z16, DecodeConfig(precision=Precision.F32,
-                                                 max_iter=20))
-    r16 = decode(blocks_h, bg2_z16, DecodeConfig(precision=Precision.F16,
-                                                 max_iter=20))
-    checked = 0
-    for cw in range(len(r32.bits)):
-        if r32.margin_trace[:, cw].min() > 0.01:
-            assert np.array_equal(r32.bits[cw], r16.bits[cw])
-            checked += 1
-    assert checked > 0
-
-
 def test_decode_single_vector(bg2_z16):
     rng = np.random.default_rng(53)
     msg = rng.integers(0, 2, 160, dtype=np.uint8)
@@ -410,12 +402,11 @@ def test_decode_single_vector(bg2_z16):
 
 @pytest.mark.parametrize("fn, cfg", [
     (decode, DecodeConfig(precision="int8", max_iter=12)),
-    (decode, DecodeConfig(precision="f16", max_iter=12)),
     (decode, DecodeConfig(precision="f32", max_iter=12)),
     (decode, DecodeConfig(rho=4, max_iter=12)),
     (decode_flooding, DecodeConfig(max_iter=12)),
     (decode, DecodeConfig(early_stop="none", max_iter=12)),
-], ids=["int8", "f16", "f32", "packed", "flooding", "no-early-stop"])
+], ids=["int8", "f32", "packed", "flooding", "no-early-stop"])
 def test_a_codeword_decodes_alone_as_in_its_batch(bg2_z16, fn, cfg):
     """Codewords never interact: each gets in a batch the bits, iterations,
     success and syndrome weight it gets alone, and its trace columns are its
@@ -436,6 +427,47 @@ def test_a_codeword_decodes_alone_as_in_its_batch(bg2_z16, fn, cfg):
             assert (got[run:, i] == own[-1, 0]).all(), i
 
 
+@pytest.mark.parametrize("early", [e.value for e in EarlyStop])
+@pytest.mark.parametrize("fn, precision, rho", [
+    (decode, "int8", 1), (decode, "f32", 1), (decode, "int8", 4),
+    (decode_flooding, "int8", 1), (decode_flooding, "f32", 1),
+], ids=["int8", "f32", "packed", "flooding-int8", "flooding-f32"])
+def test_a_codeword_decodes_as_the_all_zero_codeword_it_mirrors(bg2_z16, fn, precision, rho,
+                                                                 early):
+    """The code is linear, the channel odd and min-sum multiplies signs: the
+    all-zero codeword's block with its signs flipped where codeword c is 1 is
+    c's block, and it decodes as the all-zero block does, with c on top.
+    Iterations, success and margins are equal at every SNR. The syndrome and
+    the bits are equal wherever no posterior is 0: L_v < 0 reads a tie as
+    bit 0, which is right only where the bit sent was 0."""
+    params = code_params(bg2_z16, 16, 42)
+    count = 16
+    info = crc_attach(np.random.default_rng(3).integers(0, 2, (count, params.k - 24),
+                                                        dtype=np.uint8))
+    c = encode_batch(info, bg2_z16, 16, 42)
+    cfg = DecodeConfig(precision=precision, rho=rho, early_stop=early, max_iter=12)
+    quant = QuantConfig(precision)
+    zero = np.zeros((count, params.n_tx), dtype=np.uint8)
+    cols = np.arange(count)
+    failed = []
+    for ebn0 in (-2.0, 0.5, 1.5, 4.0, None):
+        sigma = None if ebn0 is None else ebn0_to_sigma(ebn0, params.k / params.n_tx)
+        rngs = [np.random.default_rng((21, i)) for i in range(count)]
+        block_0 = transmit(zero, sigma, rngs, quant, params)
+        # exact: every value is multiplied by +/-1 in its own dtype
+        block_c = block_0 * (1 - 2 * c.astype(block_0.dtype))
+        r0, rc = fn(block_0, bg2_z16, cfg), fn(block_c, bg2_z16, cfg)
+        for field in ("iterations", "success", "margin_trace"):
+            assert np.array_equal(getattr(r0, field), getattr(rc, field)), (ebn0, field)
+        decided = r0.margin_trace > 0
+        assert np.array_equal(r0.syndrome_trace[decided], rc.syndrome_trace[decided]), ebn0
+        settled = r0.margin_trace[r0.iterations - 1, cols] > 0
+        assert np.array_equal(rc.bits[settled], r0.bits[settled] ^ info[settled]), ebn0
+        failed.append(int((~r0.success).sum()))
+    # from below the waterfall, where codewords fail, to the noise-free limit
+    assert failed[0] > 0 and failed[-1] == 0, failed
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DecodeConfig(beta=0.0)
@@ -445,10 +477,9 @@ def test_config_validation():
         DecodeConfig(precision=Precision.F32, rho=4)
     with pytest.raises(ValueError):
         DecodeConfig(precision=Precision.INT8, rho=2)
-    with pytest.raises(ValueError):
-        DecodeConfig(precision=Precision.F16, rho=4)
-    with pytest.raises(ValueError):
-        DecodeConfig(precision=Precision.F16, rho=2)
+    # f16 is no decoder domain
+    with pytest.raises(ValueError, match="f16"):
+        DecodeConfig(precision="f16")
     with pytest.raises(ValueError):
         DecodeConfig(max_iter=0)
     # counts that are not integers failed mid-decode with a TypeError, and
@@ -511,12 +542,11 @@ def test_decode_rejects_an_empty_batch(bg2_z16):
 
 
 def test_workspace_rejects_infinite_and_oversized_float_llrs(bg2_z16):
-    for precision in (Precision.F32, Precision.F16):
-        for value in (np.inf, -np.inf):
-            block = np.zeros(832, dtype=np.float32)
-            block[100] = value
-            with pytest.raises(ValueError, match="finite"):
-                init_workspace(block, bg2_z16, DecodeConfig(precision=precision))
+    for value in (np.inf, -np.inf):
+        block = np.zeros(832, dtype=np.float32)
+        block[100] = value
+        with pytest.raises(ValueError, match="finite"):
+            init_workspace(block, bg2_z16, DecodeConfig(precision=Precision.F32))
     block = np.zeros(832)
     block[3] = -F32_MAX
     init_workspace(block, bg2_z16, DecodeConfig(precision=Precision.F32))
@@ -561,14 +591,13 @@ def test_f32_decodes_huge_llrs(magnitude):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("precision,max_iter", [("f32", 300), ("f16", 50)])
+@pytest.mark.parametrize("precision,max_iter", [("f32", 300)])
 def test_saturated_float_posteriors_keep_their_codewords(monkeypatch, precision, max_iter):
     """At beta=1 with early stop off, the posteriors of two found codewords
     grow until they saturate at the domain's bound; the messages store what
     the saturated posteriors absorbed, so both codewords stay decoded. f32
-    once grew past the f32 range to inf and NaN, and f16, which stored the
-    unsaturated message, collapsed to margins of 0; both with bit errors.
-    The compiled pass and the numpy rows give the same outputs."""
+    once grew past the f32 range to inf and NaN, with bit errors. The
+    compiled pass and the numpy rows give the same outputs."""
     bg = get_graph("BG1", 16)
     msgs, blocks = make_noisy_blocks(bg, 46, 4.0, 2, seed=1, mode=precision)
     cfg = DecodeConfig(precision=precision, beta=1.0, early_stop="none", max_iter=max_iter)
@@ -627,13 +656,9 @@ def _digest(res) -> str:
 
 # (Eb/N0 dB, precision, rho, schedule, without the compiled kernel, sha256
 # over bits, iterations, success and both traces) for every path that runs
-# the numpy reduce, so a change to its fold shows; the f16 decodes were
-# recorded on the numpy rows and now run the compiled kernel where it builds.
-# BG2 Z=16, 42 rows, five codewords (seed 11), ten iterations with early
+# the numpy reduce, so a change to its fold shows. BG2 Z=16, 42 rows, five codewords (seed 11), ten iterations with early
 # stop off.
 PINNED = [
-    (1.5, "f16", 1, decode, False,
-     "372d047aac54f640b209bcdfabd20fd74a4b7d705a02f115bcace879c0033058"),
     (1.5, "int8", 4, decode, False,
      "bb4fa404d3d13e1742142a0efd2a47182cfa9e473fa68dabfa254e42f97e39a9"),
     (1.5, "int8", 1, decode_flooding, False,
@@ -644,8 +669,6 @@ PINNED = [
      "bb4fa404d3d13e1742142a0efd2a47182cfa9e473fa68dabfa254e42f97e39a9"),
     (1.5, "f32", 1, decode, True,
      "6be92a999bb0d3e0656685e30eeb5f251f1494a9adaeccd4906dccd52bfd1a2d"),
-    (8.0, "f16", 1, decode, False,
-     "23a70b80f1d22d1565d237e8eb0a16846df206a22fb20cbc11f5555becf17b36"),
     (8.0, "int8", 4, decode, False,
      "60f0a86a7689681ae13f6a763f80eb8012fa8a76c63b513a0f5915bd89174503"),
     (8.0, "int8", 1, decode_flooding, False,
@@ -663,9 +686,8 @@ PINNED = [
     "case", PINNED,
     ids=lambda c: f"{c[0]}dB-{c[1]}-rho{c[2]}-{c[3].__name__}{'-numpy' if c[4] else ''}")
 def test_numpy_fold_outputs_are_pinned(monkeypatch, case):
-    """f16, packed rho=4, flooding, and int8/f32 without the kernel: every
-    path through the numpy reduce decodes to its recorded digest, and f16
-    does so in the kernel too."""
+    """Packed rho=4, flooding, and int8/f32 without the kernel: every path
+    through the numpy reduce decodes to its recorded digest."""
     ebn0, precision, rho, fn, without_kernel, want = case
     if without_kernel:
         monkeypatch.setattr(native, "load", lambda: None)

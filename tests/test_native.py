@@ -17,7 +17,6 @@ from ldpclab import channel, codec, decoder, harness, native
 from ldpclab.basegraph import code_params
 from ldpclab.channel import (
     DOMAINS,
-    F16_MAX,
     F32_MAX,
     INT8_MAX,
     NOISE_FREE_LLR,
@@ -32,6 +31,7 @@ from ldpclab.decoder import (
     DecodeConfig,
     DecodeResult,
     EarlyStop,
+    Precision,
     ScalarWorkspace,
     decode,
     decode_flooding,
@@ -70,7 +70,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return a.view(f"u{a.itemsize}")
 
 
-PRECISIONS = ["int8", "f16", "f32"]
+PRECISIONS = ["int8", "f32"]
 
 
 def _unsettled(ws):
@@ -96,8 +96,8 @@ def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, pr
     inputs = [(ebn0, make_noisy_blocks(bg, rows, ebn0, 3 if z < 384 else 2,
                                        seed=20 + i, mode=precision)[1])
               for i, ebn0 in enumerate(SNRS_DB)]
-    if precision != "int8":
-        # LLRs past the float's bound: every transmitted position starts at
+    if precision == "f32":
+        # LLRs past the f32 bound: every transmitted position starts at
         # it, so the saturation and its message store run from the first row
         llrs = inputs[0][1][:, 2 * z:].astype(np.float64) * 2.0 ** 80
         inputs.append(("saturated", quantize(llrs, QuantConfig(precision),
@@ -142,12 +142,21 @@ def test_saturating_snrs_reach_the_int16_extrinsic_range(code):
 
 def test_kernel_bounds_are_the_channel_bounds():
     """_layer.c saturates each domain at its own constants, which C cannot
-    import: they must be channel's INT8_MAX, F16_MAX and F32_MAX."""
+    import: they must be channel's INT8_MAX and F32_MAX."""
     defines = dict(line.split()[1:3] for line in native.SOURCE.read_text().splitlines()
                    if line.startswith("#define"))
     assert int(defines["INT8_SAT"]) == INT8_MAX
-    assert float.fromhex(defines["F16_SAT"].rstrip("f")) == F16_MAX
     assert float.fromhex(defines["F32_SAT"].rstrip("f")) == F32_MAX
+
+
+def test_every_domain_has_its_compiled_pass(kernel):
+    """One table of domains: the precisions are channel's domains, each
+    domain's dtype has a layer entry, and the library exports every entry,
+    so it serves every domain or, unloaded, none."""
+    assert {p.value for p in Precision} == set(DOMAINS)
+    assert set(native.LAYER_ENTRIES) == {np.dtype(dtype) for dtype, _ in DOMAINS.values()}
+    for name in (*native.LAYER_ENTRIES.values(), "row_parities", "channel_blocks"):
+        assert hasattr(kernel, name), name
 
 
 def _decode_digest(blocks, bg, cfg, fn=decode):
@@ -282,42 +291,6 @@ def test_the_kernel_compiles_without_warnings(kernel, tmp_path):
     assert built.returncode == 0, built.stderr
 
 
-def test_a_compiler_without_float16_keeps_int8_and_f32_compiled(kernel, monkeypatch,
-                                                                 tmp_path):
-    """Built as by a gcc without _Float16, the library exports no f16 entry:
-    int8 and f32 still decode and transmit in it, and f16 takes the numpy
-    rows and the numpy channel chain, with the outputs of the full library."""
-    built = _compile(tmp_path, "-U__FLT16_MAX__")
-    assert built.returncode == 0, built.stderr
-    lib = native._bind(ctypes.CDLL(str(tmp_path / "layer.so")))
-    assert not hasattr(lib, "layer_iteration_f16")
-    bg = get_graph("BG2", 52)
-    params = code_params(bg, 52, 42)
-    bits = codec.encode_batch(np.random.default_rng(3).integers(0, 2, (3, params.k),
-                                                                dtype=np.uint8),
-                              bg, 52, 42)[:, 2 * 52:]
-    cases = []
-    for mode in PRECISIONS:
-        blocks = make_noisy_blocks(bg, 42, 2.0, 4, seed=12, mode=mode)[1]
-        cfg = DecodeConfig(precision=mode, max_iter=8)
-        cases.append((mode, blocks, cfg, _decode_digest(blocks, bg, cfg),
-                      transmit(bits, 0.7, _streams(5, 3), QuantConfig(mode), params)))
-    monkeypatch.setattr(native, "load", lambda: lib)
-    compiled = []
-    for name in ("run_iteration", "channel_blocks"):
-        fn = getattr(native, name)
-        monkeypatch.setattr(native, name,
-                            lambda *a, fn=fn: compiled.append(fn(*a)) or compiled[-1])
-    for mode, blocks, cfg, digest, tx in cases:
-        compiled.clear()
-        assert _same(_decode_digest(blocks, bg, cfg), digest), mode
-        assert compiled and all(c == (mode != "f16") for c in compiled), mode
-        compiled.clear()
-        got = transmit(bits, 0.7, _streams(5, 3), QuantConfig(mode), params)
-        assert _same_blocks(got, tx), mode
-        assert compiled == [mode != "f16"], mode      # one call for the batch
-
-
 # the ctypes type `_bind` gives each kind of C parameter other than a pointer
 C_KINDS = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "float": ctypes.c_float,
            "double": ctypes.c_double}
@@ -373,13 +346,11 @@ def test_run_iteration_rejects_arrays_of_another_graph(kernel):
             native.run_iteration(ws.l_v, ws.messages, bg, 42, 0.75, settled, *args)
     # the arrays are checked before the pass: it ran on nothing
     assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
-    # f16 arrays are checked as int8's; strided ones, or two dtypes, raise
+    # strided arrays, two dtypes, or a dtype of no decoder domain raise
     # rather than take the numpy rows unseen
-    with pytest.raises(ValueError, match="do not match"):
-        native.run_iteration(ws.l_v.astype(np.float16), ws.messages.astype(np.float16),
-                             get_graph("BG2", 52), 42, 0.75, settled, *readout)
     for l_v, messages in ((ws.l_v[::-1], ws.messages[::-1]),
-                          (ws.l_v, ws.messages.astype(np.float32))):
+                          (ws.l_v, ws.messages.astype(np.float32)),
+                          (ws.l_v.astype(np.float16), ws.messages.astype(np.float16))):
         with pytest.raises(ValueError, match="C-contiguous arrays of one dtype"):
             native.run_iteration(l_v, messages, bg, 42, 0.75, settled, *readout)
     assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
@@ -800,8 +771,8 @@ def _transmit_against_the_numpy_chain(monkeypatch, bg_id, z, rows, batch, quant,
 
 TRANSMIT_CASES = [("BG1", 384, 46, 3), ("BG2", 52, 42, 5), ("BG2", 16, 42, 1)]
 TRANSMIT_QUANTS = pytest.mark.parametrize(
-    "quant", [QuantConfig("int8"), QuantConfig("int8", scale=2.5), QuantConfig("f16"),
-              QuantConfig("f32")], ids=["int8", "int8-2.5", "f16", "f32"])
+    "quant", [QuantConfig("int8"), QuantConfig("int8", scale=2.5), QuantConfig("f32")],
+    ids=["int8", "int8-2.5", "f32"])
 
 
 @pytest.mark.parametrize("bg_id, z, rows, batch", TRANSMIT_CASES)
@@ -895,7 +866,7 @@ def test_transmit_fallbacks_give_the_numpy_chain_blocks(kernel, monkeypatch):
     msgs = np.random.default_rng(3).integers(0, 2, (3, params.k), dtype=np.uint8)
     bits = codec.encode_batch(msgs, bg, 52, 42)[:, 2 * 52:]
     cases = [(b, q) for b in (bits, bits.astype(bool), bits.astype(np.int64), bits[1])
-             for q in (QuantConfig("int8"), QuantConfig("f16"), QuantConfig("f32"))]
+             for q in (QuantConfig("int8"), QuantConfig("f32"))]
     passes = []
     fused = native.channel_blocks
     monkeypatch.setattr(native, "channel_blocks", lambda *a: passes.append(fused(*a)) or passes[-1])
@@ -974,7 +945,8 @@ def test_transmit_rejects_what_the_numpy_chain_rejects(kernel, draw_threads):
     rngs, out = _streams(1, 2), np.empty((2, params.n_c), dtype=np.int8)
     for bad in ((rngs, bits.astype(np.int8), out), (rngs, bits[:, ::2], out),
                 (rngs, bits[0], out), (rngs[:1], bits, out), (rngs, bits[:1], out),
-                (rngs, bits, out.astype(np.int32)), (rngs, bits, out[0]),
+                (rngs, bits, out.astype(np.int32)), (rngs, bits, out.astype(np.float16)),
+                (rngs, bits, out[0]),
                 (rngs, bits, out[:1]), (rngs, bits, out[:, : params.n_tx - 1]),
                 (rngs, bits, np.empty((2, 2 * params.n_c), dtype=np.int8)[:, ::2])):
         with pytest.raises(ValueError, match="C-contiguous"):

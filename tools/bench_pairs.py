@@ -20,7 +20,12 @@ The output keeps the format of the earlier BENCH_<n>.json files: the parent
 sha, the change's `src/` tree hash, the command, the host, and per workload
 the change run nearest the median `cw_per_s` of the change's runs. It adds
 `runs`, every run of both sides in the order they ran, and `medians`, each
-side's median of every end-to-end metric.
+side's median of every end-to-end metric. Each run in `runs` carries its
+`steal_share`: the share of the host's CPU time that the hypervisor stole
+over the run, from the aggregate `cpu` line of `/proc/stat` read before and
+after it, steal / (user + nice + system + idle + iowait + irq + softirq +
+steal) of the differences; null where the file cannot be read. A run whose
+share is high was timed on a host busy with other guests.
 
 Run from the repository root:
 
@@ -94,6 +99,27 @@ def build_kernel(tree: Path) -> None:
               file=sys.stderr)
 
 
+def cpu_line() -> str | None:
+    """The aggregate `cpu` line of /proc/stat, or None where it cannot be read."""
+    try:
+        with open("/proc/stat") as fh:
+            line = fh.readline()
+    except OSError:
+        return None
+    return line if line.split()[:1] == ["cpu"] else None
+
+
+def steal_share(before: str | None, after: str | None) -> float | None:
+    """The steal share between two `cpu` lines of /proc/stat: the growth of
+    the steal column over that of user..steal (its first eight columns),
+    None where a line is missing or no time passed."""
+    if before is None or after is None:
+        return None
+    delta = [int(b) - int(a) for a, b in zip(before.split()[1:9], after.split()[1:9])]
+    total = sum(delta)
+    return delta[7] / total if len(delta) == 8 and total > 0 else None
+
+
 def perfbench_command(bench: dict, workload: str) -> list:
     """The untraced perfbench run of `workload` that `bench` (BENCHMARK.json) declares."""
     return [*bench["command"], "--workload", workload, "--seed", str(SEED),
@@ -152,9 +178,11 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
+                    before = cpu_line()
                     result = run_once(trees[side], perfbench_command(bench, workload))
                     record["runs"].append({"pair": pair, "first": order[0], "side": side,
-                                           "workload": workload, **result})
+                                           "workload": workload, **result,
+                                           "steal_share": steal_share(before, cpu_line())})
                     print(f"pair {pair} {workload} {side}: "
                           f"{result['metrics']['cw_per_s']['value']:.1f} cw/s, "
                           f"correct={result['correct']} failed={result['failed']}",
