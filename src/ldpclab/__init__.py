@@ -23,7 +23,6 @@ from ldpclab.codec import (
     Syndrome,
     crc_attach,
     crc_check,
-    depuncture,
     encode,
     puncture,
     syndrome,
@@ -77,7 +76,6 @@ __all__ = [
     "decode",
     "decode_flooding",
     "demap_llr",
-    "depuncture",
     "encode",
     "expand_to_binary",
     "init_workspace",

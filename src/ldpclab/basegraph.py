@@ -5,13 +5,18 @@ BG1 with 22 information columns, 46 parity rows, and 316 circulant entries;
 BG2 with 10 information columns, 42 rows, and 197 entries. Codeword length
 scales with the lifting size Z: each entry (row, col, shift) expands to a
 Z x Z identity circulant right-shifted by `shift`.
+
+Each check has one owner. A `BaseGraph` is valid by construction: it checks
+its entries and the encoder's parity structure when it is made, however it
+is made. `code_params` is the one rule for the lifting size and the rows a
+code engages; every other entry point that takes them calls it.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,7 +59,18 @@ def lifting_set_index(z: int) -> int:
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """One lifted base graph: circulant positions and shifts reduced mod Z."""
+    """One lifted base graph: circulant positions and shifts reduced mod Z.
+
+    Valid by construction: `__post_init__` keeps read-only int64 copies of
+    `rows`, `cols` and `shifts`, checks them and the parity structure the
+    encoder relies on, and derives the row tables and the core solve, so
+    `dataclasses.replace` re-validates. Once it has passed, every edge of the
+    first `rows_used` rows, for any `rows_used` from 4 to m_bg, lies below
+    column k_b + rows_used, and every shift is in [0, z): core rows reach no
+    extension column, and an extension row reaches only its own. That is why
+    the compiled kernels, which index these arrays unchecked, stay
+    memory-safe.
+    """
 
     id: str
     k_b: int
@@ -64,13 +80,41 @@ class BaseGraph:
     rows: np.ndarray        # entry base-row indices, sorted by (row, col)
     cols: np.ndarray        # entry base-column indices
     shifts: np.ndarray      # circulant shifts, already reduced mod z
-    w_r: np.ndarray = field(repr=False)   # entries per base row
-    row_start: np.ndarray = field(repr=False)   # first entry of each base row
+    w_r: np.ndarray = field(init=False, repr=False)   # entries per base row
+    row_start: np.ndarray = field(init=False, repr=False)   # first entry of each base row
     # shift of the circulant the XOR of the core rows leaves at column k_b
-    core_sum_shift: int = field(repr=False)
+    core_sum_shift: int = field(init=False, repr=False)
     # (row, column, shift) solving core columns k_b+1..k_b+3 in turn: each row
     # has one core column left unknown, at that shift
-    core_order: tuple[tuple[int, int, int], ...] = field(repr=False)
+    core_order: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows, cols, shifts = (np.array(getattr(self, name), dtype=np.int64)
+                              for name in ("rows", "cols", "shifts"))
+        if rows.ndim != 1 or not rows.shape == cols.shape == shifts.shape:
+            raise ValueError(f"{self.id}: rows, cols and shifts must be 1-D and of one length")
+        if not np.array_equal(np.lexsort((cols, rows)), np.arange(len(rows))):
+            raise ValueError(f"{self.id}: entries are not sorted by (row, col)")
+        if not ((0 <= rows) & (rows < self.m_bg) & (0 <= cols) & (cols < self.n_cols)).all():
+            raise ValueError(f"{self.id}: entry index out of range")
+        keys = rows * self.n_cols + cols
+        if len(np.unique(keys)) != len(keys):
+            raise ValueError(f"{self.id}: duplicate (row, col) entries")
+        if not ((0 <= shifts) & (shifts < self.z)).all():
+            raise ValueError(f"{self.id}: shift outside [0, {self.z})")
+        w_r = np.bincount(rows, minlength=self.m_bg)
+        if w_r.min() < 3:
+            raise ValueError(f"{self.id}: base row with weight < 3")
+        row_start = np.zeros(self.m_bg + 1, dtype=np.int64)
+        np.cumsum(w_r, out=row_start[1:])
+        tables = dict(rows=rows, cols=cols, shifts=shifts, w_r=w_r, row_start=row_start)
+        for name, arr in tables.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        # the structure check over the graph's rows yields the encoder's core solve
+        shift, order = _validate_encoding_structure(self)
+        object.__setattr__(self, "core_sum_shift", shift)
+        object.__setattr__(self, "core_order", order)
 
     @property
     def n_entries(self) -> int:
@@ -119,8 +163,9 @@ def load_basegraph(
     """Load a base graph and lift-reduce its shifts for lifting size `z`.
 
     The shift column is selected by the lifting set containing `z` and every
-    shift is reduced mod `z`. The asset is validated against the expected
-    dimensions and entry count; a mismatch signals a corrupt asset.
+    shift is reduced mod `z`. The asset is checked against the expected
+    column and entry counts, and its entries, sorted by (row, col), against
+    the checks every `BaseGraph` passes; a mismatch signals a corrupt asset.
     """
     bg_id = _normalize_id(bg_id)
     set_idx = lifting_set_index(z)
@@ -140,36 +185,9 @@ def load_basegraph(
             f"malformed asset {path}: expected {n_entries} entries, got {raw.shape[0]}"
         )
 
-    rows = raw[:, 0].astype(np.int64)
-    cols = raw[:, 1].astype(np.int64)
-    shifts = np.mod(raw[:, 2 + set_idx], z).astype(np.int64)
-
-    order = np.lexsort((cols, rows))
-    if not np.array_equal(order, np.arange(len(rows))):
-        rows, cols, shifts = rows[order], cols[order], shifts[order]
-    keys = rows * n_cols + cols
-    if len(np.unique(keys)) != len(keys):
-        raise ValueError(f"malformed asset {path}: duplicate (row, col) entries")
-    if rows.min() < 0 or rows.max() >= m_bg or cols.min() < 0 or cols.max() >= n_cols:
-        raise ValueError(f"malformed asset {path}: entry index out of range")
-
-    w_r = np.bincount(rows, minlength=m_bg)
-    if w_r.min() < 3:
-        raise ValueError(f"malformed asset {path}: base row with weight < 3")
-
-    row_start = np.zeros(m_bg + 1, dtype=np.int64)
-    np.cumsum(w_r, out=row_start[1:])
-    for arr in (rows, cols, shifts, w_r, row_start):
-        arr.flags.writeable = False
-
-    bg = BaseGraph(
-        id=bg_id, k_b=k_b, m_bg=m_bg, n_cols=n_cols, z=z,
-        rows=rows, cols=cols, shifts=shifts, w_r=w_r,
-        row_start=row_start, core_sum_shift=0, core_order=(),
-    )
-    # the structure check over the graph's rows yields the encoder's core solve
-    shift, order = _validate_encoding_structure(bg)
-    return replace(bg, core_sum_shift=shift, core_order=order)
+    raw = raw[np.lexsort((raw[:, 1], raw[:, 0]))]
+    return BaseGraph(id=bg_id, k_b=k_b, m_bg=m_bg, n_cols=n_cols, z=z, rows=raw[:, 0],
+                     cols=raw[:, 1], shifts=np.mod(raw[:, 2 + set_idx], z))
 
 
 def _validate_encoding_structure(bg: BaseGraph) -> tuple[int, tuple]:
@@ -267,11 +285,7 @@ def expand_to_binary(
     Entry (r, c, s) becomes a Z x Z identity circulant right-shifted by s:
     circulant row i has its one at column (i + s) mod Z.
     """
-    if z != bg.z:
-        raise ValueError(f"graph was lifted for Z={bg.z}, not Z={z}")
-    rows_used = bg.m_bg if rows_used is None else rows_used
-    if not 4 <= rows_used <= bg.m_bg:
-        raise ValueError(f"rows_used must be in [4, {bg.m_bg}]")
+    rows_used = code_params(bg, z, bg.m_bg if rows_used is None else rows_used).rows_used
     n_rows = rows_used * z
     n_cols = (bg.k_b + rows_used) * z   # unused extension columns drop out
     if n_rows * n_cols > limit:

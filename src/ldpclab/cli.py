@@ -136,7 +136,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--snr-step must be positive")
     if args.snr_stop < args.snr_start:
         raise ValueError("--snr-stop must not precede --snr-start")
-    n = int(round((args.snr_stop - args.snr_start) / args.snr_step)) + 1
+    # the last point is the one at or below --snr-stop, float error aside
+    n = math.floor((args.snr_stop - args.snr_start) / args.snr_step + 1e-9) + 1
     grid = [args.snr_start + i * args.snr_step for i in range(n)]
     if args.noise_free_point:
         grid = [math.inf] + grid

@@ -140,12 +140,6 @@ def puncture(cw: Codeword) -> np.ndarray:
     return cw.bits[2 * cw.params.z:].copy()
 
 
-def depuncture(values, z: int) -> np.ndarray:
-    """Restore the punctured positions as erasures (LLR exactly 0)."""
-    vals = np.asarray(values, dtype=np.float64).ravel()
-    return np.concatenate([np.zeros(2 * z), vals])
-
-
 def crc_attach(payload, kind: str = "crc24b", k: int | None = None) -> np.ndarray:
     """Append the CRC parity bits of `payload` (transmission bit order).
 

@@ -23,6 +23,9 @@ subtracts exactly what this one added and a codeword once found is kept.
 Only int8's extrinsic (|raw| up to 254) needs more than its domain: the
 numpy rows widen it to int32 and the kernel works in int16 scratch, while
 int8 posteriors and messages stay bytes; f32 holds twice its bound.
+
+A workspace carries the graph it was made for: past `decode` and
+`decode_flooding`, every step of the decode path reads it from there.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from ldpclab import kernels, native
-from ldpclab.basegraph import BaseGraph
+from ldpclab.basegraph import BaseGraph, code_params
 from ldpclab.channel import DOMAINS, INT8_MAX
 from ldpclab.codec import CRC_POLYS, _syndrome_weights, crc_check
 
@@ -318,7 +321,7 @@ def _build_row_gather(bg: BaseGraph, rows_used: int) -> list:
     for r in range(rows_used):
         cols, shifts = bg.row_entries(r)
         idx = (zi[None, :] + shifts[:, None]) % bg.z
-        meta.append((cols.astype(np.int64), shifts, offset, idx))
+        meta.append((cols, shifts, offset, idx))
         offset += len(cols)
     return meta
 
@@ -332,11 +335,7 @@ def init_workspace(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeWorkspace:
         raise ValueError("int8 decoding takes integer LLRs (quantize in int8 mode)")
     if arr.shape[-1] % bg.z:
         raise ValueError("LLR block length must be a multiple of Z")
-    rows_used = arr.shape[-1] // bg.z - bg.k_b
-    if not 4 <= rows_used <= bg.m_bg:
-        raise ValueError(
-            f"LLR block length implies rows_used={rows_used}, outside [4, {bg.m_bg}]"
-        )
+    rows_used = code_params(bg, bg.z, arr.shape[-1] // bg.z - bg.k_b).rows_used
     batch = arr.shape[0]
     if batch == 0:
         raise ValueError("a batch needs at least one codeword")
@@ -389,7 +388,7 @@ def _scalar_flood(ws: ScalarWorkspace, l_b: np.ndarray, cfg: DecodeConfig) -> No
 # Public decoding entry points
 
 
-def _read_out(ws: DecodeWorkspace, bg: BaseGraph, settled: np.ndarray, readout) -> None:
+def _read_out(ws: DecodeWorkspace, settled: np.ndarray, readout) -> None:
     """The unsettled codewords' rows of `readout` (hard, weights, margins)
     from the posteriors: hard decisions L_v < 0, unsatisfied checks over the
     used rows and min |L_v|; the settled rows are left as they are."""
@@ -397,17 +396,17 @@ def _read_out(ws: DecodeWorkspace, bg: BaseGraph, settled: np.ndarray, readout) 
     lv = ws.posteriors()
     unsettled = ~settled
     np.less(lv, 0, out=hard.view(bool).reshape(lv.shape), where=unsettled[:, None, None])
-    np.copyto(weights, _syndrome_weights(hard, bg, ws.rows_used), where=unsettled)
+    np.copyto(weights, _syndrome_weights(hard, ws.bg, ws.rows_used), where=unsettled)
     np.copyto(margins, np.abs(lv).min(axis=(1, 2)), where=unsettled)
 
 
-def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig,
-                      settled: np.ndarray, readout) -> None:
+def layered_iteration(ws: DecodeWorkspace, cfg: DecodeConfig, settled: np.ndarray,
+                      readout) -> None:
     """One full layered pass: rows in ascending order, each feeding the next,
     then the readout of the codewords not yet settled (see `_read_out`).
 
-    A scalar workspace runs the compiled kernel where the host can build
-    it, which skips the codewords `settled` marks and reads each other one
+    The graph is the workspace's own. A scalar workspace runs the compiled
+    kernel where the host can build it, which skips the codewords `settled` marks and reads each other one
     out at the end of its pass (see `native.run_iteration`); the packed
     engine and any host without the kernel run the numpy rows, its
     bit-exact oracle, over every codeword, then `_read_out`.
@@ -417,10 +416,10 @@ def layered_iteration(ws: DecodeWorkspace, bg: BaseGraph, cfg: DecodeConfig,
         return
     for r in range(ws.rows_used):
         ws.layer(r, cfg)
-    _read_out(ws, bg, settled, readout)
+    _read_out(ws, settled, readout)
 
 
-def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
+def _run_schedule(ws: DecodeWorkspace, cfg, step) -> DecodeResult:
     """Run `step` until every codeword has settled; settled outputs freeze.
 
     `step(ws, settled, readout)` runs one iteration and writes the rows of
@@ -435,7 +434,7 @@ def _run_schedule(ws: DecodeWorkspace, bg, cfg, step) -> DecodeResult:
     into the result's traces; a settled codeword's readout row is never
     written again, so its trace rows repeat those of its settle iteration.
     """
-    batch = ws.lanes
+    batch, bg = ws.lanes, ws.bg
     bits = np.zeros((batch, bg.k_b * bg.z), dtype=np.uint8)
     iterations = np.zeros(batch, dtype=np.int64)
     success = np.zeros(batch, dtype=bool)
@@ -478,8 +477,8 @@ def decode(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
     settle iteration's values once the codeword has settled.
     """
     ws = init_workspace(llrs, bg, cfg)
-    return _run_schedule(ws, bg, cfg, lambda ws, settled, readout: layered_iteration(
-        ws, bg, cfg, settled, readout))
+    return _run_schedule(ws, cfg, lambda ws, settled, readout: layered_iteration(
+        ws, cfg, settled, readout))
 
 
 def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
@@ -491,6 +490,6 @@ def decode_flooding(llrs, bg: BaseGraph, cfg: DecodeConfig) -> DecodeResult:
 
     def step(ws, settled, readout):
         _scalar_flood(ws, l_b, cfg)
-        _read_out(ws, bg, settled, readout)
+        _read_out(ws, settled, readout)
 
-    return _run_schedule(ws, bg, cfg, step)
+    return _run_schedule(ws, cfg, step)

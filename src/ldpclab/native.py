@@ -15,6 +15,11 @@ pass from its own numpy bit generator by numpy's own sampler (linked from
 numpy's `libnpyrandom.a`), with `channel`'s `quantize(demap_llr(bpsk_awgn(...)))`
 as oracle and fallback.
 
+The layer iteration and the row parities index the graph's own arrays
+unchecked: they take nothing but a `BaseGraph`, valid by construction, and
+check the row count by `code_params`. `channel_blocks` reads each
+generator's `bitgen_t` through numpy's public `BitGenerator.ctypes`.
+
 One thread rule serves every call: at most one thread per codeword and one
 per CPU of this process's share (`cpu_share`; a sweep's pool workers split
 the CPUs among themselves, `share_cpus`). The layer iteration and the row
@@ -47,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from ldpclab import kernels
+from ldpclab.basegraph import BaseGraph, code_params
 
 SOURCE = Path(__file__).with_name("_layer.c")
 # numpy's distributions as a static library: random_standard_normal_fill
@@ -193,37 +199,20 @@ def _call(fn, *args) -> int:
     return status
 
 
-def _graph_tables(bg, rows_used: int, n_blocks: int, z: int):
-    """`bg`'s row_start, cols and shifts as int64, checked against the arrays.
-
-    Returns None where `rows_used` is out of range, `n_blocks` or `z` is not
-    the graph's for `rows_used` rows, or an edge leaves the block range; the
-    kernels index with them unchecked.
-    """
-    row_start, cols, shifts = (np.ascontiguousarray(a, dtype=np.int64)
-                               for a in (bg.row_start, bg.cols, bg.shifts))
-    if not 1 <= rows_used < len(row_start):
-        return None
-    n_edges = row_start[rows_used]
-    if (z != bg.z or n_blocks != bg.k_b + rows_used
-            or not 0 <= cols[:n_edges].min() <= cols[:n_edges].max() < n_blocks
-            or not 0 <= shifts[:n_edges].min() <= shifts[:n_edges].max() < z):
-        return None
-    return row_start, cols, shifts
-
-
-def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int, beta: float,
-                  settled: np.ndarray, hard: np.ndarray, weights: np.ndarray,
+def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg: BaseGraph, rows_used: int,
+                  beta: float, settled: np.ndarray, hard: np.ndarray, weights: np.ndarray,
                   margins: np.ndarray) -> bool:
     """One layered iteration over rows 0..rows_used-1 of `bg`, in place.
 
-    `l_v` is (B, n_blocks, Z) and `messages` (B, E, Z), both int8 or both
-    float32. The base graph's own entry arrays are the kernel's tables. The
-    pass skips the codewords the C-contiguous bool (B,) mask `settled`
-    sets, and leaves them and their readout untouched. Every
-    other codeword's pass ends by writing its uint8 hard decisions `l_v < 0`
-    into its row of `hard` (B, n_blocks * Z), its unsatisfied checks over
-    the used rows into the int64 `weights` (B,) and min |L_v| into the
+    `l_v` is (B, n_blocks, Z), n_blocks = k_b + rows_used, and `messages`
+    (B, E, Z), both int8 or both float32. The base graph's own entry arrays
+    are the kernel's tables, passed as they are: a `BaseGraph` is valid when
+    it is made (see its docstring), and `code_params` checks `rows_used`.
+    The pass skips the codewords the C-contiguous bool (B,) mask `settled`
+    sets, and leaves them and their readout untouched. Every other
+    codeword's pass ends by writing its uint8 hard decisions `l_v < 0` into
+    its row of `hard` (B, n_blocks * Z), its unsatisfied checks over the
+    used rows into the int64 `weights` (B,) and min |L_v| into the
     float64 `margins` (B,), as `decoder._read_out` computes them. Strided
     arrays, arrays of two dtypes and arrays of no decoder domain raise
     ValueError. Returns False, touching nothing, where the kernel is
@@ -236,9 +225,12 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int, bet
     lib = load()
     if lib is None:
         return False
+    if not isinstance(bg, BaseGraph):
+        raise ValueError(f"arrays do not match {type(bg).__name__}: not a BaseGraph")
+    code_params(bg, bg.z, rows_used)
     batch, n_blocks, z = l_v.shape
-    tables = _graph_tables(bg, rows_used, n_blocks, z)
-    if tables is None or messages.shape != (batch, tables[0][rows_used], z):
+    if (n_blocks, z) != (bg.k_b + rows_used, bg.z) or messages.shape != (
+            batch, bg.row_start[rows_used], z):
         raise ValueError("workspace arrays do not match the base graph")
     # the kernel indexes them unchecked, by codeword and position
     if (settled.dtype != np.bool_ or settled.shape != (batch,)
@@ -249,19 +241,18 @@ def run_iteration(l_v: np.ndarray, messages: np.ndarray, bg, rows_used: int, bet
         raise ValueError("settled mask or readout arrays do not match the posteriors "
                          "and the base graph")
     unsettled = batch - np.count_nonzero(settled)
-    row_start, cols, shifts = tables
     # int8 magnitudes m = 0..127 scale by the beta rule's table, f32 by beta
     # rounded to f32, as the numpy rows
     lut = kernels.beta_lut(beta)[:128]
     _call(getattr(lib, LAYER_ENTRIES[l_v.dtype]), l_v.ctypes.data, messages.ctypes.data,
           settled.ctypes.data, hard.ctypes.data, margins.ctypes.data, weights.ctypes.data,
-          batch, n_blocks, z, rows_used, row_start.ctypes.data, cols.ctypes.data,
-          shifts.ctypes.data, lut.ctypes.data, float(np.float32(beta)),
+          batch, n_blocks, z, rows_used, bg.row_start.ctypes.data, bg.cols.ctypes.data,
+          bg.shifts.ctypes.data, lut.ctypes.data, float(np.float32(beta)),
           slice_count(unsettled, unsettled * messages.shape[1] * z))
     return True
 
 
-def row_parities(bits: np.ndarray, bg, rows_used: int, r0: int,
+def row_parities(bits: np.ndarray, bg: BaseGraph, rows_used: int, r0: int,
                  r1: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Parity bits of base rows r0..r1-1 over hard bits of rows_used rows.
 
@@ -272,28 +263,24 @@ def row_parities(bits: np.ndarray, bg, rows_used: int, r0: int,
     """
     if bits.dtype != np.uint8 or bits.ndim not in (2, 3) or not bits.flags.c_contiguous:
         raise ValueError("hard bits must be a C-contiguous 2-D or 3-D uint8 array")
+    if not isinstance(bg, BaseGraph):
+        raise ValueError(f"arrays do not match {type(bg).__name__}: not a BaseGraph")
+    code_params(bg, bg.z, rows_used)
     n_blocks = bg.k_b + rows_used
-    tables = _graph_tables(bg, rows_used, n_blocks, bg.z)
-    if tables is None or bits.shape[1:] not in ((n_blocks * bg.z,), (n_blocks, bg.z)):
+    if bits.shape[1:] not in ((n_blocks * bg.z,), (n_blocks, bg.z)):
         raise ValueError("hard bits do not match the base graph")
     if not 0 <= r0 <= r1 <= rows_used:
         raise ValueError(f"rows {r0}..{r1 - 1} are not within the {rows_used} rows used")
     lib = load()
     if lib is None:
         return None
-    row_start, cols, shifts = tables
     parities = np.empty((len(bits), r1 - r0, bg.z), dtype=np.uint8)
     weights = np.empty(len(bits), dtype=np.int64)
-    edges = int(row_start[r1] - row_start[r0])
+    edges = int(bg.row_start[r1] - bg.row_start[r0])
     _call(lib.row_parities, bits.ctypes.data, parities.ctypes.data, weights.ctypes.data,
-          len(bits), n_blocks, bg.z, r0, r1, row_start.ctypes.data, cols.ctypes.data,
-          shifts.ctypes.data, slice_count(len(bits), len(bits) * edges * bg.z))
+          len(bits), n_blocks, bg.z, r0, r1, bg.row_start.ctypes.data, bg.cols.ctypes.data,
+          bg.shifts.ctypes.data, slice_count(len(bits), len(bits) * edges * bg.z))
     return parities, weights
-
-
-# the pointer a capsule holds: a bit generator's capsule holds its bitgen_t
-_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 def channel_blocks(rngs, bits: np.ndarray, out: np.ndarray, sigma: float, scale: float,
@@ -323,7 +310,7 @@ def channel_blocks(rngs, bits: np.ndarray, out: np.ndarray, sigma: float, scale:
             or not out.flags.c_contiguous):
         raise ValueError("bits and out must be C-contiguous (B, n_tx) uint8 and (B, n_c >= "
                          "n_tx) int8 or f32 arrays, with one generator per row")
-    states = np.array([_pointer(g.bit_generator.capsule, b"BitGenerator") for g in rngs],
+    states = np.array([g.bit_generator.ctypes.bit_generator.value for g in rngs],
                       dtype=np.uintp)
     if len(np.unique(states)) < len(states):
         raise ValueError("each codeword needs a bit generator of its own")

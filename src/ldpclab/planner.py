@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ldpclab.basegraph import BaseGraph
+from ldpclab.basegraph import BaseGraph, code_params
 
 # Resident workers needed to hide arithmetic latency on the newer
 # architectures; exposed as configuration, not hard-coded policy.
@@ -64,10 +64,7 @@ def memory_footprint(bg: BaseGraph, z: int, rows_used: int, epsilon: int) -> tup
     """
     if epsilon not in (1, 2, 4):
         raise ValueError(f"epsilon must be 1, 2, or 4 bytes, got {epsilon}")
-    if z != bg.z:
-        raise ValueError(f"graph was lifted for Z={bg.z}, not Z={z}")
-    if not 4 <= rows_used <= bg.m_bg:
-        raise ValueError(f"rows_used must be in [4, {bg.m_bg}]")
+    code_params(bg, z, rows_used)
     s_v = epsilon * z * (bg.k_b + rows_used)
     s_cv = epsilon * z * int(bg.w_r[:rows_used].sum())
     return s_v, s_cv

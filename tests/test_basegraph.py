@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from ldpclab.basegraph import (
     ALL_LIFTING_SIZES,
     LIFTING_SETS,
+    BaseGraph,
     code_params,
     expand_to_binary,
     lifting_set_index,
@@ -174,6 +176,65 @@ def test_immutability():
     bg = get_graph("BG2", 16)
     with pytest.raises(ValueError):
         bg.shifts[0] = 3
+
+
+def _with_entry(bg, r, c, s):
+    """`bg`'s rows, cols and shifts with the entry (r, c, s) inserted in
+    (row, col) order, before any entry of the same key."""
+    at = np.searchsorted(bg.rows * bg.n_cols + bg.cols, r * bg.n_cols + c)
+    return dict(rows=np.insert(bg.rows, at, r), cols=np.insert(bg.cols, at, c),
+                shifts=np.insert(bg.shifts, at, s))
+
+
+def _set(bg, name, i, value):
+    arr = getattr(bg, name).copy()
+    arr[i] = value
+    return {name: arr}
+
+
+def _first_entries(bg, r, keep):
+    """`bg`'s entries without those of row r past its first `keep`."""
+    drop = np.arange(bg.row_start[r] + keep, bg.row_start[r + 1])
+    return {name: np.delete(getattr(bg, name), drop) for name in ("rows", "cols", "shifts")}
+
+
+INVALID_GRAPHS = {
+    "column past n_cols": (lambda bg: _set(bg, "cols", -1, bg.n_cols), "out of range"),
+    "negative shift": (lambda bg: _set(bg, "shifts", 0, -1), "shift outside"),
+    "shift of z": (lambda bg: _set(bg, "shifts", 0, bg.z), "shift outside"),
+    "unsorted": (lambda bg: {n: getattr(bg, n)[::-1] for n in ("rows", "cols", "shifts")},
+                 "not sorted"),
+    "repeated": (lambda bg: _with_entry(bg, 0, bg.cols[0], 0), "duplicate"),
+    "row weight 2": (lambda bg: _first_entries(bg, int(np.argmin(bg.w_r)), 2), "weight < 3"),
+    "core row in an extension column": (lambda bg: _with_entry(bg, 0, bg.k_b + 4, 0),
+                                        "core row 0 references an extension column"),
+    "unequal lengths": (lambda bg: {"shifts": bg.shifts[:-1]}, "one length"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_GRAPHS)
+def test_every_graph_is_checked_when_it_is_made(case):
+    """`dataclasses.replace` builds a new graph through the checks that
+    `load_basegraph`'s graphs pass, so no graph the kernels index is unchecked."""
+    bg = get_graph("BG2", 16)
+    change, message = INVALID_GRAPHS[case]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(bg, **change(bg))
+
+
+def test_a_graph_keeps_read_only_int64_copies_and_derives_its_tables():
+    bg = get_graph("BG2", 16)
+    shifts = bg.shifts.astype(np.int32)
+    made = dataclasses.replace(bg, shifts=shifts)
+    for name in ("rows", "cols", "shifts", "w_r", "row_start"):
+        arr = getattr(made, name)
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous and not arr.flags.writeable
+    assert np.array_equal(made.shifts, shifts) and made.shifts is not shifts
+    assert made.canonical_bytes() == bg.canonical_bytes()
+    assert (made.core_sum_shift, made.core_order) == (bg.core_sum_shift, bg.core_order)
+    with pytest.raises(TypeError):
+        BaseGraph(id=bg.id, k_b=bg.k_b, m_bg=bg.m_bg, n_cols=bg.n_cols, z=bg.z,
+                  rows=bg.rows, cols=bg.cols, shifts=bg.shifts, w_r=bg.w_r)
 
 
 def test_assets_env_var_override(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,23 @@ def test_simulate_rejects_zero_workers(tmp_path, capsys):
     assert code == 2
     assert "workers" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("stop, step, want", [
+    ("1", "0.6", [0.0, 0.6]), ("0.3", "0.1", [0.0, 0.1, 0.2, pytest.approx(0.3)])])
+def test_simulate_grid_ends_at_snr_stop(tmp_path, capsys, stop, step, want):
+    """The grid runs no point past --snr-stop (0..1 in steps of 0.6 once
+    reached 1.2) and keeps the one that float error puts a hair above it
+    (0.1 * 3 > 0.3)."""
+    out_file = tmp_path / "grid.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--bg", "2", "--z", "16", "--snr-start", "0", "--snr-stop", stop,
+        "--snr-step", step, "--target-errors", "1", "--max-codewords", "1",
+        "--out", str(out_file),
+    )
+    assert code == 0, err
+    meta = json.loads(out_file.read_text().splitlines()[1][2:])
+    assert meta["grid"] == want
 
 
 def test_encode_decode_roundtrip(tmp_path, capsys):

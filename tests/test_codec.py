@@ -8,7 +8,6 @@ from ldpclab.codec import (
     Codeword,
     crc_attach,
     crc_check,
-    depuncture,
     encode,
     puncture,
     syndrome,
@@ -203,16 +202,6 @@ def test_puncture_drops_first_two_blocks(bg2_z2):
     assert len(tx) == 100
     assert np.array_equal(tx, cw.bits[4:])
     assert tx[0] == cw.bits[4]
-
-
-def test_depuncture_restores_positions(bg2_z2):
-    rng = np.random.default_rng(19)
-    cw = encode(rng.integers(0, 2, 20, dtype=np.uint8), bg2_z2, 2, 42)
-    soft = 1.0 - 2.0 * puncture(cw).astype(np.float64)
-    restored = depuncture(soft, 2)
-    assert len(restored) == 104
-    assert not restored[:4].any()          # erasures
-    assert np.array_equal(restored[4:], soft)
 
 
 def test_syndrome_counts_by_column_weight(bg2_z16):

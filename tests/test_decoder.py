@@ -176,7 +176,7 @@ def test_first_iteration_sees_channel_llrs(bg2_z16):
     expected = check_node_minsum(
         np.moveaxis(channel[:, cols[:, None], idx], 1, -1), beta=cfg.beta
     )
-    layered_iteration(ws, bg2_z16, cfg, *_readout(ws))
+    layered_iteration(ws, cfg, *_readout(ws))
     got = np.moveaxis(ws.messages[:, e0:e0 + len(cols), :], 1, -1)
     assert np.array_equal(got, expected)
 
@@ -291,7 +291,7 @@ def test_first_layer_messages_coincide_between_schedules(bg2_z16):
     _, blocks = make_noisy_blocks(bg2_z16, 42, 2.0, 2, seed=23, mode="f32")
     cfg = DecodeConfig(precision=Precision.F32)
     ws_l = init_workspace(blocks, bg2_z16, cfg)
-    layered_iteration(ws_l, bg2_z16, cfg, *_readout(ws_l))
+    layered_iteration(ws_l, cfg, *_readout(ws_l))
     ws_f = init_workspace(blocks, bg2_z16, cfg)
     from ldpclab.decoder import _scalar_flood
     _scalar_flood(ws_f, ws_f.l_v.copy(), cfg)

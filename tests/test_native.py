@@ -13,8 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ldpclab import channel, codec, decoder, harness, native
-from ldpclab.basegraph import code_params
+from ldpclab import channel, codec, decoder, harness, native, planner
+from ldpclab.basegraph import code_params, expand_to_binary
 from ldpclab.channel import (
     DOMAINS,
     F32_MAX,
@@ -107,7 +107,7 @@ def test_kernel_matches_numpy_rows_every_iteration(kernel, monkeypatch, code, pr
         fast = init_workspace(blocks, bg, cfg)
         oracle = init_workspace(blocks, bg, cfg)
         for it in range(8):
-            layered_iteration(fast, bg, cfg, _unsettled(fast), _readout_arrays(fast.l_v))
+            layered_iteration(fast, cfg, _unsettled(fast), _readout_arrays(fast.l_v))
             for r in range(oracle.rows_used):
                 oracle.layer(r, cfg)
             where = f"{ebn0} iteration {it + 1}"
@@ -453,7 +453,7 @@ def test_syndrome_weights_rejects_arrays_of_another_graph(kernel):
         with pytest.raises(ValueError, match="do not match"):
             native.row_parities(bits, other, rows, 0, rows)
     # the core rows reach parity block k_b + 3, past two used rows' blocks
-    with pytest.raises(ValueError, match="do not match"):
+    with pytest.raises(ValueError, match="rows_used must be in"):
         native.row_parities(bits[:, : (bg.k_b + 2) * 16].copy(), bg, 2, 0, 2)
     for bad in (bits.astype(np.int32), bits[:, ::2], np.asfortranarray(bits), bits[0],
                 bits.reshape(2, -1, 32)):
@@ -470,6 +470,48 @@ def test_syndrome_weights_rejects_arrays_of_another_graph(kernel):
         setattr(fake, field, arr)
         with pytest.raises(ValueError, match="do not match"):
             native.row_parities(bits, fake, 42, 0, 42)
+
+
+def test_a_graph_that_is_no_basegraph_is_refused_before_any_pass(kernel):
+    """The kernels index a graph's arrays unchecked, trusting the checks a
+    BaseGraph passes when it is made: an object that only holds a loaded
+    graph's arrays raises before any pass, and nothing is written."""
+    bg = get_graph("BG2", 16)
+    fake = SimpleNamespace(**{f.name: getattr(bg, f.name) for f in dataclasses.fields(bg)})
+    _, blocks = make_noisy_blocks(bg, 42, 2.0, 2, seed=1)
+    ws = init_workspace(blocks, bg, DecodeConfig())
+    lv, msgs = ws.l_v.copy(), ws.messages.copy()
+    readout = _readout_arrays(ws.l_v)
+    with pytest.raises(ValueError, match="not a BaseGraph"):
+        native.run_iteration(ws.l_v, ws.messages, fake, 42, 0.75, _unsettled(ws), *readout)
+    with pytest.raises(ValueError, match="not a BaseGraph"):
+        native.row_parities(readout[0], fake, 42, 0, 42)
+    assert np.array_equal(ws.l_v, lv) and np.array_equal(ws.messages, msgs)
+    assert all((a == 7).all() for a in readout)
+
+
+@pytest.mark.parametrize("rows", [3, 43], ids=["below-core", "past-m_bg"])
+def test_code_params_is_the_one_z_and_rows_rule(kernel, rows):
+    """Every entry that takes a graph and a row count or Z raises
+    code_params' own message, the one place the rule is written."""
+    bg = get_graph("BG2", 16)
+    ws = init_workspace(make_noisy_blocks(bg, 42, 2.0, 1, seed=1)[1], bg, DecodeConfig())
+    hard = np.zeros((1, (bg.k_b + rows) * bg.z), dtype=np.uint8)
+    calls = [lambda: code_params(bg, bg.z, rows),
+             lambda: planner.memory_footprint(bg, bg.z, rows, 1),
+             lambda: expand_to_binary(bg, bg.z, rows),
+             lambda: init_workspace(np.zeros((bg.k_b + rows) * bg.z, np.int8), bg,
+                                    DecodeConfig()),
+             lambda: native.run_iteration(ws.l_v, ws.messages, bg, rows, 0.75,
+                                          _unsettled(ws), *_readout_arrays(ws.l_v)),
+             lambda: native.row_parities(hard, bg, rows, 0, 4)]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"rows_used must be in \[4, 42\].*got {rows}"):
+            call()
+    for call in (lambda: code_params(bg, 52, 42), lambda: planner.memory_footprint(bg, 52, 42, 1),
+                 lambda: expand_to_binary(bg, 52, 42)):
+        with pytest.raises(ValueError, match="graph was lifted for Z=16, not Z=52"):
+            call()
 
 
 def _numpy_readout(lv, bg, rows):
@@ -495,7 +537,7 @@ def test_slices_match_the_numpy_oracles(kernel, monkeypatch, batch, slices, prec
     readout = _readout_arrays(fast.l_v)
     asked.clear()
     for it in range(8):
-        layered_iteration(fast, bg, cfg, _unsettled(fast), readout)
+        layered_iteration(fast, cfg, _unsettled(fast), readout)
         for r in range(rows):
             oracle.layer(r, cfg)
         assert np.array_equal(_bits(fast.l_v), _bits(oracle.l_v)), it
@@ -536,9 +578,9 @@ def test_a_live_pass_runs_the_live_codewords_alone(kernel, monkeypatch, slices, 
         before, full = _copy(ws), _copy(ws)
         want = _readout_arrays(full.l_v)
         asked.clear()
-        layered_iteration(full, bg, cfg, _unsettled(full), want)
+        layered_iteration(full, cfg, _unsettled(full), want)
         readout = _readout_arrays(ws.l_v)
-        layered_iteration(ws, bg, cfg, settled, readout)
+        layered_iteration(ws, cfg, settled, readout)
         assert asked == [batch, len(live)]        # both passes ran the kernel
         for a, b in ((ws.l_v, before.l_v), (ws.messages, before.messages)):
             assert a[retired].tobytes() == b[retired].tobytes(), it

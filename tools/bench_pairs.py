@@ -25,7 +25,11 @@ side's median of every end-to-end metric. Each run in `runs` carries its
 over the run, from the aggregate `cpu` line of `/proc/stat` read before and
 after it, steal / (user + nice + system + idle + iowait + irq + softirq +
 steal) of the differences; null where the file cannot be read. A run whose
-share is high was timed on a host busy with other guests.
+share is high was timed on a host busy with other guests. `spread` holds,
+per workload and end-to-end metric, each side's quartiles [q1, q3] over its
+runs and the number of pairs the change wins in the metric's `better`
+direction (ties count for neither side): what it takes to tell a claimed
+gain from the parent's own spread.
 
 Run from the repository root:
 
@@ -145,6 +149,29 @@ def medians(results: list) -> dict:
     return {k: statistics.median(r["metrics"][k]["value"] for r in results) for k in names}
 
 
+def spread(runs: list, bench: dict) -> dict:
+    """Per workload and end-to-end metric of `bench` (BENCHMARK.json), over
+    `runs` as `record["runs"]` holds them: each side's quartiles [q1, q3]
+    (`statistics.quantiles(n=4)`), the pairs in which the change is better
+    than the parent in the metric's `better` direction, and the pair count."""
+    out = {}
+    for workload in (w["name"] for w in bench["workloads"]):
+        sides = {side: {r["pair"]: r["metrics"] for r in runs
+                        if r["workload"] == workload and r["side"] == side}
+                 for side in ("parent", "change")}
+        pairs = sorted(sides["parent"].keys() & sides["change"].keys())
+        out[workload] = {}
+        for metric in bench["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            values = {side: [sides[side][i][name]["value"] for i in pairs] for side in sides}
+            # [q1, q2, q3][::2]: the quartiles around the median
+            entry = {side: statistics.quantiles(v, n=4)[::2] for side, v in values.items()}
+            entry["change_wins"] = sum(sign * (c - p) > 0
+                                       for p, c in zip(values["parent"], values["change"]))
+            out[workload][name] = {**entry, "pairs": len(pairs)}
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, type=Path, help="the BENCH_<n>.json to write")
@@ -193,6 +220,7 @@ def main(argv=None) -> int:
                 for side in ("parent", "change")}
         record["workloads"][workload] = nearest_median(runs["change"])
         record["medians"][workload] = {side: medians(r) for side, r in runs.items()}
+    record["spread"] = spread(record["runs"], bench)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
